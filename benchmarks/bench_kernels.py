@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Time the numerical kernels, best of several repeats per case.
 
-Runs the same workload twice in subprocesses, once per backend (selected via
-the ATEBENCH_DISABLE_NUMBA environment flag), and prints a comparison table.
-Compiled timings exclude the one-off jit warm-up; each case reports the best
-of several repeats.
+With numba installed, the cases run twice in subprocesses, once per backend
+(selected via the ATEBENCH_DISABLE_NUMBA environment flag), and a comparison
+table is printed; compiled timings exclude the one-off jit warm-up.  Without
+numba there is only the numpy backend, so the cases run once in-process and
+one table is printed.  The MCMC case is reported per chain step.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -15,6 +16,9 @@ import os
 import subprocess
 import sys
 import time
+
+MCMC_STEPS = 20_000
+MCMC_CASE = "mcmc_chain (d=8, 20k steps)"
 
 
 def _workload(repeats: int) -> dict:
@@ -44,8 +48,7 @@ def _workload(repeats: int) -> dict:
     wx /= wx.sum()
     wy /= wy.sum()
 
-    steps = 20_000
-    uniforms = rng.random((steps, 2))
+    uniforms = rng.random((MCMC_STEPS, 2))
     small = sample(random_scm(random_er_dag(8, 10, seed=1), seed=1), 1_000, seed=1)
     small_gram = centered_gram(small.values)
 
@@ -53,8 +56,8 @@ def _workload(repeats: int) -> dict:
         "transitive_closure_batch (256 x d=20)": lambda: kernels.transitive_closure_batch(stack),
         "ate_sweep_kernel (256 x d=20)": lambda: kernels.ate_sweep_kernel(gram, stack, closure),
         "weighted_wasserstein (4000 vs 4000)": lambda: kernels.weighted_wasserstein(xs, wx, ys, wy),
-        "mcmc_chain (d=8, 20k steps)": lambda: kernels.mcmc_chain(
-            small_gram, small.n, steps, 1_000, 10, uniforms
+        MCMC_CASE: lambda: kernels.mcmc_chain(
+            small_gram, small.n, MCMC_STEPS, 1_000, 10, uniforms
         ),
     }
 
@@ -90,6 +93,14 @@ def _run_child(disable: bool, repeats: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _fmt(name: str, seconds: float) -> str:
+    if name == MCMC_CASE:
+        text = f"{seconds * 1e6 / MCMC_STEPS:.1f}us/step"
+    else:
+        text = f"{seconds * 1e3:.2f}ms"
+    return f"{text:>14}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -99,18 +110,27 @@ def main() -> int:
         _child(args.as_child)
         return 0
 
+    from atebench import kernels
+
+    if not kernels.HAS_NUMBA:
+        only = _workload(args.repeats)
+        width = max(len(k) for k in only["timings"])
+        print(f"backend: {only['backend']} (numba not installed; best of {args.repeats})")
+        print(f"{'kernel':<{width}}  {only['backend']:>14}")
+        for name, t in only["timings"].items():
+            print(f"{name:<{width}}  {_fmt(name, t)}")
+        return 0
+
     fast = _run_child(disable=False, repeats=args.repeats)
     slow = _run_child(disable=True, repeats=args.repeats)
     width = max(len(k) for k in fast["timings"])
     print(f"backends: {fast['backend']} vs {slow['backend']} "
           f"(best of {args.repeats})")
-    print(f"{'kernel':<{width}}  {fast['backend']:>12}  {slow['backend']:>12}  {'speedup':>8}")
+    print(f"{'kernel':<{width}}  {fast['backend']:>14}  {slow['backend']:>14}  {'speedup':>8}")
     for name, t_fast in fast["timings"].items():
         t_slow = slow["timings"][name]
-        print(
-            f"{name:<{width}}  {t_fast * 1e3:>10.2f}ms  {t_slow * 1e3:>10.2f}ms  "
-            f"{t_slow / t_fast:>7.1f}x"
-        )
+        print(f"{name:<{width}}  {_fmt(name, t_fast)}  {_fmt(name, t_slow)}  "
+              f"{t_slow / t_fast:>7.1f}x")
     return 0
 
 

@@ -20,6 +20,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
+from .kernels import closure_one
 
 logger = logging.getLogger(__name__)
 
@@ -208,13 +209,7 @@ class Cpdag:
 
 def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     """Reachability by paths of length >= 1, via boolean-matrix squaring."""
-    a = _check_square(adjacency)
-    reach = a.copy()
-    while True:
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
-            return nxt
-        reach = nxt
+    return closure_one(_check_square(adjacency))
 
 
 def parents(g: Dag, node: int) -> set[int]:

@@ -4,7 +4,8 @@ The backend is chosen once at import time: the compiled path is used when
 numba imports cleanly and the ATEBENCH_DISABLE_NUMBA environment variable
 is unset (values "" and "0" also leave it enabled).  Each backend is fully
 deterministic; across backends results agree numerically but are not
-guaranteed bit-for-bit identical.
+guaranteed bit-for-bit identical.  The structure-MCMC chain is vectorised
+numpy on every backend; only the local BIC score it calls is compiled.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 import os
 
 import numpy as np
+
+from .errors import ParameterError
 
 try:
     from numba import njit, types
@@ -141,13 +144,17 @@ def _closure_batch_loops(stack):
 _closure_batch_loops = _compile(_closure_batch_loops)
 
 
-def _closure_one_numpy(adj):
-    out = adj.copy()
+def closure_one(adj):
+    """Reachability by paths of length >= 1 of one (d, d) bool adjacency,
+    via boolean-matrix squaring; always a new array."""
+    out, edges = adj, np.count_nonzero(adj)
     while True:
         nxt = out | (out @ out)
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
+        # nxt contains out, so an equal count means an equal matrix
+        nxt_edges = np.count_nonzero(nxt)
+        if nxt_edges == edges:
+            return nxt
+        out, edges = nxt, nxt_edges
 
 
 def transitive_closure_batch(stack) -> np.ndarray:
@@ -157,7 +164,7 @@ def transitive_closure_batch(stack) -> np.ndarray:
         return _closure_batch_loops(stack)
     out = np.empty_like(stack)
     for g in range(stack.shape[0]):
-        out[g] = _closure_one_numpy(stack[g])
+        out[g] = closure_one(stack[g])
     return out
 
 
@@ -364,130 +371,80 @@ def _local_bic(gram, n_rows, node, mask, cache):
 _local_bic = _compile(_local_bic)
 
 
-def _reverse_ok(adj, i, j):
-    """True when reversing i -> j keeps the graph acyclic: no alternative
-    directed path i ~> j survives once the edge itself is ignored."""
-    d = adj.shape[0]
-    stack = np.empty(d, np.int64)
-    visited = np.zeros(d, np.bool_)
-    top = 0
-    stack[top] = i
-    top += 1
-    visited[i] = True
-    while top > 0:
-        top -= 1
-        u = stack[top]
-        for v in range(d):
-            if adj[u, v] and not (u == i and v == j):
-                if v == j:
-                    return False
-                if not visited[v]:
-                    visited[v] = True
-                    stack[top] = v
-                    top += 1
-    return True
+def _move_cum(adj, reach, offdiag):
+    """Row-major cumulative count of the single-edge moves legal in a DAG.
 
-
-_reverse_ok = _compile(_reverse_ok)
-
-
-def _nth_move(adj, reach, pick):
-    """Enumerate valid single-edge moves in a fixed order.
-
-    pick < 0 counts them; pick >= 0 returns (count_so_far, kind, i, j) for
-    the pick-th move.  Kinds: 0 add i->j, 1 delete i->j, 2 reverse i->j.
+    Cell (i, j) holds, in this order, a delete of i -> j when the edge is
+    present and a reverse of it when no other directed path i ~> j exists;
+    otherwise an add of i -> j when no path j ~> i exists.  reach is the
+    closure of adj and offdiag the off-diagonal mask; the last entry is the
+    move count.
     """
-    d = adj.shape[0]
-    count = 0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            if adj[i, j]:
-                if count == pick:
-                    return count, 1, i, j
-                count += 1
-                if _reverse_ok(adj, i, j):
-                    if count == pick:
-                        return count, 2, i, j
-                    count += 1
-            elif not adj[j, i] and not reach[j, i]:
-                if count == pick:
-                    return count, 0, i, j
-                count += 1
-    return count, -1, -1, -1
+    rev = adj & ~(adj @ reach)
+    add = offdiag & ~(adj | reach.T)
+    return (adj.view(np.int8) + rev.view(np.int8) + add.view(np.int8)).ravel().cumsum()
 
 
-_nth_move = _compile(_nth_move)
+def _pick_move(adj, cum, pick):
+    """(kind, i, j) of move number pick in _move_cum's order.
+
+    Kinds: 0 add i->j, 1 delete i->j, 2 reverse i->j.  The first cell is a
+    diagonal one and holds no move, so cum[cell - 1] always exists.
+    """
+    cell = int(cum.searchsorted(pick, side="right"))
+    i, j = divmod(cell, adj.shape[0])
+    if not adj[i, j]:
+        return 0, i, j
+    return (1 if pick == cum[cell - 1] else 2), i, j
 
 
-def _mcmc_loop(gram, n_rows, steps, burn_in, thin, uniforms, samples_out, cache):
+def _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples_out, cache):
+    # The move count of the current state is carried from step to step: a
+    # proposal's count becomes the state's on accept, and a rejection leaves
+    # the state unchanged.  So each step closes and counts one graph.
     d = gram.shape[0]
     adj = np.zeros((d, d), np.bool_)
-    masks = np.zeros(d, np.int64)
-    local = np.empty(d)
-    for k in range(d):
-        local[k] = _local_bic(gram, n_rows, k, 0, cache)
+    offdiag = ~np.eye(d, dtype=np.bool_)
+    masks = [0] * d
+    local = [_local_bic(gram, n_rows, k, 0, cache) for k in range(d)]
+    cum = _move_cum(adj, closure_one(adj), offdiag)
+    n_moves = int(cum[-1])
     accepted = 0
     rec = 0
-    for s in range(1, steps + 1):
-        reach = _reach(adj)
-        n_moves, _, _, _ = _nth_move(adj, reach, -1)
+    for s, (u_move, u_accept) in enumerate(uniforms.tolist(), 1):
         if n_moves > 0:
-            pick = int(uniforms[s - 1, 0] * n_moves)
-            if pick >= n_moves:
-                pick = n_moves - 1
-            _, kind, mi, mj = _nth_move(adj, reach, pick)
-            new_i = 0.0
-            new_j = 0.0
+            pick = min(int(u_move * n_moves), n_moves - 1)
+            kind, mi, mj = _pick_move(adj, cum, pick)
             if kind == 0:
-                new_j = _local_bic(gram, n_rows, mj, masks[mj] | (1 << mi), cache)
-                delta = new_j - local[mj]
-                adj[mi, mj] = True
-            elif kind == 1:
-                new_j = _local_bic(gram, n_rows, mj, masks[mj] & ~(1 << mi), cache)
-                delta = new_j - local[mj]
-                adj[mi, mj] = False
+                mask_j = masks[mj] | (1 << mi)
             else:
-                new_j = _local_bic(gram, n_rows, mj, masks[mj] & ~(1 << mi), cache)
-                new_i = _local_bic(gram, n_rows, mi, masks[mi] | (1 << mj), cache)
-                delta = (new_j - local[mj]) + (new_i - local[mi])
-                adj[mi, mj] = False
+                mask_j = masks[mj] & ~(1 << mi)
+            new_j = _local_bic(gram, n_rows, mj, mask_j, cache)
+            delta = new_j - local[mj]
+            if kind == 2:
+                mask_i = masks[mi] | (1 << mj)
+                new_i = _local_bic(gram, n_rows, mi, mask_i, cache)
+                delta = delta + (new_i - local[mi])
+            adj[mi, mj] = kind == 0
+            if kind == 2:
                 adj[mj, mi] = True
-            reach2 = _reach(adj)
-            n_moves2, _, _, _ = _nth_move(adj, reach2, -1)
+            cum2 = _move_cum(adj, closure_one(adj), offdiag)
+            n_moves2 = int(cum2[-1])
             log_alpha = delta + math.log(n_moves) - math.log(n_moves2)
-            u = uniforms[s - 1, 1]
-            if u < 1e-300:
-                u = 1e-300
-            if math.log(u) < log_alpha:
+            if math.log(max(u_accept, 1e-300)) < log_alpha:
                 accepted += 1
-                if kind == 0:
-                    masks[mj] |= 1 << mi
-                    local[mj] = new_j
-                elif kind == 1:
-                    masks[mj] &= ~(1 << mi)
-                    local[mj] = new_j
-                else:
-                    masks[mj] &= ~(1 << mi)
-                    masks[mi] |= 1 << mj
-                    local[mj] = new_j
-                    local[mi] = new_i
+                cum, n_moves = cum2, n_moves2
+                masks[mj], local[mj] = mask_j, new_j
+                if kind == 2:
+                    masks[mi], local[mi] = mask_i, new_i
             else:
-                if kind == 0:
-                    adj[mi, mj] = False
-                elif kind == 1:
-                    adj[mi, mj] = True
-                else:
+                adj[mi, mj] = kind != 0
+                if kind == 2:
                     adj[mj, mi] = False
-                    adj[mi, mj] = True
         if s > burn_in and (s - burn_in) % thin == 0:
             samples_out[rec] = adj
             rec += 1
     return accepted
-
-
-_mcmc_loop = _compile(_mcmc_loop)
 
 
 def make_score_cache():
@@ -509,12 +466,12 @@ def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms,
     d = gram.shape[0]
     uniforms = np.ascontiguousarray(uniforms, dtype=float)
     if uniforms.shape != (steps, 2):
-        raise ValueError(f"uniforms must have shape ({steps}, 2)")
-    if d > 50:
-        raise ValueError("sampler parent-set masks support at most 50 nodes")
+        raise ParameterError(f"uniforms must have shape ({steps}, 2), got {uniforms.shape}")
+    if not 1 <= d <= 50:
+        raise ParameterError(f"sampler needs 1 to 50 nodes (parent-set masks), got {d}")
     n_kept = max((steps - burn_in) // thin, 0)
     samples = np.zeros((n_kept, d, d), np.bool_)
     if cache is None:
         cache = make_score_cache()
-    accepted = _mcmc_loop(gram, n_rows, steps, burn_in, thin, uniforms, samples, cache)
+    accepted = _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples, cache)
     return samples, int(accepted)

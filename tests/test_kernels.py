@@ -11,9 +11,11 @@ from scipy import stats
 
 import atebench
 from atebench import kernels
+from atebench.errors import ParameterError
 from atebench.scm import random_er_dag, random_scm, sample
 
 from conftest import random_weighted_sample
+from mcmc_reference import _nth_move, _reach, reference_chain
 
 
 def centered_gram_of(values):
@@ -244,3 +246,55 @@ def test_mcmc_chain_moves_between_graphs():
     samples, _ = kernels.mcmc_chain(gram, data.n, 4000, 0, 1, uniforms)
     distinct = {s.tobytes() for s in samples}
     assert len(distinct) > 1
+
+
+def test_mcmc_chain_rejects_misshapen_uniforms():
+    gram = np.eye(3)
+    with pytest.raises(ParameterError):
+        kernels.mcmc_chain(gram, 100, 10, 0, 1, np.zeros((10, 3)))
+    with pytest.raises(ParameterError):
+        kernels.mcmc_chain(gram, 100, 10, 0, 1, np.zeros((9, 2)))
+
+
+def test_mcmc_chain_rejects_node_counts_outside_1_to_50():
+    for d in (0, 51):
+        with pytest.raises(ParameterError):
+            kernels.mcmc_chain(np.eye(d), 100, 10, 0, 1, np.zeros((10, 2)))
+
+
+def move_test_graphs():
+    rng = np.random.default_rng(12)
+    for d in range(2, 21):
+        full = d * (d - 1) // 2
+        for edges in (d // 2, d, 2 * d):
+            yield random_er_dag(d, min(edges, full), int(rng.integers(1 << 30))).adjacency
+    for d in (2, 5, 12, 20):
+        yield np.zeros((d, d), dtype=bool)
+        # complete DAG along a random topological order
+        yield random_er_dag(d, d * (d - 1) // 2, seed=d).adjacency
+
+
+def test_vectorised_moves_match_the_loop_enumeration():
+    for adj in move_test_graphs():
+        d = adj.shape[0]
+        reach = _reach(adj)
+        assert np.array_equal(kernels.closure_one(adj), reach)
+        cum = kernels._move_cum(adj, reach, ~np.eye(d, dtype=bool))
+        n_moves = _nth_move(adj, reach, -1)[0]
+        assert cum[-1] == n_moves
+        for pick in range(n_moves):
+            assert kernels._pick_move(adj, cum, pick) == _nth_move(adj, reach, pick)[1:]
+
+
+@pytest.mark.parametrize("d,steps", [(3, 3000), (8, 1500), (10, 1000), (20, 200)])
+def test_mcmc_chain_matches_the_loop_reference(d, steps):
+    data = sample(random_scm(random_er_dag(d, d, seed=d), seed=d), 300, seed=d)
+    gram = centered_gram_of(data.values)
+    uniforms = np.random.default_rng(d).random((steps, 2))
+    burn_in, thin = steps // 4, 3
+    samples, accepted = kernels.mcmc_chain(gram, data.n, steps, burn_in, thin, uniforms)
+    ref_samples, ref_accepted = reference_chain(gram, data.n, steps, burn_in, thin, uniforms)
+    assert accepted > 0
+    assert accepted == ref_accepted
+    assert samples.shape == ref_samples.shape == ((steps - burn_in) // thin, d, d)
+    assert np.array_equal(samples, ref_samples)
