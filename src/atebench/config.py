@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import ConfigError
 from .metrics import DEFAULT_FILTER_GRID, DEFAULT_FILTER_TOLERANCE
@@ -14,6 +15,10 @@ KNOWN_METHODS = ("bootstrap-pc", "bootstrap-ges", "mcmc")
 # keys that relocate or parallelize a run without changing its numbers; they
 # stay out of the config digest so artifacts remain mutually aggregatable
 VOLATILE_KEYS = frozenset({"workers", "output_root"})
+
+# keys naming input files; the digest covers their contents, not their paths,
+# so an input edited in place is a different experiment
+INPUT_KEYS = frozenset({"dataset_path", "graph_path", "posterior_path"})
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,36 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        """12-hex digest over every result-affecting key."""
-        lines = [
-            f"{name}={_format_value(name, getattr(self, name))}"
-            for name in _FIELDS
-            if name not in VOLATILE_KEYS
-        ]
+        """12-hex digest over every result-affecting key and input content."""
+        lines = []
+        for name in _FIELDS:
+            if name in VOLATILE_KEYS:
+                continue
+            value = getattr(self, name)
+            if name in INPUT_KEYS and value is not None:
+                value = "sha256:" + _input_sha256(name, value)
+            lines.append(f"{name}={_format_value(name, value)}")
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def _input_sha256(key, path) -> str:
+    """sha256 of a file's bytes; for a directory, of its files' relative
+    names and bytes in sorted order."""
+    root = Path(path)
+    h = hashlib.sha256()
+    try:
+        if root.is_dir():
+            for f in sorted(p for p in root.rglob("*") if p.is_file()):
+                h.update(f.relative_to(root).as_posix().encode("utf-8") + b"\0")
+                h.update(hashlib.sha256(f.read_bytes()).digest())
+        else:
+            h.update(root.read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"config key {key!r}: cannot read input {path}: {exc}") from exc
+    return h.hexdigest()
 
 
 def _format_value(name, value) -> str:

@@ -19,7 +19,7 @@ class BicScore:
     """Decomposable Gaussian BIC of a DAG: sum of per-node regression scores.
 
     Local scores are cached by (node, parent set), so repeated queries during
-    search are cheap.  Delegates to the same compiled kernel the MCMC sampler
+    search are cheap.  Delegates to the same kernel the MCMC sampler
     uses, so scores agree bit for bit across code paths.
     """
 
@@ -34,7 +34,7 @@ class BicScore:
         if np.any(diag <= 0.0):
             bad = data.column_labels[int(np.argmin(diag))]
             raise DegenerateDataError(f"column {bad!r} has zero variance")
-        self._cache = kernels.make_score_cache()
+        self._cache = {}
 
     def local(self, node: int, parents) -> float:
         mask = 0

@@ -1,53 +1,23 @@
-"""Numerical kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import time: the compiled path is used when
-numba imports cleanly and the ATEBENCH_DISABLE_NUMBA environment variable
-is unset (values "" and "0" also leave it enabled).  Each backend is fully
-deterministic; across backends results agree numerically but are not
-guaranteed bit-for-bit identical.  The structure-MCMC chain is vectorised
-numpy on every backend; only the local BIC score it calls is compiled.
-"""
+"""Numerical kernels in numpy: closure, the backdoor ATE sweep, the
+weighted Wasserstein distance and the structure-MCMC chain.  Deterministic."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import ParameterError
 
-try:
-    from numba import njit, types
-    from numba.typed import Dict as _TypedDict
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = types = _TypedDict = None
-    HAS_NUMBA = False
-
 RIDGE = 1e-8
 
 
-def _disabled_by_env() -> bool:
-    return os.environ.get("ATEBENCH_DISABLE_NUMBA", "") not in ("", "0")
-
-
-NUMBA_ENABLED = HAS_NUMBA and not _disabled_by_env()
-
-
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def _compile(fn):
-    if NUMBA_ENABLED:
-        return njit(cache=True)(fn)
-    return fn
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# small dense linear solves (shared by the sweep and the sampler)
+# small dense linear solves (for the local BIC score)
 # ---------------------------------------------------------------------------
 
 
@@ -108,40 +78,9 @@ def _solve_multi(a, b):
     return x, True
 
 
-_solve_multi = _compile(_solve_multi)
-
-
 # ---------------------------------------------------------------------------
 # reachability
 # ---------------------------------------------------------------------------
-
-
-def _reach(adj):
-    """Floyd-Warshall closure: paths of length >= 1."""
-    d = adj.shape[0]
-    out = adj.copy()
-    for k in range(d):
-        for i in range(d):
-            if out[i, k]:
-                for j in range(d):
-                    if out[k, j]:
-                        out[i, j] = True
-    return out
-
-
-_reach = _compile(_reach)
-
-
-def _closure_batch_loops(stack):
-    m = stack.shape[0]
-    d = stack.shape[1]
-    out = np.zeros((m, d, d), np.bool_)
-    for g in range(m):
-        out[g] = _reach(stack[g])
-    return out
-
-
-_closure_batch_loops = _compile(_closure_batch_loops)
 
 
 def closure_one(adj):
@@ -160,8 +99,6 @@ def closure_one(adj):
 def transitive_closure_batch(stack) -> np.ndarray:
     """(m, d, d) bool adjacency stack -> (m, d, d) bool reachability stack."""
     stack = np.ascontiguousarray(stack, dtype=bool)
-    if NUMBA_ENABLED:
-        return _closure_batch_loops(stack)
     out = np.empty_like(stack)
     for g in range(stack.shape[0]):
         out[g] = closure_one(stack[g])
@@ -173,53 +110,20 @@ def transitive_closure_batch(stack) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_loops(gram, stack, closure, out):
-    m = stack.shape[0]
-    d = stack.shape[1]
-    for g in range(m):
-        for t in range(d):
-            npa = 0
-            for i in range(d):
-                if stack[g, i, t]:
-                    npa += 1
-            k = npa + 1
-            idx = np.empty(k, np.int64)
-            idx[0] = t
-            p = 1
-            for i in range(d):
-                if stack[g, i, t]:
-                    idx[p] = i
-                    p += 1
-            a = np.empty((k, k))
-            b = np.empty((k, d))
-            for r in range(k):
-                for c in range(k):
-                    a[r, c] = gram[idx[r], idx[c]]
-                for c in range(d):
-                    b[r, c] = gram[idx[r], c]
-            x, ok = _solve_multi(a, b)
-            if not ok:
-                lam = 0.0
-                for r in range(k):
-                    lam += abs(a[r, r])
-                lam = RIDGE * (1.0 + lam / k)
-                for r in range(k):
-                    a[r, r] += lam
-                x, ok = _solve_multi(a, b)
-            for y in range(d):
-                if y == t or not closure[g, t, y]:
-                    out[g, t, y] = 0.0
-                elif ok:
-                    out[g, t, y] = x[0, y]
-                else:
-                    out[g, t, y] = np.nan
+def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
+    """Unit-contrast effects for every (graph, treatment, outcome) triple.
 
-
-_sweep_loops = _compile(_sweep_loops)
-
-
-def _sweep_numpy(gram, stack, closure, out):
+    gram is the centered Gram matrix of the dataset.  For each graph g and
+    treatment t the regressors are t plus its parents in g; out[g, t, y] is
+    the coefficient on t when y is regressed on them, forced to exactly 0.0
+    when y is not a descendant of t, and NaN only if even the ridge-adjusted
+    solve fails.
+    """
+    gram = np.ascontiguousarray(gram, dtype=float)
+    stack = np.ascontiguousarray(stack, dtype=bool)
+    closure = np.ascontiguousarray(closure, dtype=bool)
     m, d, _ = stack.shape
+    out = np.empty((m, d, d))
     for g in range(m):
         adj = stack[g]
         for t in range(d):
@@ -238,71 +142,12 @@ def _sweep_numpy(gram, stack, closure, out):
             row = np.where(closure[g, t], x[0], 0.0)
             row[t] = 0.0
             out[g, t] = row
-
-
-def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
-    """Unit-contrast effects for every (graph, treatment, outcome) triple.
-
-    gram is the centered Gram matrix of the dataset.  For each graph g and
-    treatment t the regressors are t plus its parents in g; out[g, t, y] is
-    the coefficient on t when y is regressed on them, forced to exactly 0.0
-    when y is not a descendant of t, and NaN only if even the ridge-adjusted
-    solve fails.
-    """
-    gram = np.ascontiguousarray(gram, dtype=float)
-    stack = np.ascontiguousarray(stack, dtype=bool)
-    closure = np.ascontiguousarray(closure, dtype=bool)
-    m, d, _ = stack.shape
-    out = np.empty((m, d, d))
-    if NUMBA_ENABLED:
-        _sweep_loops(gram, stack, closure, out)
-    else:
-        _sweep_numpy(gram, stack, closure, out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # weighted 1-D Wasserstein distance
 # ---------------------------------------------------------------------------
-
-
-def _wd_merge(xs, wx, ys, wy):
-    nx = xs.shape[0]
-    ny = ys.shape[0]
-    i = 0
-    j = 0
-    fx = 0.0
-    fy = 0.0
-    prev = xs[0] if xs[0] < ys[0] else ys[0]
-    total = 0.0
-    while i < nx or j < ny:
-        if j >= ny or (i < nx and xs[i] <= ys[j]):
-            t = xs[i]
-        else:
-            t = ys[j]
-        total += abs(fx - fy) * (t - prev)
-        prev = t
-        while i < nx and xs[i] == t:
-            fx += wx[i]
-            i += 1
-        while j < ny and ys[j] == t:
-            fy += wy[j]
-            j += 1
-    return total
-
-
-_wd_merge = _compile(_wd_merge)
-
-
-def _wd_numpy(xs, wx, ys, wy):
-    grid = np.concatenate([xs, ys])
-    grid.sort(kind="mergesort")
-    deltas = np.diff(grid)
-    cx = np.concatenate([[0.0], np.cumsum(wx)])
-    cy = np.concatenate([[0.0], np.cumsum(wy)])
-    ix = np.searchsorted(xs, grid[:-1], side="right")
-    iy = np.searchsorted(ys, grid[:-1], side="right")
-    return float(np.sum(np.abs(cx[ix] - cy[iy]) * deltas))
 
 
 def weighted_wasserstein(xs, wx, ys, wy) -> float:
@@ -315,9 +160,14 @@ def weighted_wasserstein(xs, wx, ys, wy) -> float:
     wx = np.ascontiguousarray(wx, dtype=float)
     ys = np.ascontiguousarray(ys, dtype=float)
     wy = np.ascontiguousarray(wy, dtype=float)
-    if NUMBA_ENABLED:
-        return float(_wd_merge(xs, wx, ys, wy))
-    return _wd_numpy(xs, wx, ys, wy)
+    grid = np.concatenate([xs, ys])
+    grid.sort(kind="mergesort")
+    deltas = np.diff(grid)
+    cx = np.concatenate([[0.0], np.cumsum(wx)])
+    cy = np.concatenate([[0.0], np.cumsum(wy)])
+    ix = np.searchsorted(xs, grid[:-1], side="right")
+    iy = np.searchsorted(ys, grid[:-1], side="right")
+    return float(np.sum(np.abs(cx[ix] - cy[iy]) * deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +216,6 @@ def _local_bic(gram, n_rows, node, mask, cache):
     score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (npa + 1) * math.log(n_rows)
     cache[key] = score
     return score
-
-
-_local_bic = _compile(_local_bic)
 
 
 def _move_cum(adj, reach, offdiag):
@@ -447,13 +294,6 @@ def _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples_out, cache):
     return accepted
 
 
-def make_score_cache():
-    """Backend-appropriate mapping from (node, parent-mask) keys to scores."""
-    if NUMBA_ENABLED:
-        return _TypedDict.empty(key_type=types.int64, value_type=types.float64)
-    return {}
-
-
 def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms, cache=None):
     """Metropolis-Hastings chain over DAGs targeting exp(BIC).
 
@@ -472,6 +312,6 @@ def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms,
     n_kept = max((steps - burn_in) // thin, 0)
     samples = np.zeros((n_kept, d, d), np.bool_)
     if cache is None:
-        cache = make_score_cache()
+        cache = {}
     accepted = _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples, cache)
     return samples, int(accepted)

@@ -78,10 +78,44 @@ def test_digest_ignores_volatile_keys():
     assert len(base.digest()) == 12
 
 
-def test_digest_covers_input_paths():
-    a = ExperimentConfig(mode="real", dataset_path="x.csv", graph_path="g.txt")
-    b = ExperimentConfig(mode="real", dataset_path="y.csv", graph_path="g.txt")
-    assert a.digest() != b.digest()
+def test_digest_covers_input_paths(tmp_path):
+    # the digest covers what the input files hold, not where they are
+    (tmp_path / "g.txt").write_text("nodes: a,b\na -> b\n")
+    (tmp_path / "x.csv").write_text("a,b\n1,2\n3,5\n")
+    (tmp_path / "y.csv").write_text("a,b\n1,2\n3,6\n")
+    (tmp_path / "x_copy.csv").write_bytes((tmp_path / "x.csv").read_bytes())
+
+    def real(dataset):
+        return ExperimentConfig(
+            mode="real", dataset_path=str(tmp_path / dataset), graph_path=str(tmp_path / "g.txt")
+        )
+
+    assert real("x.csv").digest() != real("y.csv").digest()
+    assert real("x.csv").digest() == real("x_copy.csv").digest()
+
+
+def test_digest_of_posterior_directory_and_missing_input(tmp_path):
+    (tmp_path / "g.txt").write_text("nodes: a,b\na -> b\n")
+    (tmp_path / "d.csv").write_text("a,b\n1,2\n3,5\n")
+    post = tmp_path / "post"
+    post.mkdir()
+    (post / "manifest.json").write_text('{"files": ["g0.txt"]}')
+    (post / "g0.txt").write_text("nodes: a,b\na -> b\n")
+    cfg = ExperimentConfig(
+        mode="real",
+        dataset_path=str(tmp_path / "d.csv"),
+        graph_path=str(tmp_path / "g.txt"),
+        posterior_path=str(post),
+    )
+    before = cfg.digest()
+    (post / "g0.txt").write_text("nodes: a,b\nb -> a\n")
+    edited = cfg.digest()
+    (post / "g0.txt").rename(post / "g1.txt")
+    assert len({before, edited, cfg.digest()}) == 3
+    (tmp_path / "d.csv").unlink()
+    with pytest.raises(ConfigError) as err:
+        cfg.digest()
+    assert "dataset_path" in str(err.value)
 
 
 def test_with_overrides_skips_none_and_replaces_values():

@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import atebench
 from atebench import kernels
 from atebench.errors import ParameterError
 from atebench.scm import random_er_dag, random_scm, sample
@@ -23,44 +17,11 @@ def centered_gram_of(values):
     return np.ascontiguousarray(xc.T @ xc)
 
 
-# --- backend selection -----------------------------------------------------
+# --- backend name ----------------------------------------------------------
 
 
-def test_backend_name_is_one_of_the_two():
-    assert kernels.backend_name() in ("numba", "numpy")
-
-
-def run_kernels_child(flag=None):
-    """Import atebench.kernels in a fresh interpreter; return its
-    (backend_name(), _disabled_by_env()) as printed strings.
-
-    The child sees the same atebench as this suite (its src directory goes
-    first on PYTHONPATH) and no inherited ATEBENCH_DISABLE_NUMBA; ``flag``,
-    when not None, is the only value of the flag it sees.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "ATEBENCH_DISABLE_NUMBA"}
-    src = str(Path(atebench.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if flag is not None:
-        env["ATEBENCH_DISABLE_NUMBA"] = flag
-    code = "import atebench.kernels as k; print(k.backend_name(), k._disabled_by_env())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    backend, disabled = out.stdout.split()
-    return backend, disabled
-
-
-def test_env_flag_forces_numpy_backend():
-    assert run_kernels_child("1") == ("numpy", "True")
-
-
-def test_env_flag_zero_and_empty_leave_backend_alone():
-    default, disabled = run_kernels_child()
-    assert disabled == "False"
-    for value in ("", "0"):
-        assert run_kernels_child(value) == (default, "False")
+def test_backend_name_is_numpy():
+    assert kernels.backend_name() == "numpy"
 
 
 # --- Wasserstein kernel ----------------------------------------------------
@@ -84,21 +45,6 @@ def test_wasserstein_matches_scipy(seed):
 def test_wasserstein_point_masses():
     one = np.array([1.0])
     assert wd_call(np.array([0.0]), one, np.array([3.0]), one) == pytest.approx(3.0)
-
-
-def test_wasserstein_backends_agree():
-    # accumulation order differs between the two paths, so agreement is to
-    # float precision, not bitwise
-    if not kernels.NUMBA_ENABLED:
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        xv, xw = random_weighted_sample(rng)
-        yv, yw = random_weighted_sample(rng)
-        ox, oy = np.argsort(xv), np.argsort(yv)
-        fast = kernels._wd_merge(xv[ox], xw[ox], yv[oy], yw[oy])
-        slow = kernels._wd_numpy(xv[ox], xw[ox], yv[oy], yw[oy])
-        assert float(fast) == pytest.approx(float(slow), rel=1e-12, abs=1e-13)
 
 
 # --- transitive closure batch ---------------------------------------------
@@ -139,7 +85,7 @@ def test_local_bic_matches_lstsq_oracle():
     rng = np.random.default_rng(7)
     data = sample(random_scm(random_er_dag(5, 7, seed=1), seed=1), 300, seed=1)
     gram = centered_gram_of(data.values)
-    cache = kernels.make_score_cache()
+    cache = {}
     for _ in range(40):
         node = int(rng.integers(5))
         others = [k for k in range(5) if k != node]
@@ -156,7 +102,7 @@ def test_local_bic_matches_lstsq_oracle():
 def test_local_bic_cache_returns_identical_value():
     data = sample(random_scm(random_er_dag(4, 5, seed=2), seed=2), 100, seed=2)
     gram = centered_gram_of(data.values)
-    cache = kernels.make_score_cache()
+    cache = {}
     first = kernels._local_bic(gram, data.n, 2, 0b1001, cache)
     second = kernels._local_bic(gram, data.n, 2, 0b1001, cache)
     assert float(first) == float(second)

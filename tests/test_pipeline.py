@@ -334,6 +334,25 @@ def test_real_mode_rejects_cyclic_truth_graph(real_inputs, tmp_path):
     assert "cyclic.txt" in str(err.value)
 
 
+def test_real_mode_refuses_a_dataset_edited_in_place(real_inputs, tmp_path):
+    g, data, inputs = real_inputs
+    save_dataset(data, tmp_path / "data.csv")
+    cfg = ExperimentConfig(
+        mode="real",
+        dataset_path=str(tmp_path / "data.csv"),
+        graph_path=str(inputs / "truth.txt"),
+        posterior_size=6,
+        methods=("bootstrap-pc",),
+        output_root=str(tmp_path / "real_edited"),
+    )
+    run_real(cfg)
+    edited = Dataset(data.values[::-1] * 2.0, data.column_labels, "edited")
+    save_dataset(edited, tmp_path / "data.csv")
+    with pytest.raises(ConfigError) as err:
+        run_real(cfg)
+    assert "digest" in str(err.value)
+
+
 # --- external posteriors ---------------------------------------------------
 
 
