@@ -51,43 +51,86 @@ def _recomplete(labels, D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.nd
     return p.directed, p.undirected
 
 
-def _forward_candidates(D, U, score: BicScore):
-    d = D.shape[0]
-    adj = D | D.T | U
+def _bits(mask: int) -> list[int]:
     out = []
-    for x in range(d):
-        for y in range(d):
-            if x == y or adj[x, y]:
-                continue
-            na = frozenset(np.flatnonzero(U[y] & adj[x]).tolist())
-            t_pool = np.flatnonzero(U[y] & ~adj[x] & (np.arange(d) != x)).tolist()
-            pa = frozenset(np.flatnonzero(D[:, y]).tolist())
-            for size in range(len(t_pool) + 1):
-                for t in combinations(t_pool, size):
-                    base = na | set(t) | pa
-                    delta = score.local(y, base | {x}) - score.local(y, base)
-                    if delta > _EPS:
-                        out.append((delta, x, y, t, na))
-    out.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _backward_candidates(D, U, score: BicScore):
-    d = D.shape[0]
-    adj = D | D.T | U
+def _forward_target(y, u, pa, adj, score: BicScore):
+    """Insert candidates (delta, x, y, T, NA) for target y, unsorted.
+
+    `u` is y's undirected-neighbour mask, `pa` its parent mask and `adj` the
+    per-node adjacency masks; the result reads `adj` only at y and through
+    `u`, which is what `_candidates` keys its memo on.  Sources x with the
+    same NA share T's pool and the score of y without x, so they are scored
+    together.
+    """
+    by_na = {}
+    for x in range(len(adj)):
+        if x != y and not (adj[y] >> x) & 1:
+            by_na.setdefault(u & adj[x], []).append(x)
     out = []
-    for x in range(d):
-        for y in range(d):
-            if x == y or not (U[x, y] or D[x, y]):
-                continue
-            na = frozenset(np.flatnonzero(U[y] & adj[x]).tolist())
-            pa = frozenset(np.flatnonzero(D[:, y]).tolist()) - {x}
-            for size in range(len(na) + 1):
-                for h in combinations(sorted(na), size):
-                    base = (na - set(h)) | pa
-                    delta = score.local(y, base) - score.local(y, base | {x})
+    for na, xs in by_na.items():
+        na_set = frozenset(_bits(na))
+        pool = _bits(u & ~na)
+        for size in range(len(pool) + 1):
+            for t in combinations(pool, size):
+                base = pa | na
+                for v in t:
+                    base |= 1 << v
+                without = score.local_mask(y, base)
+                for x in xs:
+                    delta = score.local_mask(y, base | 1 << x) - without
                     if delta > _EPS:
-                        out.append((delta, x, y, h, na))
+                        out.append((delta, x, y, t, na_set))
+    return out
+
+
+def _backward_target(y, u, pa, adj, score: BicScore):
+    """Delete candidates (delta, x, y, H, NA) for target y, unsorted."""
+    out = []
+    for x in _bits(u | pa):
+        na = u & adj[x]
+        x_bit = 1 << x
+        known = pa & ~x_bit
+        na_set = frozenset(_bits(na))
+        pool = _bits(na)
+        for size in range(len(pool) + 1):
+            for h in combinations(pool, size):
+                base = na | known
+                for v in h:
+                    base &= ~(1 << v)
+                delta = score.local_mask(y, base) - score.local_mask(y, base | x_bit)
+                if delta > _EPS:
+                    out.append((delta, x, y, h, na_set))
+    return out
+
+
+def _candidates(target, memo: dict, D, U, score: BicScore):
+    """All of `target`'s candidates over every y, in (-delta, x, y, T) order.
+
+    A target's list depends only on U[y], D[:, y], adj[:, y] and
+    adj[:, U[y]] (by symmetry the rows adj[v], v in U[y]), so `memo` keys it
+    on exactly those; after a move only the targets whose neighbourhood
+    changed are rescored.  Row masks fit int64 because BicScore caps d at 50.
+    """
+    d = D.shape[0]
+    weights = np.left_shift(1, np.arange(d, dtype=np.int64))
+    adj = ((D | D.T | U) @ weights).tolist()
+    und = (U @ weights).tolist()
+    par = (D.T @ weights).tolist()
+    out = []
+    for y in range(d):
+        u = und[y]
+        key = (y, u, par[y], adj[y], tuple(adj[v] for v in _bits(u)))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = target(y, u, par[y], adj, score)
+        out.extend(found)
     out.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     return out
 
@@ -130,9 +173,10 @@ def ges(data: Dataset) -> Cpdag:
     D = np.zeros((d, d), dtype=bool)
     U = np.zeros((d, d), dtype=bool)
     moves = 0
+    memo = {}
     while True:
         applied = False
-        for delta, x, y, t, na in _forward_candidates(D, U, score):
+        for delta, x, y, t, na in _candidates(_forward_target, memo, D, U, score):
             adj = D | D.T | U
             if not _clique(adj, na | set(t)):
                 continue
@@ -147,9 +191,10 @@ def ges(data: Dataset) -> Cpdag:
             break
         if not applied:
             break
+    memo = {}
     while True:
         applied = False
-        for delta, x, y, h, na in _backward_candidates(D, U, score):
+        for delta, x, y, h, na in _candidates(_backward_target, memo, D, U, score):
             if not _clique(D | D.T | U, na - set(h)):
                 continue
             try:

@@ -27,6 +27,7 @@ class BicScore:
         if data.d > 50:
             raise ParameterError("BIC scoring supports at most 50 variables")
         self.n = data.n
+        self.d = data.d
         if self.n < 2:
             raise ParameterError("BIC scoring needs at least 2 rows")
         self.gram = centered_gram(data.values)
@@ -39,10 +40,22 @@ class BicScore:
     def local(self, node: int, parents) -> float:
         mask = 0
         for p in parents:
-            if p == node:
-                raise ParameterError("node cannot be its own parent")
-            mask |= 1 << int(p)
-        return float(kernels._local_bic(self.gram, self.n, int(node), mask, self._cache))
+            p = int(p)
+            if not 0 <= p < self.d:
+                raise ParameterError(f"parent {p} outside 0..{self.d - 1}")
+            mask |= 1 << p
+        return self.local_mask(node, mask)
+
+    def local_mask(self, node: int, mask: int) -> float:
+        """Local score of `node` given the parent set whose bits `mask` sets."""
+        node = int(node)
+        if not 0 <= node < self.d:
+            raise ParameterError(f"node {node} outside 0..{self.d - 1}")
+        if mask < 0 or mask >> self.d:
+            raise ParameterError(f"parent mask {mask:#x} has bits outside 0..{self.d - 1}")
+        if (mask >> node) & 1:
+            raise ParameterError("node cannot be its own parent")
+        return float(kernels._local_bic(self.gram, self.n, node, mask, self._cache))
 
     def graph_score(self, adjacency: np.ndarray) -> float:
         a = np.asarray(adjacency, dtype=bool)

@@ -8,6 +8,7 @@ are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import logging
+import os
 
 import numpy as np
 
@@ -471,6 +472,8 @@ def parse_cpdag_edgelist(text: str, source: str = "<string>") -> Cpdag:
 
 
 def load_dag(path) -> Dag:
+    if not os.path.isfile(path):
+        raise ValidationError(f"{path}: no such graph file")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_dag_edgelist(fh.read(), source=str(path))
 

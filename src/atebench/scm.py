@@ -6,10 +6,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, StructuralError
+from .errors import ParameterError, SchemaError, StructuralError, ValidationError
 from .graphs import Dag
 
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
@@ -213,6 +214,8 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    if not os.path.isfile(path):
+        raise ValidationError(f"{path}: no such dataset file")
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -101,3 +101,18 @@ def test_failed_seed_sets_exit_code_one(tmp_path, capsys):
     assert "seed 0 failed" in captured.err
     doc = json.loads((tmp_path / "f" / "run_manifest.json").read_text())
     assert doc["seeds"]["0"]["status"] == "failed"
+
+
+def test_missing_external_inputs_are_exit_two(tmp_path, capsys):
+    posterior = tmp_path / "p.txt"
+    posterior.write_text("")
+    code = run_cli(
+        "run", "--mode", "real",
+        "--dataset-path", str(tmp_path / "nope.csv"),
+        "--graph-path", str(tmp_path / "nope.txt"),
+        "--posterior-path", str(posterior),
+        "--output-root", str(tmp_path / "R"),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{tmp_path / 'nope.csv'}: no such dataset file" in err

@@ -186,6 +186,18 @@ def test_bic_local_decomposition_sums_to_graph_score():
     assert score.graph_score(g.adjacency) == pytest.approx(total, rel=1e-12)
 
 
+def test_bic_local_rejects_nodes_and_parents_outside_the_graph():
+    g = random_er_dag(5, 6, seed=9)
+    score = BicScore(sample(random_scm(g, seed=9), 100, seed=9))
+    for node, parents in ((0, [99]), (0, [5]), (0, [-1]), (5, []), (-1, [2]), (2, [2])):
+        with pytest.raises(ParameterError):
+            score.local(node, parents)
+    for node, mask in ((0, 1 << 5), (0, -1), (5, 0), (1, 0b10)):
+        with pytest.raises(ParameterError):
+            score.local_mask(node, mask)
+    assert score.local_mask(0, 0b110) == score.local(0, [2, 1])
+
+
 def test_bic_rejects_degenerate_input():
     values = np.column_stack([np.ones(30), np.arange(30.0)])
     with pytest.raises(DegenerateDataError) as err:

@@ -404,3 +404,21 @@ def test_evaluate_external_accepts_objects_directly(real_inputs, tmp_path):
     )
     report = evaluate_external(tmp_path / "obj.txt", data, g, cfg)
     assert report.summaries[0].method == "tag-x"
+
+
+def test_evaluate_external_names_a_missing_dataset_or_graph(real_inputs, tmp_path):
+    g, data, inputs = real_inputs
+    save_posterior(uniform_posterior([g], "one", seed=0), tmp_path / "p.txt")
+    present = (str(inputs / "data.csv"), str(inputs / "truth.txt"))
+    for k, kind in ((0, "dataset"), (1, "graph")):
+        paths = list(present)
+        paths[k] = str(tmp_path / "nope")
+        cfg = ExperimentConfig(
+            mode="real",
+            dataset_path=paths[0],
+            graph_path=paths[1],
+            output_root=str(tmp_path / "ext_missing"),
+        )
+        with pytest.raises(ValidationError) as err:
+            evaluate_external(tmp_path / "p.txt", *paths, cfg)
+        assert str(err.value) == f"{paths[k]}: no such {kind} file"
