@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ..errors import DegenerateDataError, ParameterError, SampleSizeError
 from ..scm import Dataset
@@ -41,7 +41,7 @@ class FisherZTester:
         if not np.all(np.isfinite(self.corr)):
             raise DegenerateDataError("correlation matrix has non-finite entries")
         self.alpha = alpha
-        self.threshold = float(norm.ppf(1.0 - alpha / 2.0))
+        self.threshold = float(ndtri(1.0 - alpha / 2.0))
         self.tests_run = 0
 
     def independent(self, i: int, j: int, cond) -> bool:

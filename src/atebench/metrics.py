@@ -49,14 +49,14 @@ class ModeSet:
     __slots__ = ("representatives", "masses")
 
     def __init__(self, representatives, masses):
-        r = np.asarray(representatives, dtype=float).copy()
-        m = np.asarray(masses, dtype=float).copy()
+        r = np.array(representatives, dtype=float)
+        m = np.array(masses, dtype=float)
         if r.ndim != 1 or r.shape != m.shape:
             raise ParameterError("representatives and masses must be equal-length vectors")
         if r.size:
-            if not np.all(np.diff(r) > 0):
+            if not (r[1:] > r[:-1]).all():
                 raise ParameterError("representatives must be strictly increasing")
-            if np.any(m <= 0):
+            if (m <= 0).any():
                 raise ParameterError("masses must be strictly positive")
             if abs(m.sum() - 1.0) > 1e-9:
                 raise ParameterError(f"masses must sum to 1, got {m.sum()!r}")
@@ -147,6 +147,11 @@ def _weighted(x):
     return v, w
 
 
+def _sorted(v, w):
+    order = np.argsort(v, kind="stable")
+    return v[order], w[order]
+
+
 def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
     """Group numerically close values of a weighted sample into modes.
 
@@ -155,17 +160,19 @@ def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
     Each group's representative is its weighted mean; its mass is the summed
     weight.
     """
-    v, w = _weighted((values, weights))
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    w = w[order]
+    return _regroup_sorted(*_sorted(*_weighted((values, weights))), cfg)
+
+
+def _regroup_sorted(v, w, cfg: RegroupConfig) -> ModeSet:
+    """regroup on values already sorted ascending (weights permuted alike)."""
+    # v[lo:] - anchor is >= 0 and nondecreasing, so one search finds where
+    # the closeness predicate first fails
     bounds = [0]
-    anchor = v[0]
-    for k in range(1, v.size):
-        if not (abs(v[k] - anchor) <= cfg.atol + cfg.rtol * abs(anchor)):
-            bounds.append(k)
-            anchor = v[k]
-    bounds.append(v.size)
+    while bounds[-1] < v.size:
+        lo = bounds[-1]
+        anchor = v[lo]
+        bound = cfg.atol + cfg.rtol * abs(anchor)
+        bounds.append(lo + int((v[lo:] - anchor).searchsorted(bound, side="right")))
     reps = []
     masses = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -193,11 +200,42 @@ def wasserstein_1d(x, y) -> float:
     Operates on the raw samples (no regrouping); each argument is an
     AteSampleSet or a (values, weights) pair.
     """
-    xv, xw = _weighted(x)
-    yv, yw = _weighted(y)
-    ox = np.argsort(xv, kind="stable")
-    oy = np.argsort(yv, kind="stable")
-    return weighted_wasserstein(xv[ox], xw[ox], yv[oy], yw[oy])
+    return weighted_wasserstein(*_sorted(*_weighted(x)), *_sorted(*_weighted(y)))
+
+
+def _tolerances(tolerances) -> np.ndarray:
+    tols = np.asarray(tolerances, dtype=float)
+    if tols.ndim != 1 or not np.all((tols >= 0) & (tols < 1)):
+        raise ParameterError("tolerance must be in [0, 1)")
+    return tols
+
+
+def _match_counts(true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig, tols) -> list[ModeCounts]:
+    """Mode-match counts of a pair after low-mass filtering at each (validated)
+    tolerance.  Filtering keeps the modes of raw mass >= tol, so a kept true
+    mode is found when its heaviest close learned mode is kept, and a kept
+    learned mode is spurious when its heaviest close true mode is not."""
+    mt, ml = true_modes.masses, learned_modes.masses
+    t, l = true_modes.representatives, learned_modes.representatives
+    # -1 where nothing is close: below every tolerance
+    heaviest_l = np.where(cfg.close(t[:, None], l[None, :]), ml, -1.0).max(axis=1, initial=-1.0)
+    heaviest_t = np.where(cfg.close(l[:, None], t[None, :]), mt, -1.0).max(axis=1, initial=-1.0)
+    col = tols[:, None]
+    keep_t = mt >= col
+    keep_l = ml >= col
+    n_true = keep_t.sum(axis=1)
+    tp = (keep_t & (heaviest_l >= col)).sum(axis=1)
+    fp = (keep_l & (heaviest_t < col)).sum(axis=1)
+    cols = (n_true, keep_l.sum(axis=1), tp, fp, n_true - tp)
+    return [ModeCounts(*c) for c in zip(*(a.tolist() for a in cols))]
+
+
+def _rates(c: ModeCounts, filtered: bool = False) -> tuple[Optional[float], Optional[float]]:
+    """(precision, recall); after filtering, undefined when a side kept no mode."""
+    if filtered and not (c.n_true and c.n_learned):
+        return None, None
+    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else None
+    return precision, (c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else None)
 
 
 def mode_precision_recall(
@@ -210,29 +248,13 @@ def mode_precision_recall(
     mode (true value as the reference).  Precision and recall are None when
     their denominator is zero.
     """
-    t = true_modes.representatives
-    l = learned_modes.representatives
-    if t.size and l.size:
-        found = cfg.close(t[:, None], l[None, :]).any(axis=1)
-        tp = int(found.sum())
-        fn = int(t.size - tp)
-        matched = cfg.close(l[:, None], t[None, :]).any(axis=1)
-        fp = int((~matched).sum())
-    else:
-        tp = 0
-        fn = int(t.size)
-        fp = int(l.size)
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    return precision, recall, ModeCounts(int(t.size), int(l.size), tp, fp, fn)
+    (counts,) = _match_counts(true_modes, learned_modes, cfg, np.zeros(1))
+    return (*_rates(counts), counts)
 
 
 def filter_low_mass(modes: ModeSet, tolerance: float) -> ModeSet:
     """Drop modes with mass below the tolerance and renormalize the rest."""
-    if not 0 <= tolerance < 1:
-        raise ParameterError("tolerance must be in [0, 1)")
-    if modes.is_empty:
-        return modes
+    _tolerances([tolerance])
     keep = modes.masses >= tolerance
     if not keep.any():
         return ModeSet([], [])
@@ -250,17 +272,12 @@ def evaluate_pair(
     precision/recall before and after low-mass filtering."""
     if true_set.query != learned_set.query:
         raise ParameterError("sample sets answer different queries")
-    wd = wasserstein_1d(true_set, learned_set)
-    tm = regroup(true_set.values, true_set.weights, cfg)
-    lm = regroup(learned_set.values, learned_set.weights, cfg)
-    precision, recall, counts = mode_precision_recall(tm, lm, cfg)
-    ft = filter_low_mass(tm, filter_tolerance)
-    fl = filter_low_mass(lm, filter_tolerance)
-    if ft.is_empty or fl.is_empty:
-        fprec = frec = None
-    else:
-        fprec, frec, _ = mode_precision_recall(ft, fl, cfg)
-    report = PairReport(true_set.query, wd, precision, recall, fprec, frec, counts)
+    tols = _tolerances((0.0, filter_tolerance))
+    ts, ls = (_sorted(s.values, s.weights) for s in (true_set, learned_set))
+    tm, lm = _regroup_sorted(*ts, cfg), _regroup_sorted(*ls, cfg)
+    counts, filtered = _match_counts(tm, lm, cfg, tols)
+    wd = weighted_wasserstein(*ts, *ls)
+    report = PairReport(true_set.query, wd, *_rates(counts), *_rates(filtered, filtered=True), counts)
     return report, PairModes(true_set.query, tm, lm)
 
 
@@ -381,37 +398,18 @@ def relaxation_rows(
 ) -> list[dict]:
     """Precision/recall aggregated at each filtering tolerance of the grid."""
     cfg = cfg or RegroupConfig()
+    grid = tuple(grid)
+    tols = _tolerances(grid)
+    rates = {}  # rates[seed][pair][k]: (precision, recall) at grid[k]
+    for seed, pair_modes in modes_by_seed.items():
+        counts = [_match_counts(pm.true_modes, pm.learned_modes, cfg, tols) for pm in pair_modes]
+        rates[seed] = [[_rates(c, filtered=True) for c in by_tol] for by_tol in counts]
     rows = []
-    for tol in grid:
-        prec_by_seed = {}
-        rec_by_seed = {}
-        for seed, pair_modes in modes_by_seed.items():
-            precs = []
-            recs = []
-            for pm in pair_modes:
-                ft = filter_low_mass(pm.true_modes, tol)
-                fl = filter_low_mass(pm.learned_modes, tol)
-                if ft.is_empty or fl.is_empty:
-                    precs.append(None)
-                    recs.append(None)
-                    continue
-                p, r, _ = mode_precision_recall(ft, fl, cfg)
-                precs.append(p)
-                recs.append(r)
-            prec_by_seed[seed] = precs
-            rec_by_seed[seed] = recs
-        p_mean, p_se, p_excl = _aggregate_metric(prec_by_seed)
-        r_mean, r_se, r_excl = _aggregate_metric(rec_by_seed)
-        rows.append(
-            {
-                "tolerance": tol,
-                "precision_mean": p_mean,
-                "precision_se": p_se,
-                "recall_mean": r_mean,
-                "recall_se": r_se,
-                "excluded_pairs": max(p_excl, r_excl),
-            }
-        )
+    for k, tol in enumerate(grid):
+        p_mean, p_se, p_excl = _aggregate_metric({s: [r[k][0] for r in prs] for s, prs in rates.items()})
+        r_mean, r_se, r_excl = _aggregate_metric({s: [r[k][1] for r in prs] for s, prs in rates.items()})
+        rows.append(dict(tolerance=tol, precision_mean=p_mean, precision_se=p_se, recall_mean=r_mean,
+                         recall_se=r_se, excluded_pairs=max(p_excl, r_excl)))
     return rows
 
 
@@ -583,26 +581,26 @@ def read_pair_reports_csv(path, labels) -> list[PairReport]:
 MODES_CSV_HEADER = ["treatment", "outcome", "source_tag", "mode_value", "mass"]
 
 
-def read_modes_csv(path, labels, true_tag: str) -> list[PairModes]:
+def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> list[PairModes]:
     """Inverse of write_modes_csv: rows regrouped into per-pair ModeSets."""
     labels = tuple(labels)
     index = {lab: k for k, lab in enumerate(labels)}
-    acc: dict[tuple[int, int], dict[bool, list[tuple[float, float]]]] = {}
+    tags = (true_tag, learned_tag)
+    acc: dict[tuple[int, int], tuple[list, list]] = {}
     for lineno, row in _csv_rows(path, MODES_CSV_HEADER):
         if len(row) != 5:
             raise SchemaError(f"{path}:{lineno}: expected 5 columns")
         t_lab, y_lab, tag, value, mass = row
         if t_lab not in index or y_lab not in index:
             raise SchemaError(f"{path}:{lineno}: unknown node label")
+        if tag not in tags:
+            raise SchemaError(f"{path}:{lineno}: unexpected source tag {tag!r}")
         try:
             entry = (float(value), float(mass))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
-        pair = acc.setdefault((index[t_lab], index[y_lab]), {True: [], False: []})
-        pair[tag == true_tag].append(entry)
-    out = []
-    for (t, y), sides in sorted(acc.items()):
-        tm = ModeSet([v for v, _ in sides[True]], [m for _, m in sides[True]])
-        lm = ModeSet([v for v, _ in sides[False]], [m for _, m in sides[False]])
-        out.append(PairModes(AteQuery(t, y), tm, lm))
-    return out
+        acc.setdefault((index[t_lab], index[y_lab]), ([], []))[tags.index(tag)].append(entry)
+    return [
+        PairModes(AteQuery(t, y), *(ModeSet([v for v, _ in side], [m for _, m in side]) for side in sides))
+        for (t, y), sides in sorted(acc.items())
+    ]

@@ -396,18 +396,24 @@ def _update_run_manifest(root: Path, cfg: ExperimentConfig, methods, seed_status
     _write_json(path, manifest)
 
 
-def _attach_run_log(root: Path) -> logging.Handler:
+def _attach_run_log(root: Path) -> tuple[logging.Handler, int]:
+    """Log the package at INFO or finer into run.log; returns what
+    _detach_run_log needs to undo it, the logger's previous level included."""
     handler = logging.FileHandler(root / "run.log", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
     pkg_logger = logging.getLogger("atebench")
     pkg_logger.addHandler(handler)
-    if pkg_logger.level > logging.INFO or pkg_logger.level == logging.NOTSET:
+    previous = pkg_logger.level
+    if previous > logging.INFO or previous == logging.NOTSET:
         pkg_logger.setLevel(logging.INFO)
-    return handler
+    return handler, previous
 
 
-def _detach_run_log(handler) -> None:
-    logging.getLogger("atebench").removeHandler(handler)
+def _detach_run_log(attached) -> None:
+    handler, previous = attached
+    pkg_logger = logging.getLogger("atebench")
+    pkg_logger.removeHandler(handler)
+    pkg_logger.setLevel(previous)
     handler.close()
 
 
@@ -482,7 +488,7 @@ def _aggregate(cfg: ExperimentConfig, root: Path) -> RunReport:
             _require_digest(pair_path, digest)
             _require_digest(modes_path, digest)
             reports_by_seed[i] = read_pair_reports_csv(pair_path, labels)
-            modes_by_seed[i] = read_modes_csv(modes_path, labels, TRUE_MEC_TAG)
+            modes_by_seed[i] = read_modes_csv(modes_path, labels, TRUE_MEC_TAG, method)
         if not reports_by_seed:
             raise AggregationError(f"no completed evaluations for method {method!r}")
         summaries.append(aggregate(reports_by_seed, method))
@@ -516,7 +522,7 @@ def run_pipeline(cfg: ExperimentConfig, command: str = "run", external=None):
         raise ConfigError(f"unknown pipeline command {command!r}")
     cfg.validate()
     root = _prepare_root(cfg)
-    handler = _attach_run_log(root)
+    run_log = _attach_run_log(root)
     try:
         if command == "report":
             return _aggregate(cfg, root)
@@ -528,7 +534,7 @@ def run_pipeline(cfg: ExperimentConfig, command: str = "run", external=None):
             logger.warning("%d of %d seeds failed", len(failed), cfg.num_seeds)
         return _aggregate(cfg, root)
     finally:
-        _detach_run_log(handler)
+        _detach_run_log(run_log)
 
 
 def run_synthetic(cfg: ExperimentConfig) -> RunReport:
@@ -567,7 +573,7 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
     if cfg.num_seeds != 1:
         raise ConfigError("external evaluation runs a single seed")
     root = _prepare_root(cfg)
-    handler = _attach_run_log(root)
+    run_log = _attach_run_log(root)
     try:
         sd = _seed_dirs(cfg, root)[0]
         sd.mkdir(parents=True, exist_ok=True)
@@ -581,4 +587,4 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
         _update_run_manifest(root, cfg, [ps.method_tag], {0: {"status": "ok", "error": None}})
         return _aggregate(cfg, root)
     finally:
-        _detach_run_log(handler)
+        _detach_run_log(run_log)

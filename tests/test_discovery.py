@@ -115,6 +115,14 @@ def test_fisher_z_rejects_constant_column():
     assert "c0" in str(err.value)
 
 
+def test_fisher_z_threshold_is_the_normal_quantile_bit_for_bit():
+    _, data = collider_data(n=50)
+    alphas = np.concatenate([[1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999999],
+                             np.random.default_rng(0).uniform(0.0, 1.0, size=500)])
+    for alpha in alphas.tolist():
+        assert FisherZTester(data, alpha).threshold == float(stats.norm.ppf(1.0 - alpha / 2.0)), alpha
+
+
 def test_fisher_z_one_shot_wrapper_agrees():
     _, data = collider_data(seed=3)
     assert fisher_z_ci_test(data, 0, 1, [], 0.05) == FisherZTester(data, 0.05).independent(0, 1, [])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from atebench.ate import AteQuery, AteSampleSet
-from atebench.errors import AggregationError, ParameterError
+from atebench.errors import AggregationError, ParameterError, SchemaError
 from atebench.metrics import (
     ModeCounts,
     ModeSet,
@@ -365,11 +365,26 @@ def test_modes_csv_round_trip(tmp_path):
     )
     path = tmp_path / "modes.csv"
     write_modes_csv([pm], labels, "true-mec", "m", path)
-    back = read_modes_csv(path, labels, "true-mec")
+    back = read_modes_csv(path, labels, "true-mec", "m")
     assert len(back) == 1
     assert back[0].query == pm.query
     assert back[0].true_modes == pm.true_modes
     assert back[0].learned_modes == pm.learned_modes
+
+
+def test_modes_csv_rejects_a_foreign_source_tag(tmp_path):
+    labels = ("X0", "X1")
+    pm = PairModes(AteQuery(0, 1), ModeSet([0.0], [1.0]), ModeSet([0.5], [1.0]))
+    path = tmp_path / "modes.csv"
+    write_modes_csv([pm], labels, "true-mec", "m1", path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("X0,X1,m2,0.5,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, labels, "true-mec", "m1")
+    assert f"{path}:4: unexpected source tag 'm2'" in str(err.value)
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, labels, "true-mec", "m2")
+    assert f"{path}:3: unexpected source tag 'm1'" in str(err.value)
 
 
 def test_run_report_csv_has_one_row_per_method(tmp_path):

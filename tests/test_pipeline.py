@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 
 import numpy as np
@@ -181,6 +182,22 @@ def test_report_regeneration_is_idempotent(synthetic_run):
     before = tree_hashes(root)
     run_pipeline(tiny_cfg(root), "report")
     assert tree_hashes(root) == before
+
+
+@pytest.mark.parametrize("level", [logging.NOTSET, logging.DEBUG, logging.WARNING])
+def test_a_run_leaves_the_package_log_level_as_it_found_it(synthetic_run, level):
+    _, root, _ = synthetic_run
+    pkg_logger = logging.getLogger("atebench")
+    saved = pkg_logger.level
+    pkg_logger.setLevel(level)
+    try:
+        before = read_text(root / "run.log")
+        run_pipeline(tiny_cfg(root), "report")
+        assert pkg_logger.level == level
+    finally:
+        pkg_logger.setLevel(saved)
+    added = read_text(root / "run.log")[len(before):].splitlines()
+    assert any(" INFO atebench.pipeline: report written: " in line for line in added)
 
 
 def test_conflicting_config_on_same_root_is_refused(synthetic_run):
