@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import zipfile
 
 import numpy as np
 
@@ -141,43 +140,25 @@ def _bag_parts(dag_bag):
     return dags[0].labels, dags, weights, tag
 
 
-def _sweep_chunk(args):
-    gram, stack = args
-    closure = transitive_closure_batch(stack)
-    return ate_sweep_kernel(gram, stack, closure)
-
-
 def sweep(
     dag_bag,
     data: Dataset,
-    workers: int = 1,
     treatment_value_b: float = 1.0,
     reference_value_a: float = 0.0,
 ) -> dict[AteQuery, AteSampleSet]:
     """ATE sample sets for every ordered pair under every DAG in the bag.
 
-    One value per (pair, DAG); weights inherited from the bag.  The result is
-    bit-identical for any workers >= 1: the per-DAG solves are independent and
-    chunked results are concatenated back in canonical order.
+    One value per (pair, DAG); weights inherited from the bag.
     """
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
     labels, dags, weights, tag = _bag_parts(dag_bag)
     if labels != data.column_labels:
         raise SchemaError("DAG bag labels do not match dataset columns")
     d = len(labels)
-    m = len(dags)
     stack = np.stack([g.adjacency for g in dags])
     x = data.values
     xc = x - x.mean(axis=0)
     gram = np.ascontiguousarray(xc.T @ xc)
-    if workers == 1 or m < 2 * workers:
-        unit = _sweep_chunk((gram, stack))
-    else:
-        bounds = np.linspace(0, m, workers + 1).astype(int)
-        chunks = [(gram, stack[bounds[k]:bounds[k + 1]]) for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            unit = np.concatenate(list(pool.map(_sweep_chunk, chunks)))
+    unit = ate_sweep_kernel(gram, stack, transitive_closure_batch(stack))
     bad = np.argwhere(~np.isfinite(unit))
     if bad.size:
         g0, t0, y0 = bad[0]
@@ -196,30 +177,37 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# columnar persistence: the contract between the sweep and the metrics stage
+# persistence: the contract between the sweep and the metrics stage
 # ---------------------------------------------------------------------------
 
-ATE_CSV_HEADER = ["treatment", "outcome", "dag_index", "ate_value", "weight"]
+_ATE_KEYS = ("values", "weights", "labels", "config_digest")
 
 
-def save_ate_samples(samples: dict[AteQuery, AteSampleSet], labels, path) -> None:
-    """Rows ordered by (treatment index, outcome index, dag_index)."""
+def save_ate_samples(samples: dict[AteQuery, AteSampleSet], labels, path, digest: str) -> None:
+    """Write one sweep as an npz: `values` is the (m, d, d) stack whose
+    [k, t, y] entry is the effect of t on y under DAG k (diagonal 0),
+    `weights` the (m,) DAG weights, `labels` the node labels and
+    `config_digest` a 0-d string.  Every ordered pair must be present and
+    every sample set must carry the same weights."""
     labels = tuple(labels)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ATE_CSV_HEADER)
-        for q in sorted(samples, key=lambda q: (q.treatment, q.outcome)):
-            s = samples[q]
-            for k in range(len(s)):
-                writer.writerow(
-                    [
-                        labels[q.treatment],
-                        labels[q.outcome],
-                        k,
-                        repr(float(s.values[k])),
-                        repr(float(s.weights[k])),
-                    ]
-                )
+    d = len(labels)
+    first = next(iter(samples.values()))
+    values = np.zeros((len(first), d, d))
+    for q, s in samples.items():
+        if not np.array_equal(s.weights, first.weights):
+            raise ParameterError(f"{q!r}: sample sets of one sweep must share their weights")
+        values[:, q.treatment, q.outcome] = s.values
+    if len(samples) != d * (d - 1):
+        raise ParameterError(f"expected {d * (d - 1)} ordered pairs, got {len(samples)}")
+    # np.savez appends .npz to a path without it; writing to an open file does not
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            values=values,
+            weights=first.weights,
+            labels=np.array(labels, dtype=str),
+            config_digest=np.array(digest, dtype=str),
+        )
 
 
 def load_ate_samples(
@@ -229,41 +217,37 @@ def load_ate_samples(
     treatment_value_b: float = 1.0,
     reference_value_a: float = 0.0,
 ) -> dict[AteQuery, AteSampleSet]:
+    """Inverse of save_ate_samples; a malformed file raises SchemaError."""
     labels = tuple(labels)
-    index = {lab: k for k, lab in enumerate(labels)}
-    by_pair: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if header is None:
-                header = row
-                if header != ATE_CSV_HEADER:
-                    raise SchemaError(
-                        f"{path}: expected header {ATE_CSV_HEADER}, got {header}"
-                    )
-                continue
-            if len(row) != 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 columns")
-            t_lab, y_lab, k, v, w = row
-            if t_lab not in index or y_lab not in index:
-                raise SchemaError(f"{path}:{lineno}: unknown node label")
-            try:
-                entry = (int(k), float(v), float(w))
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
-            by_pair.setdefault((index[t_lab], index[y_lab]), []).append(entry)
-    if header is None:
-        raise SchemaError(f"{path}: missing header row")
-    out: dict[AteQuery, AteSampleSet] = {}
-    for (t, y), entries in by_pair.items():
-        entries.sort()
-        if [e[0] for e in entries] != list(range(len(entries))):
-            raise SchemaError(f"{path}: dag_index gap for pair ({labels[t]}, {labels[y]})")
-        q = AteQuery(t, y, treatment_value_b, reference_value_a)
-        out[q] = AteSampleSet(
-            q, [e[1] for e in entries], [e[2] for e in entries], source_tag
+    d = len(labels)
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{path}: not an npz file ({exc})") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path}: not an npz file (a single array)")
+    with npz:
+        missing = [k for k in _ATE_KEYS if k not in npz.files]
+        if missing:
+            raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
+        try:
+            values, weights, stored = npz["values"], npz["weights"], npz["labels"]
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise SchemaError(f"{path}: unreadable array ({exc})") from exc
+    if stored.tolist() != list(labels):
+        raise SchemaError(f"{path}: labels {stored.tolist()} differ from {list(labels)}")
+    if weights.ndim != 1 or values.shape != (weights.size, d, d):
+        raise SchemaError(
+            f"{path}: values {values.shape} and weights {weights.shape} "
+            f"do not form an (m, {d}, {d}) stack"
         )
+    out: dict[AteQuery, AteSampleSet] = {}
+    try:
+        for t in range(d):
+            for y in range(d):
+                if t != y:
+                    q = AteQuery(t, y, treatment_value_b, reference_value_a)
+                    out[q] = AteSampleSet(q, values[:, t, y], weights, source_tag)
+    except (ParameterError, DegenerateDataError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return out

@@ -600,7 +600,11 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> list[PairMo
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
         acc.setdefault((index[t_lab], index[y_lab]), ([], []))[tags.index(tag)].append(entry)
-    return [
-        PairModes(AteQuery(t, y), *(ModeSet([v for v, _ in side], [m for _, m in side]) for side in sides))
-        for (t, y), sides in sorted(acc.items())
-    ]
+    out = []
+    for (t, y), sides in sorted(acc.items()):
+        try:
+            modes = [ModeSet([v for v, _ in side], [m for _, m in side]) for side in sides]
+        except ParameterError as exc:
+            raise SchemaError(f"{path}: pair ({labels[t]}, {labels[y]}): {exc}") from exc
+        out.append(PairModes(AteQuery(t, y), *modes))
+    return out

@@ -232,10 +232,10 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
         if "truth" not in done:
             def build_truth():
                 enum = enumerate_mec(truth, cap=cfg.mec_cap)
-                return enum, sweep(enum, data, workers=1, treatment_value_b=b, reference_value_a=a)
+                return enum, sweep(enum, data, treatment_value_b=b, reference_value_a=a)
             _, true_ates = timed("truth", build_truth)
         elif any(need_eval for _, need_eval in needs.values()):
-            true_ates = load_ate_samples(sd / "ates" / "true-mec.csv", labels, TRUE_MEC_TAG, b, a)
+            true_ates = load_ate_samples(sd / "ates" / "true-mec.npz", labels, TRUE_MEC_TAG, b, a)
 
     rcfg = RegroupConfig(cfg.regroup_rtol, cfg.regroup_atol)
     for method, fit in plan:
@@ -251,10 +251,10 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
             ps = None
         if need_ates:
             learned = timed(f"ates:{method}", lambda p=ps: (
-                sweep(p, data, workers=1, treatment_value_b=b, reference_value_a=a), labels
+                sweep(p, data, treatment_value_b=b, reference_value_a=a), labels
             ))[0]
         elif need_eval:
-            learned = load_ate_samples(sd / "ates" / f"{method}.csv", labels, method, b, a)
+            learned = load_ate_samples(sd / "ates" / f"{method}.npz", labels, method, b, a)
         if need_eval:
             timed(f"evaluate:{method}", lambda la=learned, mth=method: evaluate_pair_sets(
                 true_ates, la, rcfg, cfg.filter_tolerance
@@ -285,12 +285,15 @@ def _seed_worker(task):
 def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
     files = []
 
-    def text_artifact(rel, writer):
+    def artifact(rel, writer):
         path = seed_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         writer(path)
-        _stamp_text(path, digest)
         files.append(rel)
+        return path
+
+    def text_artifact(rel, writer):
+        _stamp_text(artifact(rel, writer), digest)
 
     if stage == "generate":
         truth, scm_obj, data = payload
@@ -311,14 +314,14 @@ def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
         _stamp_json(mec_dir / "manifest.json", digest)
         files.append("mec/manifest.json")
         labels = enum.source.labels
-        text_artifact("ates/true-mec.csv", lambda p: save_ate_samples(true_ates, labels, p))
+        artifact("ates/true-mec.npz", lambda p: save_ate_samples(true_ates, labels, p, digest))
     elif stage.startswith("discover:"):
         method = stage.split(":", 1)[1]
         text_artifact(f"posteriors/{method}.txt", lambda p: save_posterior(payload, p))
     elif stage.startswith("ates:"):
         method = stage.split(":", 1)[1]
         samples, labels = payload
-        text_artifact(f"ates/{method}.csv", lambda p: save_ate_samples(samples, labels, p))
+        artifact(f"ates/{method}.npz", lambda p: save_ate_samples(samples, labels, p, digest))
     elif stage.startswith("evaluate:"):
         method = stage.split(":", 1)[1]
         reports, modes, labels, tag = payload
@@ -444,7 +447,7 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=Non
             for fut in as_completed(futures):
                 i = futures[fut]
                 handle(fut.result(), dirs[i])
-    elif cfg.mode == "real":
+    elif cfg.mode == "real" or external is not None:
         # real-data ingestion problems (bad schema, cyclic truth graph) are
         # caller errors, not seed diagnostics; let them surface directly
         for t in tasks:
@@ -566,25 +569,15 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
     truth = truth_graph if isinstance(truth_graph, Dag) else load_dag(truth_graph)
     data = _align_to_graph(data, truth)
     ps = load_external_posterior(posterior_path)
+    if ps.method_tag == TRUE_MEC_TAG:
+        raise SchemaError(
+            f"{posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved for the true "
+            "equivalence class"
+        )
     if ps.dags[0].labels != truth.labels:
         raise SchemaError(
             "external posterior node labels do not match the ground-truth graph"
         )
     if cfg.num_seeds != 1:
         raise ConfigError("external evaluation runs a single seed")
-    root = _prepare_root(cfg)
-    run_log = _attach_run_log(root)
-    try:
-        sd = _seed_dirs(cfg, root)[0]
-        sd.mkdir(parents=True, exist_ok=True)
-        manifest = _read_json(sd / "manifest.json") or {"stages": {}}
-        # run inline and let loader/module errors propagate
-        stages, timings = _seed_compute(
-            cfg, 0, str(sd), frozenset(manifest["stages"]), _CUTS["run"], (data, truth, ps)
-        )
-        result = {"seed": 0, "stages": stages, "timings": timings, "error": None, "digest": cfg.digest()}
-        _flush_seed_result(sd, result)
-        _update_run_manifest(root, cfg, [ps.method_tag], {0: {"status": "ok", "error": None}})
-        return _aggregate(cfg, root)
-    finally:
-        _detach_run_log(run_log)
+    return run_pipeline(cfg, "run", external=(data, truth, ps))

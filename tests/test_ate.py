@@ -133,14 +133,6 @@ def test_sweep_matches_per_query_estimates(sweep_setup):
             assert ss.values[k] == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
-def test_sweep_worker_count_does_not_change_bytes(sweep_setup):
-    _, _, data, enum = sweep_setup
-    one = sweep(enum, data, workers=1)
-    two = sweep(enum, data, workers=2)
-    for q in one:
-        assert one[q].values.tobytes() == two[q].values.tobytes()
-
-
 def test_sweep_accepts_posterior_like_bags(sweep_setup):
     g, _, data, _ = sweep_setup
     from atebench.discovery import uniform_posterior
@@ -175,41 +167,117 @@ def test_sample_set_validation():
 
 def test_ate_samples_round_trip_is_bit_exact(tmp_path, sweep_setup):
     _, _, data, enum = sweep_setup
-    out = sweep(enum, data)
-    path = tmp_path / "ates.csv"
-    save_ate_samples(out, data.column_labels, path)
-    back = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG)
+    out = sweep(enum, data, treatment_value_b=2.0, reference_value_a=-1.0)
+    path = tmp_path / "ates.npz"
+    save_ate_samples(out, data.column_labels, path, "abc")
+    back = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG, 2.0, -1.0)
     assert set(back) == set(out)
     for q in out:
-        assert np.array_equal(back[q].values, out[q].values)
-        assert np.array_equal(back[q].weights, out[q].weights)
+        assert back[q].values.tobytes() == out[q].values.tobytes()
+        assert back[q].weights.tobytes() == out[q].weights.tobytes()
+        assert back[q].source_tag == TRUE_MEC_TAG
 
 
-def test_ate_samples_file_rows_are_sorted(tmp_path, sweep_setup):
+def test_ate_samples_file_is_one_stack_with_its_digest(tmp_path, sweep_setup):
     _, _, data, enum = sweep_setup
     out = sweep(enum, data)
-    path = tmp_path / "ates.csv"
-    save_ate_samples(out, data.column_labels, path)
-    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
-    keys = [(r[0], r[1], int(r[2])) for r in rows]
-    assert keys == sorted(keys)
+    labels = data.column_labels
+    path = tmp_path / "ates"  # no suffix: the file is written at exactly this path
+    save_ate_samples(out, labels, path, "abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ates"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["values", "weights", "labels", "config_digest"]
+        values, weights = npz["values"], npz["weights"]
+        assert npz["labels"].tolist() == list(labels)
+        assert npz["config_digest"].shape == ()
+        assert str(npz["config_digest"]) == "abc"
+    m = len(enum.members)
+    assert values.shape == (m, 5, 5) and values.dtype == np.float64
+    assert not values[:, range(5), range(5)].any()
+    for q, ss in out.items():
+        assert values[:, q.treatment, q.outcome].tobytes() == ss.values.tobytes()
+        assert weights.tobytes() == ss.weights.tobytes()
+    again = tmp_path / "again.npz"
+    save_ate_samples(out, labels, again, "abc")
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_ate_loader_skips_comments_and_requires_header(tmp_path):
-    path = tmp_path / "ates.csv"
-    path.write_text(
-        "# digest\ntreatment,outcome,dag_index,ate_value,weight\nX0,X1,0,1.5,1.0\n"
+def test_ate_samples_save_refuses_what_one_stack_cannot_hold(tmp_path):
+    q01, q10 = AteQuery(0, 1), AteQuery(1, 0)
+    path = tmp_path / "ates.npz"
+    partial = {q01: AteSampleSet(q01, [1.0, 2.0], [0.5, 0.5], "t")}
+    with pytest.raises(ParameterError):
+        save_ate_samples(partial, ("X0", "X1"), path, "abc")
+    mixed = dict(partial)
+    mixed[q10] = AteSampleSet(q10, [1.0, 2.0], [0.25, 0.75], "t")
+    with pytest.raises(ParameterError):
+        save_ate_samples(mixed, ("X0", "X1"), path, "abc")
+
+
+def _npz(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _good_arrays():
+    return dict(
+        values=np.array([[[0.0, 1.5], [-0.5, 0.0]]]),
+        weights=np.array([1.0]),
+        labels=np.array(["X0", "X1"]),
+        config_digest=np.array("abc"),
     )
+
+
+def test_ate_loader_reads_a_hand_written_file(tmp_path):
+    path = tmp_path / "ates.npz"
+    _npz(path, **_good_arrays())
     back = load_ate_samples(path, ("X0", "X1"), "tag")
-    assert back[AteQuery(0, 1)].values[0] == 1.5
-    empty = tmp_path / "empty.csv"
-    empty.write_text("# nothing\n")
-    with pytest.raises(SchemaError):
-        load_ate_samples(empty, ("X0", "X1"), "tag")
+    assert back[AteQuery(0, 1)].values.tolist() == [1.5]
+    assert back[AteQuery(1, 0)].values.tolist() == [-0.5]
 
 
-def test_ate_loader_rejects_unknown_column(tmp_path):
-    path = tmp_path / "ates.csv"
-    path.write_text("treatment,outcome,dag_index,ate_value,weight\nQ9,X1,0,1.0,1.0\n")
-    with pytest.raises(SchemaError):
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        pytest.param(case, reason, id=case)
+        for case, reason in [
+            ("text", "not an npz file"),
+            ("empty", "not an npz file"),
+            ("npy", "not an npz file"),
+            ("no-weights", "missing key(s) weights"),
+            ("no-digest", "missing key(s) config_digest"),
+            ("values-shape", "do not form an (m, 2, 2) stack"),
+            ("weights-shape", "do not form an (m, 2, 2) stack"),
+            ("labels", "labels ['X1', 'X0'] differ from ['X0', 'X1']"),
+            ("weights-sum", "weights must sum to 1"),
+        ]
+    ],
+)
+def test_ate_loader_names_the_file_of_a_malformed_stack(tmp_path, case, reason):
+    path = tmp_path / "ates.npz"
+    arrays = _good_arrays()
+    if case == "text":
+        path.write_text("treatment,outcome,dag_index,ate_value,weight\nX0,X1,0,1.5,1.0\n")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["values"])
+    else:
+        if case == "no-weights":
+            del arrays["weights"]
+        elif case == "no-digest":
+            del arrays["config_digest"]
+        elif case == "values-shape":
+            arrays["values"] = np.zeros((2, 2, 2))
+        elif case == "weights-shape":
+            arrays["weights"] = np.array([[1.0]])
+        elif case == "labels":
+            arrays["labels"] = np.array(["X1", "X0"])
+        elif case == "weights-sum":
+            arrays["weights"] = np.array([0.5])
+        _npz(path, **arrays)
+    with pytest.raises(SchemaError) as err:
         load_ate_samples(path, ("X0", "X1"), "tag")
+    assert str(err.value).startswith(f"{path}: ")
+    assert reason in str(err.value)

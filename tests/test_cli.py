@@ -3,6 +3,9 @@ import json
 import pytest
 
 from atebench.cli import main
+from atebench.discovery import save_posterior, uniform_posterior
+from atebench.graphs import save_graph
+from atebench.scm import random_er_dag, random_scm, sample, save_dataset
 
 
 def run_cli(*argv):
@@ -116,3 +119,21 @@ def test_missing_external_inputs_are_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{tmp_path / 'nope.csv'}: no such dataset file" in err
+
+
+def test_reserved_external_method_tag_is_exit_two(tmp_path, capsys):
+    g = random_er_dag(3, 2, seed=1)
+    save_graph(g, tmp_path / "truth.txt")
+    save_dataset(sample(random_scm(g, seed=1), 50, seed=1), tmp_path / "data.csv")
+    save_posterior(uniform_posterior([g], "true-mec", seed=0), tmp_path / "p.txt")
+    code = run_cli(
+        "run", "--mode", "real",
+        "--dataset-path", str(tmp_path / "data.csv"),
+        "--graph-path", str(tmp_path / "truth.txt"),
+        "--posterior-path", str(tmp_path / "p.txt"),
+        "--output-root", str(tmp_path / "R"),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "method tag 'true-mec' is reserved" in err
+    assert not (tmp_path / "R").exists()

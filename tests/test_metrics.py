@@ -387,6 +387,19 @@ def test_modes_csv_rejects_a_foreign_source_tag(tmp_path):
     assert f"{path}:3: unexpected source tag 'm1'" in str(err.value)
 
 
+def test_modes_csv_names_the_file_and_pair_of_a_bad_mode_set(tmp_path):
+    path = tmp_path / "modes.csv"
+    header = "treatment,outcome,source_tag,mode_value,mass\n"
+    path.write_text(header + "X0,X1,true-mec,0.0,0.5\nX0,X1,m,0.5,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+    assert str(err.value).startswith(f"{path}: pair (X0, X1): masses must sum to 1")
+    path.write_text(header + "X1,X0,m,2.0,0.5\nX1,X0,m,1.0,0.5\nX1,X0,true-mec,0.0,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+    assert str(err.value) == f"{path}: pair (X1, X0): representatives must be strictly increasing"
+
+
 def test_run_report_csv_has_one_row_per_method(tmp_path):
     s = aggregate({0: [report_of(0, 1, 0.1, 1.0, 0.5)]}, "m1")
     path = tmp_path / "report.csv"

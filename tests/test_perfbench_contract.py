@@ -1,0 +1,61 @@
+"""The benchmark's tracer patches pipeline names and reads call arguments.
+
+perfbench/tracing.py wraps attributes of the package by name and reads the
+size of the file at a fixed argument position of the ATE save/load calls.
+These tests keep those names and positions from drifting silently.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+from atebench import kernels, pipeline
+from atebench.config import ExperimentConfig
+from atebench.discovery import save_posterior, uniform_posterior
+from atebench.discovery.citest import FisherZTester
+from atebench.graphs import save_graph
+from atebench.mec import enumerate_mec
+from atebench.scm import random_er_dag, random_scm, sample, save_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+def test_every_traced_target_exists():
+    for owner, attr, *_ in tracing._targets():
+        assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
+
+
+def test_traced_external_run_counts_the_npz_bytes_and_restores_everything(tmp_path):
+    g = random_er_dag(4, 4, seed=5)
+    save_graph(g, tmp_path / "truth.txt")
+    save_dataset(sample(random_scm(g, seed=5), 200, seed=5), tmp_path / "data.csv")
+    save_posterior(uniform_posterior(enumerate_mec(g).members, "ext", seed=0),
+                   tmp_path / "post.txt")
+    cfg = ExperimentConfig(
+        mode="real",
+        dataset_path=str(tmp_path / "data.csv"),
+        graph_path=str(tmp_path / "truth.txt"),
+        output_root=str(tmp_path / "run"),
+    )
+    owners = (pipeline, kernels, tracing.bootstrap_module, FisherZTester)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer(0)
+    t0 = time.perf_counter()
+    with tracing.installed(tracer):
+        patched = {
+            (owner, attr)
+            for owner, snapshot in zip(owners, before)
+            for attr, value in vars(owner).items()
+            if snapshot.get(attr) is not value
+        }
+        pipeline.evaluate_external(tmp_path / "post.txt", tmp_path / "data.csv",
+                                   tmp_path / "truth.txt", cfg)
+    layers = tracing.layer_metrics(tracer, time.perf_counter() - t0)
+    assert {(owner, attr) for owner, attr, *_ in tracing._targets()} <= patched
+    for owner, snapshot in zip(owners, before):
+        for attr, value in snapshot.items():
+            assert vars(owner)[attr] is value, f"{owner.__name__}.{attr} not restored"
+    written = sorted((tmp_path / "run" / "seeds").glob("*/ates/*.npz"))
+    assert [p.name for p in written] == ["ext.npz", "true-mec.npz"]
+    assert layers["ate.save_bytes"] == sum(p.stat().st_size for p in written)

@@ -91,14 +91,15 @@ def test_synthetic_run_produces_the_artifact_tree(synthetic_run):
             "scm.json",
             "data.csv",
             "mec/manifest.json",
-            "ates/true-mec.csv",
+            "ates/true-mec.npz",
             "posteriors/bootstrap-pc.txt",
-            "ates/bootstrap-pc.csv",
+            "ates/bootstrap-pc.npz",
             "pairs/bootstrap-pc.csv",
             "modes/bootstrap-pc.csv",
             "manifest.json",
         ):
             assert (sd / rel).exists(), rel
+        assert not list((sd / "ates").glob("*.csv"))
     assert [s.method for s in report.summaries] == ["bootstrap-pc"]
 
 
@@ -111,7 +112,6 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
         "report/relaxation_bootstrap-pc.csv",
         "seeds/seed_000/truth_graph.txt",
         "seeds/seed_000/data.csv",
-        "seeds/seed_000/ates/true-mec.csv",
         "seeds/seed_000/posteriors/bootstrap-pc.txt",
         "seeds/seed_000/pairs/bootstrap-pc.csv",
         "seeds/seed_000/modes/bootstrap-pc.csv",
@@ -127,6 +127,9 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
     ):
         doc = json.loads(read_text(root / rel))
         assert doc["config_digest"] == digest, rel
+    for rel in ("seeds/seed_000/ates/true-mec.npz", "seeds/seed_000/ates/bootstrap-pc.npz"):
+        with np.load(root / rel, allow_pickle=False) as npz:
+            assert str(npz["config_digest"]) == digest, rel
 
 
 def test_run_manifest_records_shared_truth_note_and_stages(synthetic_run):
@@ -421,6 +424,26 @@ def test_evaluate_external_accepts_objects_directly(real_inputs, tmp_path):
     )
     report = evaluate_external(tmp_path / "obj.txt", data, g, cfg)
     assert report.summaries[0].method == "tag-x"
+
+
+def test_external_posterior_may_not_use_the_true_mec_tag(real_inputs, tmp_path):
+    g, data, inputs = real_inputs
+    posterior = tmp_path / "reserved.txt"
+    save_posterior(uniform_posterior(enumerate_mec(g).members, TRUE_MEC_TAG, seed=0), posterior)
+    root = tmp_path / "ext_reserved"
+    cfg = ExperimentConfig(
+        mode="real",
+        dataset_path=str(inputs / "data.csv"),
+        graph_path=str(inputs / "truth.txt"),
+        posterior_path=str(posterior),
+        output_root=str(root),
+    )
+    with pytest.raises(SchemaError) as err:
+        run_real(cfg)
+    assert str(err.value) == (
+        f"{posterior}: method tag 'true-mec' is reserved for the true equivalence class"
+    )
+    assert not root.exists()
 
 
 def test_evaluate_external_names_a_missing_dataset_or_graph(real_inputs, tmp_path):
