@@ -47,24 +47,51 @@ class FisherZTester:
     def independent(self, i: int, j: int, cond) -> bool:
         """True when i and j test independent given the conditioning set."""
         cond = sorted(cond)
-        if i == j or i in cond or j in cond:
-            raise ParameterError("i, j, and the conditioning set must be disjoint")
+        d = self.corr.shape[0]
+        for v in (i, j, *cond):
+            if not 0 <= v < d:
+                raise ParameterError(f"variable {v} outside 0..{d - 1}")
+        if len({i, j, *cond}) != len(cond) + 2:
+            raise ParameterError("i, j, and the conditioning set must be distinct")
         k = len(cond)
+        self.check_sample_size(k)
+        self.tests_run += 1
+        try:
+            r = self.partial_correlations(
+                np.array([[i, j]], dtype=np.intp), np.array([cond], dtype=np.intp).reshape(1, k)
+            )
+        except np.linalg.LinAlgError:
+            raise DegenerateDataError(
+                f"singular correlation submatrix for ({i}, {j} | {cond})"
+            ) from None
+        return self.decide(r[0], k)
+
+    def check_sample_size(self, k: int) -> None:
+        """Refuse tests given k variables when the rows are too few for them."""
         if self.n <= k + 3:
             raise SampleSizeError(f"need n > {k + 3} for |cond|={k}, got n={self.n}")
-        self.tests_run += 1
-        if k == 0:
-            r = self.corr[i, j]
-        else:
-            idx = [i, j] + cond
-            sub = self.corr[np.ix_(idx, idx)]
-            try:
-                prec = np.linalg.inv(sub)
-            except np.linalg.LinAlgError:
-                raise DegenerateDataError(
-                    f"singular correlation submatrix for ({i}, {j} | {cond})"
-                ) from None
-            r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
+
+    def partial_correlations(self, pairs: np.ndarray, conds: np.ndarray) -> np.ndarray:
+        """Partial correlation of columns pairs[b, 0] and pairs[b, 1] given the
+        columns conds[b], for every row b of the (B, 2) and (B, k) index
+        arrays: one gather and one inversion of the (B, k+2, k+2) stack.
+
+        Indices are not checked.  Each r equals the single-test value bit for
+        bit.  Raises LinAlgError if any submatrix is singular, and ValueError
+        if any r would need the square root of a negative number.
+        """
+        if conds.shape[1] == 0:
+            return self.corr[pairs[:, 0], pairs[:, 1]]
+        idx = np.concatenate((pairs, conds), axis=1)
+        prec = np.linalg.inv(self.corr[idx[:, :, None], idx[:, None, :]])
+        den = prec[:, 0, 0] * prec[:, 1, 1]
+        if (den < 0).any():
+            # what math.sqrt raises for the same number
+            raise ValueError("math domain error")
+        return -prec[:, 0, 1] / np.sqrt(den)
+
+    def decide(self, r: float, k: int) -> bool:
+        """Fisher-z decision for a partial correlation given k variables."""
         # |r| can graze 1 numerically; that is maximal dependence
         if abs(r) >= 1.0:
             return False

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -13,6 +13,10 @@ from ..scm import Dataset
 from .citest import CiTestConfig, FisherZTester
 
 logger = logging.getLogger(__name__)
+
+
+# float64 entries of one stacked gather: bounds a block's memory, never its results
+_STACK_ENTRIES = 1 << 18
 
 
 def _skeleton(tester: FisherZTester, d: int, cfg: CiTestConfig):
@@ -29,22 +33,77 @@ def _skeleton(tester: FisherZTester, d: int, cfg: CiTestConfig):
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d) if snapshot[i, j]]
         if not any(degrees[i] - 1 >= level or degrees[j] - 1 >= level for i, j in pairs):
             break
-        for i, j in pairs:
-            removed = False
-            for a, b in ((i, j), (j, i)):
-                nbrs = [int(v) for v in np.flatnonzero(snapshot[a]) if v != b]
-                if len(nbrs) < level:
-                    continue
-                for cond in combinations(nbrs, level):
-                    if tester.independent(i, j, cond):
-                        adj[i, j] = adj[j, i] = False
-                        sepsets[(i, j)] = sepsets[(j, i)] = frozenset(cond)
-                        removed = True
-                        break
-                if removed:
-                    break
+        _test_level(tester, snapshot, pairs, level, adj, sepsets)
         level += 1
     return adj, sepsets
+
+
+def _runs(snapshot: np.ndarray, pairs, level: int, done: list[bool], size: int):
+    """(pair index, conditioning sets) runs holding every test of a level in
+    visiting order: side (i, j) then (j, i), sets in `combinations` order,
+    at most `size` sets a run.  A pair yields no more runs once it is done."""
+    nbrs = [np.flatnonzero(row).tolist() for row in snapshot]
+    for p, (i, j) in enumerate(pairs):
+        for a, b in ((i, j), (j, i)):
+            if done[p]:
+                break
+            rest = nbrs[a].copy()
+            rest.remove(b)
+            sets = combinations(rest, level)
+            while run := list(islice(sets, size)):
+                yield p, run
+                if done[p]:
+                    break
+
+
+def _test_level(tester: FisherZTester, snapshot, pairs, level: int, adj, sepsets) -> None:
+    """Run one level's tests.  The snapshot fixes every candidate test before
+    any runs, so a block of them is computed as one stack and then scanned
+    in visiting order: a pair stops at its first independent test, and
+    `tests_run` counts only the tests that scan reaches."""
+    size = max(1, _STACK_ENTRIES // (level + 2) ** 2)
+    done = [False] * len(pairs)
+    block, filled = [], 0
+    for run in _runs(snapshot, pairs, level, done, size):
+        block.append(run)
+        filled += len(run[1])
+        if filled >= size:
+            _test_block(tester, pairs, level, block, done, adj, sepsets)
+            block, filled = [], 0
+    if block:
+        _test_block(tester, pairs, level, block, done, adj, sepsets)
+
+
+def _test_block(tester: FisherZTester, pairs, level: int, block, done, adj, sepsets) -> None:
+    """One stacked computation over a block's runs, then the scan."""
+    tester.check_sample_size(level)
+    ij = np.repeat(np.array([pairs[p] for p, _ in block], dtype=np.intp),
+                   [len(run) for _, run in block], axis=0)
+    conds = np.fromiter(chain.from_iterable(cond for _, run in block for cond in run),
+                        dtype=np.intp, count=len(ij) * level).reshape(len(ij), level)
+    try:
+        rs = tester.partial_correlations(ij, conds).tolist()
+    except ValueError:
+        # a singular matrix (LinAlgError is a ValueError) or a negative
+        # precision product may sit where the scan never reaches; test one by
+        # one so that only a reached test raises, as it always did
+        rs = None
+    at = 0
+    for p, run in block:
+        if not done[p]:
+            i, j = pairs[p]
+            for b, cond in enumerate(run, at):
+                if rs is None:
+                    independent = tester.independent(i, j, cond)
+                else:
+                    tester.tests_run += 1
+                    independent = tester.decide(rs[b], level)
+                if independent:
+                    adj[i, j] = adj[j, i] = False
+                    sepsets[(i, j)] = sepsets[(j, i)] = frozenset(cond)
+                    done[p] = True
+                    break
+        at += len(run)
 
 
 def _orient_colliders(adj: np.ndarray, sepsets) -> tuple[np.ndarray, int]:

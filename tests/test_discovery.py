@@ -32,6 +32,8 @@ from atebench.scm import (
     sample,
 )
 
+from pc_reference import reference_partial_correlation
+
 
 def build_scm(d, weighted_edges):
     adj = np.zeros((d, d), dtype=bool)
@@ -126,6 +128,38 @@ def test_fisher_z_threshold_is_the_normal_quantile_bit_for_bit():
 def test_fisher_z_one_shot_wrapper_agrees():
     _, data = collider_data(seed=3)
     assert fisher_z_ci_test(data, 0, 1, [], 0.05) == FisherZTester(data, 0.05).independent(0, 1, [])
+
+
+def test_fisher_z_rejects_variables_outside_the_data_and_repeated_ones():
+    _, data = collider_data(n=100)
+    tester = FisherZTester(data, alpha=0.05)
+    for i, j, cond in ((0, -1, []), (0, 1, [-2]), (0, 3, []), (3, 0, []), (0, 1, [3]),
+                       (0, 1, [2, 2]), (0, 0, []), (0, 1, [1])):
+        with pytest.raises(ParameterError):
+            tester.independent(i, j, cond)
+    assert tester.tests_run == 0
+
+
+def test_fisher_z_stacked_kernel_equals_the_single_test_bit_for_bit():
+    rng = np.random.default_rng(7)
+    d = 12
+    data = sample(random_scm(random_er_dag(d, 24, seed=7), seed=7), 60, seed=7)
+    values = data.values.copy()
+    # a near copy makes some submatrices ill-conditioned
+    values[:, 3] = values[:, 1] + 1e-4 * rng.normal(size=60)
+    tester = FisherZTester(Dataset(values, data.column_labels, "t"), alpha=0.05)
+    for k in range(7):
+        idx = np.array([rng.choice(d, size=k + 2, replace=False) for _ in range(300)])
+        pairs, conds = idx[:, :2], np.sort(idx[:, 2:], axis=1)
+        stacked = tester.partial_correlations(pairs, conds)
+        single = [
+            reference_partial_correlation(tester.corr, int(i), int(j), c.tolist())
+            for (i, j), c in zip(pairs, conds)
+        ]
+        assert stacked.tobytes() == np.array(single).tobytes(), k
+        for b in range(0, 300, 37):
+            one = tester.partial_correlations(pairs[b:b + 1], conds[b:b + 1])
+            assert one.tobytes() == stacked[b:b + 1].tobytes(), (k, b)
 
 
 # --- PC --------------------------------------------------------------------

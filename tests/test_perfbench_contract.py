@@ -5,6 +5,8 @@ size of the file at a fixed argument position of the ATE save/load calls.
 These tests keep those names and positions from drifting silently.
 """
 
+import importlib
+import logging
 import sys
 import time
 from pathlib import Path
@@ -16,6 +18,8 @@ from atebench.discovery.citest import FisherZTester
 from atebench.graphs import save_graph
 from atebench.mec import enumerate_mec
 from atebench.scm import random_er_dag, random_scm, sample, save_dataset
+
+from pc_reference import ReferenceFisherZ, reference_skeleton
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -59,3 +63,26 @@ def test_traced_external_run_counts_the_npz_bytes_and_restores_everything(tmp_pa
     written = sorted((tmp_path / "run" / "seeds").glob("*/ates/*.npz"))
     assert [p.name for p in written] == ["ext.npz", "true-mec.npz"]
     assert layers["ate.save_bytes"] == sum(p.stat().st_size for p in written)
+
+
+def test_traced_bootstrap_pc_counts_the_tests_of_the_reference_loop(monkeypatch, caplog):
+    # citest.tests is read from the `pc: ci_tests=` line, so it must equal the
+    # per-test loop's count although the stacked skeleton calls no wrapped test
+    data = sample(random_scm(random_er_dag(8, 12, seed=2), seed=2), 200, seed=2)
+
+    def traced():
+        tracer = tracing.Tracer(0)
+        t0 = time.perf_counter()
+        with caplog.at_level(logging.INFO, logger="atebench"), tracing.installed(tracer):
+            tracing.bootstrap_module.bootstrap(data, "pc", num_replicates=4, seed=0)
+        return tracing.layer_metrics(tracer, time.perf_counter() - t0)
+
+    layers = traced()
+    pc_module = importlib.import_module("atebench.discovery.pc")
+    with monkeypatch.context() as m:
+        m.setattr(pc_module, "FisherZTester", ReferenceFisherZ)
+        m.setattr(pc_module, "_skeleton", reference_skeleton)
+        expected = traced()
+    assert layers["pc.fits"] > 0 and layers["pc.fits"] == expected["pc.fits"]
+    assert layers["citest.tests"] > 0
+    assert layers["citest.tests"] == expected["citest.tests"]
