@@ -64,6 +64,10 @@ class FisherZTester:
             raise DegenerateDataError(
                 f"singular correlation submatrix for ({i}, {j} | {cond})"
             ) from None
+        except ValueError:
+            raise DegenerateDataError(
+                f"indefinite correlation submatrix for ({i}, {j} | {cond})"
+            ) from None
         return self.decide(r[0], k)
 
     def check_sample_size(self, k: int) -> None:

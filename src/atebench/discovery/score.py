@@ -35,6 +35,7 @@ class BicScore:
         if np.any(diag <= 0.0):
             bad = data.column_labels[int(np.argmin(diag))]
             raise DegenerateDataError(f"column {bad!r} has zero variance")
+        self._rows = self.gram.tolist()
         self._cache = {}
 
     def local(self, node: int, parents) -> float:
@@ -55,7 +56,7 @@ class BicScore:
             raise ParameterError(f"parent mask {mask:#x} has bits outside 0..{self.d - 1}")
         if (mask >> node) & 1:
             raise ParameterError("node cannot be its own parent")
-        return float(kernels._local_bic(self.gram, self.n, node, mask, self._cache))
+        return kernels._local_bic(self._rows, self.n, node, mask, self._cache)
 
     def graph_score(self, adjacency: np.ndarray) -> float:
         a = np.asarray(adjacency, dtype=bool)

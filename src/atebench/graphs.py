@@ -220,22 +220,12 @@ def parents(g: Dag, node: int) -> set[int]:
 
 def v_structures(g: Dag) -> set[tuple[int, int, int]]:
     """All collider triples (i, k, j): i -> k <- j with i, j nonadjacent, i < j."""
-    adj = g.adjacency
-    sym = g.skeleton()
-    out: set[tuple[int, int, int]] = set()
-    d = g.num_nodes
-    for k in range(d):
-        pa = np.flatnonzero(adj[:, k])
-        for a_idx in range(len(pa)):
-            for b_idx in range(a_idx + 1, len(pa)):
-                i, j = int(pa[a_idx]), int(pa[b_idx])
-                if not sym[i, j]:
-                    out.add((i, k, j))
-    return out
+    return _pdag_v_structures(g.adjacency, np.zeros_like(g.adjacency))
 
 
 def _pdag_v_structures(directed: np.ndarray, undirected: np.ndarray) -> set[tuple[int, int, int]]:
-    """Collider triples among the *directed* edges of a PDAG."""
+    """Collider triples among the *directed* edges of a PDAG: i -> k <- j with
+    i, j nonadjacent (by any edge), i < j."""
     sym = directed | directed.T | undirected
     out: set[tuple[int, int, int]] = set()
     d = directed.shape[0]

@@ -1,5 +1,6 @@
 """Numerical kernels in numpy: closure, the backdoor ATE sweep, the
-weighted Wasserstein distance and the structure-MCMC chain.  Deterministic."""
+weighted Wasserstein distance and the structure-MCMC chain.  Deterministic.
+The local BIC score runs on Python floats and matches numpy bit for bit."""
 
 from __future__ import annotations
 
@@ -21,60 +22,43 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve_multi(a, b):
-    """Gaussian elimination with partial pivoting, multi-RHS.
+def _solve(a, b):
+    """Gaussian elimination with partial pivoting on lists of floats.
 
     Inputs are copied, never mutated.  Returns (x, ok); ok is False when a
-    pivot underflows the relative threshold (caller retries with a ridge).
+    pivot underflows the relative threshold (caller retries with a ridge),
+    and x is then the right-hand side as far as elimination got.
     """
-    k = a.shape[0]
-    r = b.shape[1]
-    u = a.copy()
-    x = b.copy()
-    scale = 0.0
-    for i in range(k):
-        for j in range(k):
-            m = abs(u[i, j])
-            if m > scale:
-                scale = m
-    if scale == 0.0:
-        return x, k == 0
+    k = len(a)
+    u = [row[:] for row in a]
+    x = b[:]
+    scale = max(abs(v) for row in u for v in row)
     tiny = scale * 1e-13
     for col in range(k):
-        piv = col
-        best = abs(u[col, col])
+        piv, best = col, abs(u[col][col])
         for row in range(col + 1, k):
-            m = abs(u[row, col])
+            m = abs(u[row][col])
             if m > best:
-                best = m
-                piv = row
+                piv, best = row, m
         if best <= tiny:
             return x, False
         if piv != col:
-            for c in range(k):
-                tmp = u[col, c]
-                u[col, c] = u[piv, c]
-                u[piv, c] = tmp
-            for c in range(r):
-                tmp = x[col, c]
-                x[col, c] = x[piv, c]
-                x[piv, c] = tmp
-        inv_p = 1.0 / u[col, col]
+            u[col], u[piv] = u[piv], u[col]
+            x[col], x[piv] = x[piv], x[col]
+        top = u[col]
+        inv_p = 1.0 / top[col]
         for row in range(col + 1, k):
-            factor = u[row, col] * inv_p
+            cur = u[row]
+            factor = cur[col] * inv_p
             if factor != 0.0:
-                u[row, col] = 0.0
-                for c in range(col + 1, k):
-                    u[row, c] -= factor * u[col, c]
-                for c in range(r):
-                    x[row, c] -= factor * x[col, c]
+                cur[col + 1:] = [v - factor * w for v, w in zip(cur[col + 1:], top[col + 1:])]
+                x[row] -= factor * x[col]
     for col in range(k - 1, -1, -1):
-        inv_p = 1.0 / u[col, col]
-        for c in range(r):
-            acc = x[col, c]
-            for row in range(col + 1, k):
-                acc -= u[col, row] * x[row, c]
-            x[col, c] = acc * inv_p
+        inv_p = 1.0 / u[col][col]
+        acc = x[col]
+        for row in range(col + 1, k):
+            acc -= u[col][row] * x[row]
+        x[col] = acc * inv_p
     return x, True
 
 
@@ -176,44 +160,32 @@ def weighted_wasserstein(xs, wx, ys, wy) -> float:
 
 
 def _local_bic(gram, n_rows, node, mask, cache):
+    """Cached BIC of node given the parents set in mask; gram is float rows."""
     key = (node << 52) | mask
     if key in cache:
         return cache[key]
-    d = gram.shape[0]
-    npa = 0
-    for i in range(d):
-        if (mask >> i) & 1:
-            npa += 1
-    syy = gram[node, node]
+    pa = [i for i in range(len(gram)) if (mask >> i) & 1]
+    syy = gram[node][node]
     rss = syy
-    if npa > 0:
-        idx = np.empty(npa, np.int64)
-        p = 0
-        for i in range(d):
-            if (mask >> i) & 1:
-                idx[p] = i
-                p += 1
-        a = np.empty((npa, npa))
-        b = np.empty((npa, 1))
-        for r in range(npa):
-            for c in range(npa):
-                a[r, c] = gram[idx[r], idx[c]]
-            b[r, 0] = gram[idx[r], node]
-        x, ok = _solve_multi(a, b)
+    if pa:
+        rows = [gram[r] for r in pa]
+        a = [[row[c] for c in pa] for row in rows]
+        b = [row[node] for row in rows]
+        x, ok = _solve(a, b)
         if not ok:
             lam = 0.0
-            for r in range(npa):
-                lam += abs(a[r, r])
-            lam = RIDGE * (1.0 + lam / npa)
-            for r in range(npa):
-                a[r, r] += lam
-            x, ok = _solve_multi(a, b)
-        for r in range(npa):
-            rss -= b[r, 0] * x[r, 0]
+            for r, row in enumerate(a):
+                lam += abs(row[r])
+            lam = RIDGE * (1.0 + lam / len(pa))
+            for r, row in enumerate(a):
+                row[r] += lam
+            x, _ = _solve(a, b)
+        for br, xr in zip(b, x):
+            rss -= br * xr
     floor = 1e-12 * (syy if syy > 1.0 else 1.0)
     if rss < floor:
         rss = floor
-    score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (npa + 1) * math.log(n_rows)
+    score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (len(pa) + 1) * math.log(n_rows)
     cache[key] = score
     return score
 
@@ -245,11 +217,26 @@ def _pick_move(adj, cum, pick):
     return (1 if pick == cum[cell - 1] else 2), i, j
 
 
-def _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples_out, cache):
+def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms):
+    """Metropolis-Hastings chain over DAGs targeting exp(BIC).
+
+    uniforms must be a (steps, 2) array of pre-drawn U(0,1) draws: column 0
+    selects the move, column 1 decides acceptance.  Returns (samples,
+    accepted) where samples is the (n_kept, d, d) bool stack recorded after
+    burn-in at the thinning stride.
+    """
+    gram = np.asarray(gram, dtype=float).tolist()
+    d = len(gram)
+    uniforms = np.ascontiguousarray(uniforms, dtype=float)
+    if uniforms.shape != (steps, 2):
+        raise ParameterError(f"uniforms must have shape ({steps}, 2), got {uniforms.shape}")
+    if not 1 <= d <= 50:
+        raise ParameterError(f"sampler needs 1 to 50 nodes (parent-set masks), got {d}")
+    samples = np.zeros((max((steps - burn_in) // thin, 0), d, d), np.bool_)
+    cache = {}
     # The move count of the current state is carried from step to step: a
     # proposal's count becomes the state's on accept, and a rejection leaves
     # the state unchanged.  So each step closes and counts one graph.
-    d = gram.shape[0]
     adj = np.zeros((d, d), np.bool_)
     offdiag = ~np.eye(d, dtype=np.bool_)
     masks = [0] * d
@@ -289,29 +276,6 @@ def _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples_out, cache):
                 if kind == 2:
                     adj[mj, mi] = False
         if s > burn_in and (s - burn_in) % thin == 0:
-            samples_out[rec] = adj
+            samples[rec] = adj
             rec += 1
-    return accepted
-
-
-def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms, cache=None):
-    """Metropolis-Hastings chain over DAGs targeting exp(BIC).
-
-    uniforms must be a (steps, 2) array of pre-drawn U(0,1) draws: column 0
-    selects the move, column 1 decides acceptance.  Returns (samples,
-    accepted) where samples is the (n_kept, d, d) bool stack recorded after
-    burn-in at the thinning stride.
-    """
-    gram = np.ascontiguousarray(gram, dtype=float)
-    d = gram.shape[0]
-    uniforms = np.ascontiguousarray(uniforms, dtype=float)
-    if uniforms.shape != (steps, 2):
-        raise ParameterError(f"uniforms must have shape ({steps}, 2), got {uniforms.shape}")
-    if not 1 <= d <= 50:
-        raise ParameterError(f"sampler needs 1 to 50 nodes (parent-set masks), got {d}")
-    n_kept = max((steps - burn_in) // thin, 0)
-    samples = np.zeros((n_kept, d, d), np.bool_)
-    if cache is None:
-        cache = {}
-    accepted = _chain(gram, n_rows, steps, burn_in, thin, uniforms, samples, cache)
-    return samples, int(accepted)
+    return samples, accepted

@@ -125,10 +125,11 @@ def random_scm(
     weight_range: tuple[float, float] = DEFAULT_WEIGHT_RANGE,
     seed: int = 0,
 ) -> LinearGaussianScm:
-    """Edge weights drawn uniformly from +/-[low, high]; unit noise variances."""
+    """Edge weights drawn uniformly from +/-[low, high]; unit noise variances.
+    low == high gives weights of one fixed magnitude."""
     low, high = weight_range
-    if not (0.0 < low < high):
-        raise ParameterError(f"need 0 < low < high, got ({low}, {high})")
+    if not (0.0 < low <= high):
+        raise ParameterError(f"need 0 < low <= high, got ({low}, {high})")
     rng = np.random.default_rng(seed)
     d = g.num_nodes
     weights = np.zeros((d, d))

@@ -4,7 +4,9 @@ These are the plain-Python loops the vectorised chain replaced: a
 Floyd-Warshall closure, a depth-first reversal check, a move enumerator that
 walks the cells in row-major order, and a chain that recomputes the closure
 and the move count of the current state at the top of every step.  Tests
-require the vectorised code to reproduce them exactly.
+require the vectorised code to reproduce them exactly.  The chain scores
+with the numpy local BIC of ``score_reference``, so that equality also
+checks the list score in ``atebench.kernels``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from atebench.kernels import _local_bic
+from score_reference import _local_bic
 
 
 def _reach(adj):

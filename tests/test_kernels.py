@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from atebench.errors import ParameterError
 from atebench.scm import random_er_dag, random_scm, sample
 
 from conftest import random_weighted_sample
+import score_reference
 from mcmc_reference import _nth_move, _reach, reference_chain
 
 
@@ -84,7 +87,7 @@ def oracle_local_bic(values, node, parent_list):
 def test_local_bic_matches_lstsq_oracle():
     rng = np.random.default_rng(7)
     data = sample(random_scm(random_er_dag(5, 7, seed=1), seed=1), 300, seed=1)
-    gram = centered_gram_of(data.values)
+    gram = centered_gram_of(data.values).tolist()
     cache = {}
     for _ in range(40):
         node = int(rng.integers(5))
@@ -101,12 +104,53 @@ def test_local_bic_matches_lstsq_oracle():
 
 def test_local_bic_cache_returns_identical_value():
     data = sample(random_scm(random_er_dag(4, 5, seed=2), seed=2), 100, seed=2)
-    gram = centered_gram_of(data.values)
+    gram = centered_gram_of(data.values).tolist()
     cache = {}
     first = kernels._local_bic(gram, data.n, 2, 0b1001, cache)
     second = kernels._local_bic(gram, data.n, 2, 0b1001, cache)
     assert float(first) == float(second)
     assert len(cache) >= 1
+
+
+def score_corpus():
+    """(gram, rows, n, node, mask) for d = 5..30, n in {d+2, d+5, 50, 200, 500} and
+    0-8 parents, on data where column 1 copies column 0 exactly and column 2
+    is column 3 plus noise of relative size 1e-9; rows is gram as lists."""
+    rng = np.random.default_rng(2025)
+    for d in range(5, 31, 5):
+        scm = random_scm(random_er_dag(d, 2 * d, seed=d), seed=d)
+        for n in (d + 2, d + 5, 50, 200, 500):
+            values = sample(scm, n, seed=n).values.copy()
+            values[:, 1] = values[:, 0]
+            values[:, 2] = values[:, 3] * (1.0 + 1e-9 * rng.normal(size=n))
+            gram = centered_gram_of(values)
+            rows = gram.tolist()
+            for _ in range(40):
+                node = int(rng.integers(d))
+                others = [k for k in range(d) if k != node]
+                size = int(rng.integers(0, min(8, d - 1) + 1))
+                mask = 0
+                for p in rng.choice(others, size=size, replace=False).tolist():
+                    mask |= 1 << p
+                yield gram, rows, n, node, mask
+
+
+def test_local_bic_matches_the_numpy_reference_bit_for_bit(monkeypatch):
+    solved = []
+    solve_multi = score_reference._solve_multi
+
+    def recording(a, b):
+        x, ok = solve_multi(a, b)
+        solved.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(score_reference, "_solve_multi", recording)
+    for gram, rows, n, node, mask in score_corpus():
+        got = kernels._local_bic(rows, n, node, mask, {})
+        want = score_reference._local_bic(gram, n, node, mask, {})
+        assert struct.pack("<d", got) == struct.pack("<d", want), (gram.shape[0], n, node, mask)
+    # the corpus reaches the ridge retry
+    assert False in solved
 
 
 # --- ATE sweep kernel ------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from atebench import kernels
 from atebench.discovery import BicScore, structure_mcmc
+from atebench.discovery.score import centered_gram
 from atebench.errors import ParameterError
 from atebench.graphs import Dag
-from atebench.scm import LinearGaussianScm, default_labels, sample
+from atebench.scm import LinearGaussianScm, default_labels, random_er_dag, random_scm, sample
 
 from conftest import brute_force_dags
 
@@ -64,3 +66,26 @@ def test_mcmc_concentrates_on_the_true_equivalence_class():
         1 for g in ps.dags if score.graph_score(g.adjacency) >= best_score - 1e-9
     )
     assert in_top / len(ps.dags) > 0.5
+
+
+def test_mcmc_scores_through_the_kernel_attribute(monkeypatch):
+    # a wrapper patched onto kernels._local_bic sees every score the chain
+    # asks for, and the chain is the same with it
+    d, steps = 6, 2000
+    data = sample(random_scm(random_er_dag(d, 8, seed=4), seed=4), 300, seed=4)
+    gram = centered_gram(data.values)
+    uniforms = np.random.default_rng(4).random((steps, 2))
+    expected, expected_accepted = kernels.mcmc_chain(gram, data.n, steps, 500, 3, uniforms)
+    calls = []
+    original = kernels._local_bic
+
+    def counting(gram, n_rows, node, mask, cache):
+        calls.append((node, mask))
+        return original(gram, n_rows, node, mask, cache)
+
+    monkeypatch.setattr(kernels, "_local_bic", counting)
+    samples, accepted = kernels.mcmc_chain(gram, data.n, steps, 500, 3, uniforms)
+    # one score per node to start, then at least one per proposal
+    assert len(calls) >= d + steps
+    assert accepted == expected_accepted > 0
+    assert np.array_equal(samples, expected)

@@ -171,18 +171,33 @@ def test_an_unreached_singular_submatrix_does_not_raise(monkeypatch):
     assert (1, 2, (0,)) in calls and (1, 2, (3,)) not in calls
 
 
-def test_a_negative_precision_product_raises_the_domain_error_as_before():
+def test_a_negative_precision_product_raises_a_typed_error_where_the_reference_fails():
     # a resample (d=10, n=12) with fewer distinct rows than columns: one
     # reached submatrix is so near singular that its inverse has diagonal
-    # entries of both signs, and math.sqrt refuses their product
+    # entries of both signs; the reference's math.sqrt refuses their product
     rng = np.random.default_rng(188)
     d = int(rng.integers(6, 16))
     n = d + int(rng.integers(2, 6))
     data = sample(random_scm(random_er_dag(d, 2 * d, seed=188), seed=188), n, seed=188)
     data = Dataset(data.values[rng.integers(0, n, size=n)], data.column_labels, "resample")
-    exc = _assert_same_skeleton(FisherZTester(data, 0.5), ReferenceFisherZ(data, 0.5),
-                                CiTestConfig(alpha=0.5), "near singular")
-    assert type(exc) is ValueError and str(exc) == "math domain error"
+    cfg = CiTestConfig(alpha=0.5)
+    reference = ReferenceFisherZ(data, 0.5)
+    calls = []
+    reference_test = reference.independent
+
+    def recording(i, j, cond):
+        calls.append((i, j, sorted(cond)))
+        return reference_test(i, j, cond)
+
+    reference.independent = recording
+    with pytest.raises(ValueError, match="^math domain error$"):
+        reference_skeleton(reference, d, cfg)
+    i, j, cond = calls[-1]
+    tester = FisherZTester(data, 0.5)
+    message = f"indefinite correlation submatrix for ({i}, {j} | {cond})"
+    with pytest.raises(DegenerateDataError, match=f"^{re.escape(message)}$"):
+        pc_module._skeleton(tester, d, cfg)
+    assert tester.tests_run == reference.tests_run
 
 
 def test_an_unreached_negative_precision_product_does_not_raise(monkeypatch):

@@ -244,6 +244,12 @@ def test_failed_seeds_are_isolated_and_reported(tmp_path):
     assert "SampleSizeError" in doc["seeds"]["0"]["error"]
 
 
+def test_a_fixed_weight_magnitude_generates(tmp_path):
+    cfg = tiny_cfg(tmp_path / "fixed", weight_low=1.0, weight_high=1.0)
+    status = run_pipeline(cfg, "generate")
+    assert status == {i: {"status": "ok", "error": None} for i in range(cfg.num_seeds)}
+
+
 def test_truth_graphs_are_shared_across_sample_sizes(tmp_path):
     small = tiny_cfg(tmp_path / "n_small", num_seeds=1)
     big = tiny_cfg(tmp_path / "n_big", num_seeds=1, n=400)

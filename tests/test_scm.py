@@ -81,6 +81,18 @@ def test_random_scm_rejects_bad_range():
     g = random_er_dag(3, 2, seed=0)
     with pytest.raises(ParameterError):
         random_scm(g, weight_range=(2.0, 0.5))
+    with pytest.raises(ParameterError):
+        random_scm(g, weight_range=(0.0, 0.0))
+
+
+def test_random_scm_accepts_one_fixed_weight_magnitude():
+    # a point range consumes one draw per edge like a real range, so the
+    # signs, which come from the same stream, are those of a real range
+    g = random_er_dag(8, 12, seed=9)
+    fixed = random_scm(g, weight_range=(1.0, 1.0), seed=1).weights
+    ranged = random_scm(g, weight_range=(0.5, 2.0), seed=1).weights
+    assert np.array_equal(np.abs(fixed), g.adjacency.astype(float))
+    assert np.array_equal(np.sign(fixed), np.sign(ranged))
 
 
 # --- sampling --------------------------------------------------------------
