@@ -5,11 +5,8 @@ from __future__ import annotations
 import logging
 from itertools import combinations
 
-import numpy as np
-
 from ..errors import ExtensionError, ParameterError, SampleSizeError
-from ..graphs import Cpdag, Dag, _extend_pdag
-from ..mec import cpdag_of
+from ..graphs import Cpdag, _adjacency, _bits, _complete, _dense, _direct, _extend
 from ..scm import Dataset
 from .score import BicScore
 
@@ -19,45 +16,29 @@ logger = logging.getLogger(__name__)
 _EPS = 1e-10
 
 
-def _clique(adj: np.ndarray, nodes) -> bool:
-    nodes = list(nodes)
-    return all(adj[a, b] for a, b in combinations(nodes, 2))
+def _clique(adj: list[int], nodes) -> bool:
+    mask = sum(1 << v for v in nodes)
+    return all(mask & ~adj[v] == 1 << v for v in nodes)
 
 
-def _blocked_path(D: np.ndarray, U: np.ndarray, src: int, dst: int, blocked) -> bool:
+def _blocked_path(ch: list[int], un: list[int], src: int, dst: int, blocked) -> bool:
     """True when every semi-directed path src ~> dst passes through `blocked`."""
-    d = D.shape[0]
-    seen = np.zeros(d, dtype=bool)
-    for b in blocked:
-        seen[b] = True
-    if seen[src]:
+    wall = sum(1 << b for b in blocked)
+    if wall >> src & 1:
         return True
-    stack = [src]
-    seen[src] = True
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            return False
-        for v in np.flatnonzero(D[u] | U[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return True
+    reached = frontier = 1 << src
+    while frontier:
+        step = 0
+        for u in _bits(frontier):
+            step |= ch[u] | un[u]
+        frontier = step & ~(reached | wall)
+        reached |= frontier
+    return not reached >> dst & 1
 
 
-def _recomplete(labels, D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    adjacency = _extend_pdag(D, U, list(range(D.shape[0])))
-    p = cpdag_of(Dag(labels, adjacency))
-    return p.directed, p.undirected
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _recomplete(ch, pa, un):
+    """The CPDAG of the PDAG's first-index-order extension, as (ch, pa, un)."""
+    return _complete(_extend(ch, pa, un, range(len(ch))))
 
 
 def _forward_target(y, u, pa, adj, score: BicScore):
@@ -110,51 +91,43 @@ def _backward_target(y, u, pa, adj, score: BicScore):
     return out
 
 
-def _candidates(target, memo: dict, D, U, score: BicScore):
+def _candidates(target, memo: dict, un, pa, adj, score: BicScore):
     """All of `target`'s candidates over every y, in (-delta, x, y, T) order.
 
-    A target's list depends only on U[y], D[:, y], adj[:, y] and
-    adj[:, U[y]] (by symmetry the rows adj[v], v in U[y]), so `memo` keys it
-    on exactly those; after a move only the targets whose neighbourhood
-    changed are rescored.  Row masks fit int64 because BicScore caps d at 50.
+    A target's list depends only on un[y], pa[y], adj[y] and adj[v] for v
+    in un[y], so `memo` keys it on exactly those; after a move only the
+    targets whose neighbourhood changed are rescored.
     """
-    d = D.shape[0]
-    weights = np.left_shift(1, np.arange(d, dtype=np.int64))
-    adj = ((D | D.T | U) @ weights).tolist()
-    und = (U @ weights).tolist()
-    par = (D.T @ weights).tolist()
     out = []
-    for y in range(d):
-        u = und[y]
-        key = (y, u, par[y], adj[y], tuple(adj[v] for v in _bits(u)))
+    for y, u in enumerate(un):
+        key = (y, u, pa[y], adj[y], tuple(adj[v] for v in _bits(u)))
         found = memo.get(key)
         if found is None:
-            found = memo[key] = target(y, u, par[y], adj, score)
+            found = memo[key] = target(y, u, pa[y], adj, score)
         out.extend(found)
     out.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     return out
 
 
-def _apply_insert(labels, D, U, x, y, t):
-    D2, U2 = D.copy(), U.copy()
-    D2[x, y] = True
+def _apply_insert(ch, pa, un, x, y, t):
+    ch, pa, un = ch[:], pa[:], un[:]
+    _direct(ch, pa, un, x, y)
     for v in t:
-        U2[v, y] = U2[y, v] = False
-        D2[v, y] = True
-    return _recomplete(labels, D2, U2)
+        _direct(ch, pa, un, v, y)
+    return _recomplete(ch, pa, un)
 
 
-def _apply_delete(labels, D, U, x, y, h):
-    D2, U2 = D.copy(), U.copy()
-    D2[x, y] = False
-    U2[x, y] = U2[y, x] = False
+def _apply_delete(ch, pa, un, x, y, h):
+    ch, pa, un = ch[:], pa[:], un[:]
+    ch[x] &= ~(1 << y)
+    pa[y] &= ~(1 << x)
+    un[x] &= ~(1 << y)
+    un[y] &= ~(1 << x)
     for v in h:
-        U2[y, v] = U2[v, y] = False
-        D2[y, v] = True
-        if U2[x, v]:
-            U2[x, v] = U2[v, x] = False
-            D2[x, v] = True
-    return _recomplete(labels, D2, U2)
+        _direct(ch, pa, un, y, v)
+        if un[x] >> v & 1:
+            _direct(ch, pa, un, x, v)
+    return _recomplete(ch, pa, un)
 
 
 def ges(data: Dataset) -> Cpdag:
@@ -169,42 +142,40 @@ def ges(data: Dataset) -> Cpdag:
     if data.n < d + 2:
         raise SampleSizeError(f"GES needs n >= d + 2 rows, got n={data.n}, d={d}")
     score = BicScore(data)
-    labels = data.column_labels
-    D = np.zeros((d, d), dtype=bool)
-    U = np.zeros((d, d), dtype=bool)
+    state = [0] * d, [0] * d, [0] * d
     moves = 0
     memo = {}
     while True:
-        applied = False
-        for delta, x, y, t, na in _candidates(_forward_target, memo, D, U, score):
-            adj = D | D.T | U
-            if not _clique(adj, na | set(t)):
-                continue
-            if not _blocked_path(D, U, y, x, na | set(t)):
+        ch, pa, un = state
+        adj = _adjacency(ch, pa, un)
+        for delta, x, y, t, na in _candidates(_forward_target, memo, un, pa, adj, score):
+            nodes = na | set(t)
+            if not _clique(adj, nodes) or not _blocked_path(ch, un, y, x, nodes):
                 continue
             try:
-                D, U = _apply_insert(labels, D, U, x, y, t)
+                state = _apply_insert(ch, pa, un, x, y, t)
             except ExtensionError:
                 continue
-            applied = True
             moves += 1
             break
-        if not applied:
+        else:
             break
     memo = {}
     while True:
-        applied = False
-        for delta, x, y, h, na in _candidates(_backward_target, memo, D, U, score):
-            if not _clique(D | D.T | U, na - set(h)):
+        ch, pa, un = state
+        adj = _adjacency(ch, pa, un)
+        for delta, x, y, h, na in _candidates(_backward_target, memo, un, pa, adj, score):
+            if not _clique(adj, na - set(h)):
                 continue
             try:
-                D, U = _apply_delete(labels, D, U, x, y, h)
+                state = _apply_delete(ch, pa, un, x, y, h)
             except ExtensionError:
                 continue
-            applied = True
             moves += 1
             break
-        if not applied:
+        else:
             break
-    logger.info("ges: d=%d n=%d moves=%d edges=%d", d, data.n, moves, int(D.sum() + U.sum() // 2))
-    return Cpdag(labels, D, U)
+    ch, _, un = state
+    edges = sum(c.bit_count() for c in ch) + sum(u.bit_count() for u in un) // 2
+    logger.info("ges: d=%d n=%d moves=%d edges=%d", d, data.n, moves, edges)
+    return Cpdag(data.column_labels, _dense(ch), _dense(un))

@@ -8,7 +8,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from ..errors import ParameterError
-from ..graphs import Cpdag, _meek_close
+from ..graphs import Cpdag, _meek_close, _rows, _unshielded
 from ..scm import Dataset
 from .citest import CiTestConfig, FisherZTester
 
@@ -109,18 +109,11 @@ def _test_block(tester: FisherZTester, pairs, level: int, block, done, adj, seps
 def _orient_colliders(adj: np.ndarray, sepsets) -> tuple[np.ndarray, int]:
     """Orientation votes from unshielded triples; an edge pulled both ways is
     left undirected (conflict counted)."""
-    d = adj.shape[0]
-    want = np.zeros((d, d), dtype=bool)
-    for k in range(d):
-        nbrs = np.flatnonzero(adj[k])
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                i, j = int(nbrs[ai]), int(nbrs[bi])
-                if adj[i, j]:
-                    continue
-                if k not in sepsets[(i, j)]:
-                    want[i, k] = True
-                    want[j, k] = True
+    want = np.zeros_like(adj)
+    rows = _rows(adj)
+    for i, k, j in _unshielded(rows, rows):
+        if k not in sepsets[(i, j)]:
+            want[i, k] = want[j, k] = True
     conflicted = want & want.T
     directed = want & ~want.T
     return directed, int(conflicted.sum() // 2)

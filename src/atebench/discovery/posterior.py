@@ -167,19 +167,32 @@ def _load_posterior_dir(path) -> PosteriorSample:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{path}: missing manifest.json") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: top level must be a JSON object")
     files = manifest.get("files")
     if not files:
         raise ValidationError(f"{path}: manifest lists no files")
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise SchemaError(f"{manifest_path}: files must be a list of strings")
     dags = [load_dag(os.path.join(path, name)) for name in files]
     raw = manifest.get("weights")
     if raw is None:
         weights = np.full(len(dags), 1.0 / len(dags))
     else:
+        if not isinstance(raw, list) or not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) for w in raw
+        ):
+            raise SchemaError(f"{manifest_path}: weights must be a list of numbers")
         if len(raw) != len(dags):
             raise SchemaError(f"{path}: weights length does not match file count")
         weights = _normalized(raw, str(manifest_path))
     method_tag = manifest.get("method", "external")
-    seed = int(manifest.get("seed", 0))
+    try:
+        seed = int(manifest.get("seed", 0))
+    except (TypeError, ValueError):
+        raise SchemaError(f"{manifest_path}: non-integer seed {manifest['seed']!r}") from None
     return PosteriorSample(dags, weights, method_tag, seed)
 
 

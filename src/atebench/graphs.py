@@ -1,12 +1,15 @@
 """Directed-graph substrate: DAGs, CPDAGs, Meek orientation, consistent extension.
 
-Graphs are dense boolean matrices over an ordered list of node labels;
-entry (i, j) of an adjacency matrix means an edge i -> j.  All graph values
-are immutable after construction and safe to share across workers.
+The public API takes dense boolean matrices over an ordered list of node
+labels; entry (i, j) means an edge i -> j.  Graph values are immutable and
+safe to share across workers.  The core works on per-node int row masks: bit
+j of ``ch[i]`` (and bit i of ``pa[j]``) is i -> j, of ``un[i]`` is i - j and
+of ``adj[i]`` any edge; Python ints are unbounded, so masks fit any d.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import os
 
@@ -33,36 +36,200 @@ def _check_square(adjacency: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rows(a: np.ndarray) -> list[int]:
+    """Row masks of a boolean matrix: bit j of entry i is a[i, j]."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[k * width:(k + 1) * width], "little") for k in range(len(packed))]
+
+
+def _dense(rows: list[int]) -> np.ndarray:
+    """The boolean matrix whose row masks are ``rows``."""
+    d = len(rows)
+    width = (d + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(d, width), axis=1, count=d, bitorder="little").view(bool)
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _adjacency(ch: list[int], pa: list[int], un: list[int]) -> list[int]:
+    return [c | p | u for c, p, u in zip(ch, pa, un)]
+
+
+def _kahn(ch: list[int]) -> list[int] | None:
+    """Topological order taking the lowest-index ready node first, or None
+    when the graph has a directed cycle (a self-loop included)."""
+    indeg = [0] * len(ch)
+    for row in ch:
+        for j in _bits(row):
+            indeg[j] += 1
+    ready = [k for k, n in enumerate(indeg) if n == 0]
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for j in _bits(ch[k]):
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(ready, j)
+    return order if len(order) == len(ch) else None
+
+
+def _unshielded(rows: list[int], adj: list[int]) -> set[tuple[int, int, int]]:
+    """Triples (i, k, j), i < j, with i and j both in ``rows[k]`` and nonadjacent.
+
+    With parent masks these are the v-structures i -> k <- j; with the
+    adjacency itself, every unshielded triple i - k - j.
+    """
+    out = set()
+    for k, row in enumerate(rows):
+        for i in _bits(row):
+            for j in _bits(row & ~adj[i] & -(2 << i)):  # -(2 << i): the bits above i
+                out.add((i, k, j))
+    return out
+
+
+def _direct(ch: list[int], pa: list[int], un: list[int], i: int, j: int) -> None:
+    """Make i -> j directed, dropping any undirected i - j."""
+    ch[i] |= 1 << j
+    pa[j] |= 1 << i
+    un[i] &= ~(1 << j)
+    un[j] &= ~(1 << i)
+
+
+def _meek(ch: list[int], pa: list[int], un: list[int], on_conflict: str) -> int:
+    """Meek rules R1-R4 to a fixed point, in place; returns the conflict count.
+
+    A rule runs only in a sweep where no earlier rule changed anything.  R1
+    and R2 fire in row-major order on the pairs that qualified at the sweep's
+    start; R3 and R4 read live orientations (the adjacency never changes),
+    and R4 moves to the next ``a`` after a firing.  The order fixes the
+    conflicts, which ``on_conflict="skip"`` counts and ignores.
+    """
+    adj = _adjacency(ch, pa, un)
+    conflicts = 0
+
+    def orient(i: int, j: int) -> bool:
+        nonlocal conflicts
+        if ch[i] >> j & 1:
+            return False
+        if ch[j] >> i & 1:
+            if on_conflict == "raise":
+                raise OrientationConflictError(f"rule wants {i}->{j} but {j}->{i} is set")
+            conflicts += 1
+            return False
+        _direct(ch, pa, un, i, j)
+        return True
+
+    nodes = range(len(adj))
+    changed = True
+    while changed:
+        changed = False
+        ch0, pa0, un0 = ch[:], pa[:], un[:]
+        # R1: a -> b - c, a and c nonadjacent  =>  b -> c
+        for b in nodes:
+            shared = -1  # the nodes adjacent to every parent of b
+            for a in _bits(pa0[b]):
+                shared &= adj[a]
+            for c in _bits(un0[b] & ~shared):
+                changed |= orient(b, c)
+        if changed:
+            continue
+        # R2: a -> b -> c with a - c  =>  a -> c
+        for a in nodes:
+            reach = 0
+            for b in _bits(ch0[a]):
+                reach |= ch0[b]
+            for c in _bits(un0[a] & reach):
+                changed |= orient(a, c)
+        if changed:
+            continue
+        # R3: a - b with a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
+        for a in nodes:
+            for b in _bits(un[a]):
+                cands = un[a] & pa[b]
+                if any(cands & ~adj[c] & ~(1 << c) for c in _bits(cands)):
+                    changed |= orient(a, b)
+        if changed:
+            continue
+        # R4: a - b with a - c, c -> e, e -> b, b and c nonadjacent  =>  a -> b
+        for a in nodes:
+            for b in _bits(un[a]):
+                if any(ch[c] & pa[b] for c in _bits(un[a] & ~adj[b])):
+                    changed |= orient(a, b)
+                    break
+    return conflicts
+
+
+def _extend(ch: list[int], pa: list[int], un: list[int], scan_order) -> list[int]:
+    """Dor-Tarsi sink elimination; returns the extension's child masks or raises.
+
+    ``scan_order`` fixes which eligible sink is removed first, making the
+    extension deterministic for a given order.
+    """
+    adj = _adjacency(ch, pa, un)
+    out = ch[:]
+    active = (1 << len(ch)) - 1
+    for _ in range(len(ch)):
+        for x in scan_order:
+            # a sink with no outgoing directed edge whose undirected
+            # neighbours are each adjacent to all its other neighbours
+            if active >> x & 1 and not ch[x] & active and all(
+                adj[x] & active & ~adj[y] == 1 << y for y in _bits(un[x] & active)
+            ):
+                break
+        else:
+            raise ExtensionError("no consistent extension exists")
+        for y in _bits(un[x] & active):
+            out[y] |= 1 << x
+        active ^= 1 << x
+    return out
+
+
+def _complete(ch: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The CPDAG of the DAG with child masks ``ch``, as (ch, pa, un) masks:
+    v-structure edges directed, the rest oriented only where the Meek rules
+    compel them."""
+    pa = _transpose(ch)
+    adj = [c | p for c, p in zip(ch, pa)]
+    out = [0] * len(ch), [0] * len(ch), adj[:]
+    for i, k, j in _unshielded(pa, adj):
+        _direct(*out, i, k)
+        _direct(*out, j, k)
+    _meek(*out, "raise")
+    return out
+
+
 def is_acyclic(adjacency: np.ndarray) -> bool:
     """True iff the directed graph admits a topological order (Kahn's algorithm)."""
     a = _check_square(adjacency)
     if np.any(np.diag(a)):
         raise StructuralError("self-loops are not allowed")
-    indeg = a.sum(axis=0)
-    active = np.ones(a.shape[0], dtype=bool)
-    while active.any():
-        ready = np.flatnonzero(active & (indeg == 0))
-        if ready.size == 0:
-            return False
-        active[ready] = False
-        indeg = indeg - a[ready].sum(axis=0)
-    return True
+    return _kahn(_rows(a)) is not None
 
 
 def topological_order(adjacency: np.ndarray) -> list[int]:
     """A topological order of the DAG, lowest index first among the ready nodes."""
-    a = _check_square(adjacency)
-    indeg = a.sum(axis=0).astype(int)
-    active = np.ones(a.shape[0], dtype=bool)
-    order: list[int] = []
-    for _ in range(a.shape[0]):
-        ready = np.flatnonzero(active & (indeg == 0))
-        if ready.size == 0:
-            raise CyclicGraphError("graph has a directed cycle")
-        k = int(ready[0])
-        order.append(k)
-        active[k] = False
-        indeg -= a[k].astype(int)
+    order = _kahn(_rows(_check_square(adjacency)))
+    if order is None:
+        raise CyclicGraphError("graph has a directed cycle")
     return order
 
 
@@ -89,8 +256,6 @@ class Dag:
         a = _check_square(adjacency).copy()
         if a.shape[0] != len(self.labels):
             raise StructuralError("adjacency size does not match label count")
-        if np.any(np.diag(a)):
-            raise StructuralError("self-loops are not allowed")
         if not is_acyclic(a):
             raise CyclicGraphError("adjacency matrix contains a directed cycle")
         a.setflags(write=False)
@@ -180,16 +345,6 @@ class Cpdag:
         rows, cols = np.nonzero(np.triu(self.undirected))
         return list(zip(rows.tolist(), cols.tolist()))
 
-    def directed_edges(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.directed)
-        return list(zip(rows.tolist(), cols.tolist()))
-
-    def to_dag(self) -> Dag:
-        """Interpret a fully directed CPDAG as a Dag."""
-        if np.any(self.undirected):
-            raise ExtensionError("graph still has undirected edges")
-        return Dag(self.labels, self.directed)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cpdag):
             return NotImplemented
@@ -213,30 +368,11 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     return closure_one(_check_square(adjacency))
 
 
-def parents(g: Dag, node: int) -> set[int]:
-    """Parent set of ``node`` in ``g``."""
-    return g.parents(node)
-
-
 def v_structures(g: Dag) -> set[tuple[int, int, int]]:
     """All collider triples (i, k, j): i -> k <- j with i, j nonadjacent, i < j."""
-    return _pdag_v_structures(g.adjacency, np.zeros_like(g.adjacency))
-
-
-def _pdag_v_structures(directed: np.ndarray, undirected: np.ndarray) -> set[tuple[int, int, int]]:
-    """Collider triples among the *directed* edges of a PDAG: i -> k <- j with
-    i, j nonadjacent (by any edge), i < j."""
-    sym = directed | directed.T | undirected
-    out: set[tuple[int, int, int]] = set()
-    d = directed.shape[0]
-    for k in range(d):
-        pa = np.flatnonzero(directed[:, k])
-        for a_idx in range(len(pa)):
-            for b_idx in range(a_idx + 1, len(pa)):
-                i, j = int(pa[a_idx]), int(pa[b_idx])
-                if not sym[i, j]:
-                    out.add((i, k, j))
-    return out
+    ch = _rows(g.adjacency)
+    pa = _transpose(ch)
+    return _unshielded(pa, [c | p for c, p in zip(ch, pa)])
 
 
 def _meek_close(
@@ -244,127 +380,21 @@ def _meek_close(
     undirected: np.ndarray,
     on_conflict: str = "raise",
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run Meek rules R1-R4 to a fixed point on mutable copies.
+    """Run Meek rules R1-R4 to a fixed point on copies (see ``_meek``).
 
-    Returns (directed, undirected, conflicts).  With ``on_conflict="skip"`` a
-    rule firing against an existing opposite orientation is counted and
-    ignored instead of raising.
+    Returns (directed, undirected, conflicts).
     """
     if on_conflict not in ("raise", "skip"):
         raise ParameterError(f"unknown conflict policy {on_conflict!r}")
-    D = directed.copy()
-    U = undirected.copy()
-    conflicts = 0
-
-    def orient(i: int, j: int) -> bool:
-        nonlocal conflicts
-        if D[i, j]:
-            return False
-        if D[j, i]:
-            if on_conflict == "raise":
-                raise OrientationConflictError(f"rule wants {i}->{j} but {j}->{i} is set")
-            conflicts += 1
-            return False
-        D[i, j] = True
-        U[i, j] = U[j, i] = False
-        return True
-
-    d = D.shape[0]
-    changed = True
-    while changed:
-        changed = False
-        adj = D | D.T | U
-        # R1: a -> b - c, a and c nonadjacent  =>  b -> c
-        has_nonadj_parent = (D.astype(np.int64).T @ (~adj).astype(np.int64)) > 0
-        np.fill_diagonal(has_nonadj_parent, False)
-        for b, c in zip(*np.nonzero(has_nonadj_parent & U)):
-            changed |= orient(int(b), int(c))
-        if changed:
-            continue
-        # R2: a -> b -> c with a - c  =>  a -> c
-        two_chain = (D.astype(np.int64) @ D.astype(np.int64)) > 0
-        for a, c in zip(*np.nonzero(two_chain & U)):
-            changed |= orient(int(a), int(c))
-        if changed:
-            continue
-        # R3: a - b with a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
-        for a in range(d):
-            for b in np.flatnonzero(U[a]):
-                cands = np.flatnonzero(U[a] & D[:, b])
-                stop = False
-                for x_idx in range(len(cands)):
-                    for y_idx in range(x_idx + 1, len(cands)):
-                        if not adj[cands[x_idx], cands[y_idx]]:
-                            changed |= orient(a, int(b))
-                            stop = True
-                            break
-                    if stop:
-                        break
-        if changed:
-            continue
-        # R4: a - b with a - c, c -> e, e -> b, b and c nonadjacent  =>  a -> b
-        for a in range(d):
-            for b in np.flatnonzero(U[a]):
-                heads = np.flatnonzero(U[a] & ~adj[b])
-                done = False
-                for c in heads:
-                    if np.any(D[c] & D[:, b]):
-                        changed |= orient(a, int(b))
-                        done = True
-                        break
-                if done:
-                    break
-    return D, U, conflicts
+    ch, un = _rows(directed), _rows(undirected)
+    conflicts = _meek(ch, _transpose(ch), un, on_conflict)
+    return _dense(ch), _dense(un), conflicts
 
 
 def apply_meek_rules(p: Cpdag) -> Cpdag:
     """Fixed point of Meek rules R1-R4; raises on an orientation conflict."""
     D, U, _ = _meek_close(p.directed, p.undirected, on_conflict="raise")
     return Cpdag(p.labels, D, U)
-
-
-def _extend_pdag(
-    directed: np.ndarray, undirected: np.ndarray, scan_order: list[int]
-) -> np.ndarray:
-    """Dor-Tarsi sink elimination; returns a full adjacency matrix or raises.
-
-    ``scan_order`` fixes which eligible sink is removed first, making the
-    extension deterministic for a given order.
-    """
-    D = directed.copy()
-    U = undirected.copy()
-    out = directed.copy()
-    d = D.shape[0]
-    active = np.ones(d, dtype=bool)
-    for _ in range(d):
-        adj = D | D.T | U
-        found = -1
-        for x in scan_order:
-            if not active[x]:
-                continue
-            if np.any(D[x] & active):  # x has an outgoing directed edge
-                continue
-            nbrs = np.flatnonzero(adj[x] & active)
-            und = np.flatnonzero(U[x] & active)
-            ok = True
-            for y in und:
-                for z in nbrs:
-                    if z != y and not adj[y, z]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = x
-                break
-        if found < 0:
-            raise ExtensionError("no consistent extension exists")
-        for y in np.flatnonzero(U[found] & active):
-            out[y, found] = True
-        active[found] = False
-        D[found, :] = D[:, found] = False
-        U[found, :] = U[:, found] = False
-    return out
 
 
 def consistent_extension(p: Cpdag, seed: int = 0) -> Dag:
@@ -374,9 +404,12 @@ def consistent_extension(p: Cpdag, seed: int = 0) -> Dag:
     the node indices, so one CPDAG maps to one DAG for a given seed.
     """
     order = np.random.default_rng(seed).permutation(p.num_nodes).tolist()
-    adjacency = _extend_pdag(p.directed, p.undirected, order)
-    dag = Dag(p.labels, adjacency)
-    if v_structures(dag) != _pdag_v_structures(p.directed, p.undirected):
+    ch, un = _rows(p.directed), _rows(p.undirected)
+    pa = _transpose(ch)
+    out = _extend(ch, pa, un, order)
+    dag = Dag(p.labels, _dense(out))
+    adj = _adjacency(ch, pa, un)
+    if _unshielded(_transpose(out), adj) != _unshielded(pa, adj):
         raise ExtensionError("extension changed the v-structure set of the input")
     return dag
 

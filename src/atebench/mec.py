@@ -5,14 +5,17 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from .errors import CyclicGraphError, MecCapacityError, ParameterError, SchemaError
 from .graphs import (
     Cpdag,
     Dag,
-    _meek_close,
-    _pdag_v_structures,
+    _adjacency,
+    _complete,
+    _dense,
+    _direct,
+    _meek,
+    _rows,
+    _unshielded,
     format_edgelist,
     load_dag,
     v_structures,
@@ -45,21 +48,8 @@ class MecEnumeration:
 def cpdag_of(g: Dag) -> Cpdag:
     """The completed PDAG of g: v-structure edges kept directed, the rest
     oriented only where the Meek rules compel them."""
-    d = g.num_nodes
-    directed = np.zeros((d, d), dtype=bool)
-    for i, k, j in v_structures(g):
-        directed[i, k] = True
-        directed[j, k] = True
-    undirected = g.skeleton() & ~(directed | directed.T)
-    D, U, _ = _meek_close(directed, undirected, on_conflict="raise")
-    return Cpdag(g.labels, D, U)
-
-
-def _first_undirected(U: np.ndarray) -> tuple[int, int] | None:
-    rows, cols = np.nonzero(np.triu(U))
-    if rows.size == 0:
-        return None
-    return int(rows[0]), int(cols[0])
+    ch, _, un = _complete(_rows(g.adjacency))
+    return Cpdag(g.labels, _dense(ch), _dense(un))
 
 
 def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
@@ -72,40 +62,38 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
     """
     if cap < 1:
         raise ParameterError("cap must be >= 1")
-    base = cpdag_of(g)
+    ch, pa, un = _complete(_rows(g.adjacency))
+    base = Cpdag(g.labels, _dense(ch), _dense(un))
+    adj = _adjacency(ch, pa, un)
     target_vs = v_structures(g)
     found: list[Dag] = []
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(base.directed, base.undirected)]
+    stack = [(ch, pa, un)]
     while stack:
-        D, U = stack.pop()
-        edge = _first_undirected(U)
-        if edge is None:
+        ch, pa, un = stack.pop()
+        # un is symmetric, so the first undirected edge (i, j), i < j, in
+        # row-major order sits in the first nonzero row at its lowest bit
+        i = next((i for i, row in enumerate(un) if row), None)
+        if i is None:
             try:
-                member = Dag(g.labels, D)
+                member = Dag(g.labels, _dense(ch))
             except CyclicGraphError:
                 continue
-            if v_structures(member) == target_vs:
+            if _unshielded(pa, adj) == target_vs:
                 found.append(member)
                 if len(found) > cap:
                     raise MecCapacityError(cap, len(found))
             continue
-        i, j = edge
+        j = (un[i] & -un[i]).bit_length() - 1
         for a, b in ((i, j), (j, i)):
-            D2 = D.copy()
-            U2 = U.copy()
-            D2[a, b] = True
-            U2[a, b] = U2[b, a] = False
-            D3, U3, conflicts = _meek_close(D2, U2, on_conflict="skip")
-            if conflicts:
-                continue
-            if _pdag_v_structures(D3, U3) != target_vs:
-                continue
-            stack.append((D3, U3))
+            branch = ch[:], pa[:], un[:]
+            _direct(*branch, a, b)
+            # prune a branch whose closure conflicts or adds a v-structure
+            if not _meek(*branch, "skip") and _unshielded(branch[1], adj) == target_vs:
+                stack.append(branch)
     found.sort(key=lambda dag: dag.adjacency.tobytes())
-    members = found
-    if not any(m == g for m in members):
+    if not any(m == g for m in found):
         raise AssertionError("source DAG missing from its own equivalence class")
-    return MecEnumeration(source=g, cpdag=base, members=members, cap=cap)
+    return MecEnumeration(source=g, cpdag=base, members=found, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +128,8 @@ def load_mec_members(directory) -> list[Dag]:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"{directory}: missing manifest.json") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{manifest_path}: invalid JSON: {exc}") from None
     members = [load_dag(os.path.join(directory, name)) for name in manifest["files"]]
     if len(members) != manifest.get("member_count"):
         raise SchemaError(f"{directory}: manifest count disagrees with file list")

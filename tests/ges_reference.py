@@ -2,9 +2,11 @@
 
 These are the candidate generators and the search loop the per-target,
 memoised search replaced: every (x, y, T) insert and every (x, y, H) delete
-is re-enumerated and rescored from the dense matrices after every move.
-Tests require the memoised search to choose the same moves and reach the
-same CPDAG, and its merged candidate lists to equal these at every state.
+is re-enumerated and rescored from the dense matrices after every move, and
+moves are checked and applied on those matrices with the dense extension and
+DAG -> CPDAG of ``graphs_reference``.  Tests require the memoised search to
+choose the same moves and reach the same CPDAG, and its merged candidate
+lists to equal these at every state.
 """
 
 from __future__ import annotations
@@ -13,16 +15,66 @@ from itertools import combinations
 
 import numpy as np
 
-from atebench.discovery.ges import (
-    _EPS,
-    _apply_delete,
-    _apply_insert,
-    _blocked_path,
-    _clique,
-)
+from atebench.discovery.ges import _EPS
 from atebench.discovery.score import BicScore
 from atebench.errors import ExtensionError
-from atebench.graphs import Cpdag
+from atebench.graphs import Cpdag, Dag
+
+from graphs_reference import _extend_pdag, cpdag_of
+
+
+def _clique(adj: np.ndarray, nodes) -> bool:
+    nodes = list(nodes)
+    return all(adj[a, b] for a, b in combinations(nodes, 2))
+
+
+def _blocked_path(D: np.ndarray, U: np.ndarray, src: int, dst: int, blocked) -> bool:
+    """True when every semi-directed path src ~> dst passes through `blocked`."""
+    d = D.shape[0]
+    seen = np.zeros(d, dtype=bool)
+    for b in blocked:
+        seen[b] = True
+    if seen[src]:
+        return True
+    stack = [src]
+    seen[src] = True
+    while stack:
+        u = stack.pop()
+        if u == dst:
+            return False
+        for v in np.flatnonzero(D[u] | U[u]):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return True
+
+
+def _recomplete(labels, D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    adjacency = _extend_pdag(D, U, list(range(D.shape[0])))
+    p = cpdag_of(Dag(labels, adjacency))
+    return p.directed, p.undirected
+
+
+def _apply_insert(labels, D, U, x, y, t):
+    D2, U2 = D.copy(), U.copy()
+    D2[x, y] = True
+    for v in t:
+        U2[v, y] = U2[y, v] = False
+        D2[v, y] = True
+    return _recomplete(labels, D2, U2)
+
+
+def _apply_delete(labels, D, U, x, y, h):
+    D2, U2 = D.copy(), U.copy()
+    D2[x, y] = False
+    U2[x, y] = U2[y, x] = False
+    for v in h:
+        U2[y, v] = U2[v, y] = False
+        D2[y, v] = True
+        if U2[x, v]:
+            U2[x, v] = U2[v, x] = False
+            D2[x, v] = True
+    return _recomplete(labels, D2, U2)
 
 
 def _forward_candidates(D, U, score: BicScore):

@@ -353,6 +353,25 @@ def test_posterior_loader_rejects_malformed_weight(tmp_path):
         load_external_posterior(path)
 
 
+@pytest.mark.parametrize(
+    "manifest, fault",
+    [
+        ("{not json", "invalid JSON"),
+        ('["g.txt"]', "top level must be a JSON object"),
+        ('{"files": ["g.txt"], "seed": "x"}', "non-integer seed 'x'"),
+        ('{"files": ["g.txt"], "weights": ["a"]}', "weights must be a list of numbers"),
+        ('{"files": "g.txt"}', "files must be a list of strings"),
+    ],
+    ids=["invalid-json", "top-level-list", "string-seed", "string-weight", "files-string"],
+)
+def test_posterior_directory_rejects_a_malformed_manifest(tmp_path, manifest, fault):
+    (tmp_path / "g.txt").write_text("nodes: a,b\na -> b\n")
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(SchemaError, match="manifest.json") as info:
+        load_external_posterior(tmp_path)
+    assert fault in str(info.value)
+
+
 def test_uniform_posterior_validates_inputs():
     g = random_er_dag(3, 2, seed=22)
     ps = uniform_posterior([g, g, g], "tag", seed=5)

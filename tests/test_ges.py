@@ -9,6 +9,7 @@ import pytest
 from atebench import kernels
 from atebench.discovery.ges import _backward_target, _candidates, _forward_target, ges
 from atebench.errors import DegenerateDataError
+from atebench.graphs import _rows
 from atebench.scm import Dataset, random_er_dag, random_scm, sample
 
 from ges_reference import reference_ges
@@ -53,7 +54,9 @@ def test_ges_matches_the_reference_search(d, caplog):
         def visit(phase, D, U, score, candidates):
             # the memo carries across states exactly as it does inside ges()
             target = _forward_target if phase == "forward" else _backward_target
-            found = _candidates(target, memos[phase], D, U, score)
+            un, pa = _rows(U), _rows(D.T)
+            adj = _rows(D | D.T | U)
+            found = _candidates(target, memos[phase], un, pa, adj, score)
             assert found == candidates, (case, phase, len(states))
             states.append(phase)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atebench.errors import MecCapacityError
+from atebench.errors import MecCapacityError, SchemaError
 from atebench.graphs import Dag
 from atebench.mec import cpdag_of, enumerate_mec, load_mec_members, save_mec
 from atebench.scm import random_er_dag
@@ -95,3 +95,10 @@ def test_mec_save_load_round_trip(tmp_path):
     save_mec(enum, tmp_path)
     loaded = load_mec_members(tmp_path)
     assert loaded == enum.members
+
+
+def test_mec_loader_rejects_invalid_manifest_json(tmp_path):
+    save_mec(enumerate_mec(random_er_dag(4, 3, seed=2)), tmp_path)
+    (tmp_path / "manifest.json").write_text("{not json")
+    with pytest.raises(SchemaError, match="manifest.json: invalid JSON"):
+        load_mec_members(tmp_path)
