@@ -1,18 +1,14 @@
-"""Backdoor-adjustment ATE estimation: single queries and the full pair sweep."""
+"""Backdoor-adjustment ATE estimation: the full pair sweep and its persistence."""
 
 from __future__ import annotations
 
-import logging
 import zipfile
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, SampleSizeError, SchemaError
-from .graphs import Dag
-from .kernels import RIDGE, ate_sweep_kernel, transitive_closure_batch
+from .errors import DegenerateDataError, ParameterError, SchemaError
+from .kernels import ate_sweep_kernel, transitive_closure_batch
 from .scm import Dataset
-
-logger = logging.getLogger(__name__)
 
 TRUE_MEC_TAG = "true-mec"
 
@@ -85,44 +81,6 @@ class AteSampleSet:
         return f"AteSampleSet({self.query!r}, m={len(self)}, tag={self.source_tag!r})"
 
 
-def backdoor_adjustment_set(g: Dag, q: AteQuery) -> set[int]:
-    """Parents of the treatment: a valid backdoor set in any latent-free DAG."""
-    return g.parents(q.treatment)
-
-
-def estimate_ate(g: Dag, data: Dataset, q: AteQuery) -> float:
-    """Linear-regression backdoor estimate of the query's ATE under graph g.
-
-    Regresses the outcome on [1, treatment, adjustment set] and scales the
-    treatment coefficient by the contrast b - a.  When the outcome is not a
-    descendant of the treatment the effect is exactly 0.0, no regression run.
-    """
-    if g.labels != data.column_labels:
-        raise SchemaError("graph and dataset labels differ")
-    t, y = q.treatment, q.outcome
-    if not 0 <= y < g.num_nodes:
-        raise ParameterError(f"outcome index {y} out of range")
-    if not g.descendants_matrix()[t, y]:
-        return 0.0
-    z = sorted(backdoor_adjustment_set(g, q))
-    if data.n < len(z) + 2:
-        raise SampleSizeError(f"need n >= {len(z) + 2} rows for |adjustment|={len(z)}, got {data.n}")
-    x = data.values
-    xc = x - x.mean(axis=0)
-    idx = [t] + z
-    a = xc[:, idx].T @ xc[:, idx]
-    b = xc[:, idx].T @ xc[:, y]
-    try:
-        coef = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        lam = RIDGE * (1.0 + np.abs(np.diag(a)).mean())
-        logger.warning(
-            "rank-deficient design for treatment=%d adjustment=%s; ridge fallback", t, z
-        )
-        coef = np.linalg.solve(a + lam * np.eye(len(idx)), b)
-    return float(coef[0]) * q.contrast
-
-
 def _bag_parts(dag_bag):
     """(labels, dags, weights, tag) from a posterior sample or MEC enumeration."""
     if hasattr(dag_bag, "members"):
@@ -191,6 +149,8 @@ def save_ate_samples(samples: dict[AteQuery, AteSampleSet], labels, path, digest
     every sample set must carry the same weights."""
     labels = tuple(labels)
     d = len(labels)
+    if not samples:
+        raise ParameterError("no ATE sample sets to save")
     first = next(iter(samples.values()))
     values = np.zeros((len(first), d, d))
     for q, s in samples.items():

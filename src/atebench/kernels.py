@@ -4,6 +4,7 @@ The local BIC score runs on Python floats and matches numpy bit for bit."""
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ import numpy as np
 from .errors import ParameterError
 
 RIDGE = 1e-8
+
+logger = logging.getLogger(__name__)
 
 
 def backend_name() -> str:
@@ -101,31 +104,45 @@ def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
     treatment t the regressors are t plus its parents in g; out[g, t, y] is
     the coefficient on t when y is regressed on them, forced to exactly 0.0
     when y is not a descendant of t, and NaN only if even the ridge-adjusted
-    solve fails.
+    solve fails.  The coefficients depend on g only through pa(t), so each
+    distinct (t, pa(t)) is solved once, in order of first appearance, and
+    indexed back to every graph that has it; a ridge retry is logged once per
+    such key.
     """
     gram = np.ascontiguousarray(gram, dtype=float)
     stack = np.ascontiguousarray(stack, dtype=bool)
     closure = np.ascontiguousarray(closure, dtype=bool)
     m, d, _ = stack.shape
-    out = np.empty((m, d, d))
-    for g in range(m):
-        adj = stack[g]
-        for t in range(d):
-            pa = np.flatnonzero(adj[:, t])
-            idx = np.concatenate(([t], pa))
-            a = gram[np.ix_(idx, idx)]
-            b = gram[idx, :]
+    # key of (g, t): t as four bytes, then the parent column stack[g, :, t] as bits
+    ts = np.arange(d, dtype=np.uint32).view(np.uint8).reshape(d, 4)
+    cols = np.packbits(stack, axis=1).transpose(0, 2, 1)
+    keys = np.concatenate([np.broadcast_to(ts, (m, d, 4)), cols], axis=2)
+    keys = keys.reshape(m * d, keys.shape[2])
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    table = np.empty((first.size, d))
+    for at in sorted(first.tolist()):
+        g, t = divmod(at, d)
+        pa = np.flatnonzero(stack[g, :, t])
+        idx = np.concatenate(([t], pa))
+        a = gram[np.ix_(idx, idx)]
+        b = gram[idx, :]
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            logger.warning(
+                "rank-deficient design for treatment=%d adjustment=%s; ridge fallback",
+                t, pa.tolist(),
+            )
+            lam = RIDGE * (1.0 + np.abs(np.diag(a)).mean())
             try:
-                x = np.linalg.solve(a, b)
+                x = np.linalg.solve(a + lam * np.eye(len(idx)), b)
             except np.linalg.LinAlgError:
-                lam = RIDGE * (1.0 + np.abs(np.diag(a)).mean())
-                try:
-                    x = np.linalg.solve(a + lam * np.eye(len(idx)), b)
-                except np.linalg.LinAlgError:
-                    x = np.full_like(b, np.nan)
-            row = np.where(closure[g, t], x[0], 0.0)
-            row[t] = 0.0
-            out[g, t] = row
+                x = np.full_like(b, np.nan)
+        table[inv[at]] = x[0]
+    out = table[inv.reshape(m, d)]
+    # zero the non-descendants in place: np.where would build a second stack
+    np.copyto(out, 0.0, where=~closure)
+    out[:, range(d), range(d)] = 0.0
     return out
 
 

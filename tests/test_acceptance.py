@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from atebench.ate import AteQuery, AteSampleSet, estimate_ate
+from atebench.ate import AteQuery, AteSampleSet
 from atebench.config import ExperimentConfig
 from atebench.discovery import save_posterior, structure_mcmc, uniform_posterior
 from atebench.discovery.score import BicScore
@@ -33,6 +33,7 @@ from atebench.scm import (
     save_dataset,
 )
 
+from ate_reference import estimate_ate
 from conftest import brute_force_dags, oracle_mec_classes
 
 

@@ -5,14 +5,13 @@ from atebench.ate import (
     TRUE_MEC_TAG,
     AteQuery,
     AteSampleSet,
-    backdoor_adjustment_set,
-    estimate_ate,
     load_ate_samples,
     save_ate_samples,
     sweep,
 )
-from atebench.errors import ParameterError, SampleSizeError, SchemaError
+from atebench.errors import DegenerateDataError, ParameterError, SampleSizeError, SchemaError
 from atebench.graphs import Dag
+from atebench.kernels import transitive_closure_batch
 from atebench.mec import enumerate_mec
 from atebench.scm import (
     Dataset,
@@ -23,6 +22,9 @@ from atebench.scm import (
     random_scm,
     sample,
 )
+
+import ate_reference
+from ate_reference import backdoor_adjustment_set, estimate_ate
 
 
 def build_scm(d, weighted_edges):
@@ -152,6 +154,27 @@ def test_sweep_applies_contrast(sweep_setup):
     assert np.allclose(scaled[qs].values, 4.0 * unit[q].values, rtol=1e-12)
 
 
+def test_sweep_names_the_first_failed_solve_in_c_order(monkeypatch):
+    from atebench.discovery import uniform_posterior
+
+    labels = default_labels(4)
+    chain = np.zeros((4, 4), dtype=bool)
+    chain[0, 1] = chain[1, 2] = chain[2, 3] = True
+    collider = chain.copy()
+    collider[0, 2] = True
+    data = sample(random_scm(Dag(labels, collider), seed=8), 200, seed=8)
+    bag = uniform_posterior([Dag(labels, a) for a in (chain, collider, chain, collider)], "stub", seed=0)
+    # the key (2, [0, 1]) first appears in DAG 1, where 3 descends from 2
+    monkeypatch.setattr(np.linalg, "solve", ate_reference.solve_failing_on([2, 0, 1]))
+    stack = np.stack([g.adjacency for g in bag.dags])
+    xc = data.values - data.values.mean(axis=0)
+    ref = ate_reference.ate_sweep_kernel(xc.T @ xc, stack, transitive_closure_batch(stack))
+    assert np.argwhere(np.isnan(ref))[0].tolist() == [1, 2, 3]
+    with pytest.raises(DegenerateDataError) as err:
+        sweep(bag, data)
+    assert str(err.value) == "ATE solve failed even with ridge for dag=1, treatment=2, outcome=3"
+
+
 def test_sample_set_validation():
     q = AteQuery(0, 1)
     with pytest.raises(ParameterError):
@@ -212,6 +235,12 @@ def test_ate_samples_save_refuses_what_one_stack_cannot_hold(tmp_path):
     mixed[q10] = AteSampleSet(q10, [1.0, 2.0], [0.25, 0.75], "t")
     with pytest.raises(ParameterError):
         save_ate_samples(mixed, ("X0", "X1"), path, "abc")
+
+
+def test_ate_samples_save_refuses_an_empty_sweep(tmp_path):
+    with pytest.raises(ParameterError, match="no ATE sample sets"):
+        save_ate_samples({}, ("X0", "X1"), tmp_path / "ates.npz", "abc")
+    assert not (tmp_path / "ates.npz").exists()
 
 
 def _npz(path, **arrays):

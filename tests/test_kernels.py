@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -8,9 +9,11 @@ from scipy import stats
 
 from atebench import kernels
 from atebench.errors import ParameterError
+from atebench.mec import enumerate_mec
 from atebench.scm import random_er_dag, random_scm, sample
 
 from conftest import random_weighted_sample
+import ate_reference
 import score_reference
 from mcmc_reference import _nth_move, _reach, reference_chain
 
@@ -186,18 +189,93 @@ def test_sweep_kernel_matches_direct_normal_equations():
             assert out[0, t, y] == pytest.approx(float(beta[0]), rel=1e-7, abs=1e-9)
 
 
-def test_sweep_kernel_ridge_survives_singular_gram():
+def sweep_corpus():
+    """(name, gram, stack) inputs on which the sweep kernel must equal the
+    reference: MEC members, bootstrap-like bags that repeat DAGs, empty and
+    full parent columns, a cycle (its closure has a true diagonal), d = 2 to
+    50, each on full-rank and on rank-deficient data (the last column
+    duplicates the first)."""
+    for d, edges, seed in [(2, 1, 0), (6, 8, 1), (10, 15, 2), (50, 100, 3)]:
+        g = random_er_dag(d, edges, seed=seed)
+        values = sample(random_scm(g, seed=seed), 120, seed=seed).values
+        singular = values.copy()
+        singular[:, -1] = singular[:, 0]
+        # node 0 has no parents in either; node d - 1 has all others in full
+        full = np.triu(np.ones((d, d), dtype=bool), 1)
+        pool = [g.adjacency, full, np.zeros((d, d), dtype=bool)]
+        pool += [random_er_dag(d, edges, seed=100 * seed + k).adjacency for k in range(5)]
+        rng = np.random.default_rng(seed)
+        stacks = {
+            "bag": np.stack([pool[i] for i in rng.integers(0, len(pool), 3 * len(pool))]),
+            "cycle": np.stack([g.adjacency, np.roll(np.eye(d, dtype=bool), 1, axis=1)]),
+        }
+        if d <= 10:
+            stacks["mec"] = np.stack([m.adjacency for m in enumerate_mec(g).members])
+        for kind, stack in stacks.items():
+            for rank, vals in (("full-rank", values), ("rank-deficient", singular)):
+                yield f"d={d} {kind} {rank}", centered_gram_of(vals), stack
+
+
+def test_sweep_kernel_matches_reference_bytes(monkeypatch):
+    real_solve = np.linalg.solve
+    failed = []
+
+    def recording(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            failed.append(a.shape[0])
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    repeats = 0
+    for name, gram, stack in sweep_corpus():
+        closure = kernels.transitive_closure_batch(stack)
+        got = kernels.ate_sweep_kernel(gram, stack, closure)
+        want = ate_reference.ate_sweep_kernel(gram, stack, closure)
+        assert got.tobytes() == want.tobytes(), name
+        repeats += len(stack) - len(np.unique(stack, axis=0))
+    # the corpus repeats DAGs and reaches the ridge retry
+    assert repeats > 0
+    assert failed
+
+
+def test_sweep_kernel_nan_row_matches_reference(monkeypatch):
+    _, gram, stack = next(c for c in sweep_corpus() if c[0] == "d=6 bag full-rank")
+    closure = kernels.transitive_closure_batch(stack)
+    # t = 3 with parents 0, 1, 2, as in the full DAG, where 4 and 5 descend from it
+    monkeypatch.setattr(np.linalg, "solve", ate_reference.solve_failing_on([3, 0, 1, 2]))
+    got = kernels.ate_sweep_kernel(gram, stack, closure)
+    want = ate_reference.ate_sweep_kernel(gram, stack, closure)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).any()
+
+
+def test_sweep_kernel_ridge_survives_singular_gram(caplog):
     # duplicated column makes the unregularized normal equations singular
     rng = np.random.default_rng(6)
     base = rng.normal(size=(30, 1))
     values = np.column_stack([base, base, rng.normal(size=(30, 1))])
-    gram = centered_gram_of(values)
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[0, 2] = adj[1, 2] = adj[0, 1] = True
-    stack = adj[None]
+    collider = np.zeros((3, 3), dtype=bool)
+    collider[0, 2] = collider[1, 2] = True
+    chain = np.zeros((3, 3), dtype=bool)
+    chain[0, 1] = chain[1, 2] = True
+    # (2, [0, 1]) is singular in the first DAG and (1, [0]) in the second
+    stack = np.stack([collider, chain, collider, chain])
     closure = kernels.transitive_closure_batch(stack)
-    out = kernels.ate_sweep_kernel(gram, stack, closure)
-    assert np.all(np.isfinite(out[0][closure[0]]))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="atebench"):
+        out = kernels.ate_sweep_kernel(centered_gram_of(values), stack, closure)
+    assert np.all(np.isfinite(out[closure]))
+    # one warning per distinct (treatment, parent set), in order of first appearance
+    assert [r.getMessage() for r in caplog.records if r.name == "atebench.kernels"] == [
+        "rank-deficient design for treatment=2 adjustment=[0, 1]; ridge fallback",
+        "rank-deficient design for treatment=1 adjustment=[0]; ridge fallback",
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="atebench"):
+        kernels.ate_sweep_kernel(centered_gram_of(rng.normal(size=(30, 3))), stack, closure)
+    assert not caplog.records
 
 
 # --- MCMC chain plumbing ---------------------------------------------------
