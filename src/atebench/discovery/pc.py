@@ -8,7 +8,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from ..errors import ParameterError
-from ..graphs import Cpdag, _meek_close, _rows, _unshielded
+from ..graphs import Cpdag, _dense, _meek, _rows, _transpose, _unshielded
 from ..scm import Dataset
 from .citest import CiTestConfig, FisherZTester
 
@@ -133,8 +133,9 @@ def pc(data: Dataset, cfg: CiTestConfig | None = None) -> Cpdag:
     tester = FisherZTester(data, cfg.alpha)
     adj, sepsets = _skeleton(tester, d, cfg)
     directed, collider_conflicts = _orient_colliders(adj, sepsets)
-    undirected = adj & ~(directed | directed.T)
-    D, U, meek_conflicts = _meek_close(directed, undirected, on_conflict="skip")
+    ch, un = _rows(directed), _rows(adj & ~(directed | directed.T))
+    meek_conflicts = _meek(ch, _transpose(ch), un, "skip")
+    D, U = _dense(ch), _dense(un)
     logger.info(
         "pc: d=%d n=%d ci_tests=%d edges=%d collider_conflicts=%d meek_conflicts=%d",
         d,

@@ -2,7 +2,9 @@
 
 Two layouts are accepted for externally produced posteriors: a directory of
 edge-list files with a manifest.json, or a single multi-graph text file.
-The multi-graph format is also what the built-in methods persist:
+The multi-graph format is also what the built-in methods persist, and what
+the pipeline writes the true equivalence class in (``mec.txt``, tag
+``true-mec``, uniform weights):
 
     posterior method=bootstrap-pc seed=3
     graph 0 weight 0.5

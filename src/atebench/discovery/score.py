@@ -57,9 +57,3 @@ class BicScore:
         if (mask >> node) & 1:
             raise ParameterError("node cannot be its own parent")
         return kernels._local_bic(self._rows, self.n, node, mask, self._cache)
-
-    def graph_score(self, adjacency: np.ndarray) -> float:
-        a = np.asarray(adjacency, dtype=bool)
-        return sum(
-            self.local(k, np.flatnonzero(a[:, k]).tolist()) for k in range(a.shape[0])
-        )

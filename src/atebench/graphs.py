@@ -290,9 +290,6 @@ class Dag:
     def topological_order(self) -> list[int]:
         return topological_order(self.adjacency)
 
-    def relabel(self, labels) -> "Dag":
-        return Dag(labels, self.adjacency)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
@@ -373,28 +370,6 @@ def v_structures(g: Dag) -> set[tuple[int, int, int]]:
     ch = _rows(g.adjacency)
     pa = _transpose(ch)
     return _unshielded(pa, [c | p for c, p in zip(ch, pa)])
-
-
-def _meek_close(
-    directed: np.ndarray,
-    undirected: np.ndarray,
-    on_conflict: str = "raise",
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run Meek rules R1-R4 to a fixed point on copies (see ``_meek``).
-
-    Returns (directed, undirected, conflicts).
-    """
-    if on_conflict not in ("raise", "skip"):
-        raise ParameterError(f"unknown conflict policy {on_conflict!r}")
-    ch, un = _rows(directed), _rows(undirected)
-    conflicts = _meek(ch, _transpose(ch), un, on_conflict)
-    return _dense(ch), _dense(un), conflicts
-
-
-def apply_meek_rules(p: Cpdag) -> Cpdag:
-    """Fixed point of Meek rules R1-R4; raises on an orientation conflict."""
-    D, U, _ = _meek_close(p.directed, p.undirected, on_conflict="raise")
-    return Cpdag(p.labels, D, U)
 
 
 def consistent_extension(p: Cpdag, seed: int = 0) -> Dag:
@@ -483,15 +458,6 @@ def parse_dag_edgelist(text: str, source: str = "<string>") -> Dag:
         return Dag(labels, directed)
     except CyclicGraphError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
-
-
-def parse_cpdag_edgelist(text: str, source: str = "<string>") -> Cpdag:
-    labels, directed, undirected = _parse_edgelist_text(text, source)
-    if np.any(directed & directed.T):
-        raise SchemaError(f"{source}: edge listed in both directions")
-    if np.any((directed | directed.T) & undirected):
-        raise SchemaError(f"{source}: edge both directed and undirected")
-    return Cpdag(labels, directed, undirected)
 
 
 def load_dag(path) -> Dag:

@@ -1,11 +1,14 @@
-"""CPDAG computation and full enumeration of a DAG's Markov equivalence class."""
+"""CPDAG computation and full enumeration of a DAG's Markov equivalence class.
+
+The class is saved in the posterior multi-graph format (see
+``atebench.discovery.posterior``), as a uniform bag tagged ``true-mec``.
+"""
 
 from __future__ import annotations
 
-import json
-import os
-
-from .errors import CyclicGraphError, MecCapacityError, ParameterError, SchemaError
+from .ate import TRUE_MEC_TAG
+from .discovery.posterior import save_posterior, uniform_posterior
+from .errors import CyclicGraphError, MecCapacityError, ParameterError
 from .graphs import (
     Cpdag,
     Dag,
@@ -16,8 +19,6 @@ from .graphs import (
     _meek,
     _rows,
     _unshielded,
-    format_edgelist,
-    load_dag,
     v_structures,
 )
 
@@ -25,15 +26,13 @@ DEFAULT_MEC_CAP = 100_000
 
 
 class MecEnumeration:
-    """A DAG, its CPDAG, and every DAG Markov equivalent to it."""
+    """A DAG and every DAG Markov equivalent to it."""
 
-    __slots__ = ("source", "cpdag", "members", "cap")
+    __slots__ = ("source", "members")
 
-    def __init__(self, source: Dag, cpdag: Cpdag, members: list[Dag], cap: int):
+    def __init__(self, source: Dag, members: list[Dag]):
         self.source = source
-        self.cpdag = cpdag
         self.members = members
-        self.cap = cap
 
     def __len__(self) -> int:
         return len(self.members)
@@ -47,7 +46,11 @@ class MecEnumeration:
 
 def cpdag_of(g: Dag) -> Cpdag:
     """The completed PDAG of g: v-structure edges kept directed, the rest
-    oriented only where the Meek rules compel them."""
+    oriented only where the Meek rules compel them.
+
+    Kept without a caller in the package: a documented MEC utility of the
+    public API.
+    """
     ch, _, un = _complete(_rows(g.adjacency))
     return Cpdag(g.labels, _dense(ch), _dense(un))
 
@@ -63,7 +66,6 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
     if cap < 1:
         raise ParameterError("cap must be >= 1")
     ch, pa, un = _complete(_rows(g.adjacency))
-    base = Cpdag(g.labels, _dense(ch), _dense(un))
     adj = _adjacency(ch, pa, un)
     target_vs = v_structures(g)
     found: list[Dag] = []
@@ -93,48 +95,9 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
     found.sort(key=lambda dag: dag.adjacency.tobytes())
     if not any(m == g for m in found):
         raise AssertionError("source DAG missing from its own equivalence class")
-    return MecEnumeration(source=g, cpdag=base, members=found, cap=cap)
+    return MecEnumeration(source=g, members=found)
 
 
-# ---------------------------------------------------------------------------
-# persistence: directory of edge-list files plus a manifest with counts
-# ---------------------------------------------------------------------------
-
-
-def save_mec(enumeration: MecEnumeration, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    width = max(4, len(str(len(enumeration.members))))
-    names = []
-    for idx, member in enumerate(enumeration.members):
-        name = f"member_{idx:0{width}d}.txt"
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(format_edgelist(member))
-        names.append(name)
-    manifest = {
-        "member_count": len(enumeration.members),
-        "files": names,
-        "cap": enumeration.cap,
-        "node_labels": list(enumeration.source.labels),
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_mec_members(directory) -> list[Dag]:
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{directory}: missing manifest.json") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{manifest_path}: invalid JSON: {exc}") from None
-    members = [load_dag(os.path.join(directory, name)) for name in manifest["files"]]
-    if len(members) != manifest.get("member_count"):
-        raise SchemaError(f"{directory}: manifest count disagrees with file list")
-    labels = tuple(manifest.get("node_labels", members[0].labels if members else ()))
-    for m in members:
-        if m.labels != labels:
-            raise SchemaError(f"{directory}: inconsistent node labels across members")
-    return members
+def save_mec(enumeration: MecEnumeration, path) -> None:
+    """Write the class as a uniform posterior file tagged ``true-mec``."""
+    save_posterior(uniform_posterior(enumeration.members, TRUE_MEC_TAG, seed=0), path)

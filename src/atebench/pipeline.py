@@ -8,6 +8,11 @@ Layout under output_root:
     seeds/seed_NNN/           per-seed artifacts (graph, data, MEC, sweeps, ...)
     report/                   aggregated CSVs
 
+Every bag of DAGs is written in the one posterior multi-graph format of
+``atebench.discovery.posterior``: each method's sample as
+``posteriors/<method>.txt`` and the true equivalence class as ``mec.txt``
+(tag ``true-mec``, uniform weights).
+
 Seeds may execute in parallel worker processes, but every file is written by
 the orchestrating process, in a deterministic format, so a run's artifact
 bytes do not depend on the worker count.  The aggregation stage re-reads the
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
@@ -76,6 +82,9 @@ _STREAM_METHOD_BASE = 10
 _CUTS = {"generate": 0, "discover": 1, "ate-sweep": 2, "evaluate": 3, "run": 3}
 
 _DIGEST_PREFIX = "# config_digest="
+
+# an external posterior's method tag names its files under a seed directory
+_METHOD_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 
 
 def _stream_seed(master_seed: int, seed_index: int, stream: int) -> int:
@@ -306,13 +315,7 @@ def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
         text_artifact("data.csv", lambda p: save_dataset(data, p))
     elif stage == "truth":
         enum, true_ates = payload
-        mec_dir = seed_dir / "mec"
-        save_mec(enum, mec_dir)
-        manifest = _read_json(mec_dir / "manifest.json")
-        for name in manifest["files"]:
-            _stamp_text(mec_dir / name, digest)
-        _stamp_json(mec_dir / "manifest.json", digest)
-        files.append("mec/manifest.json")
+        text_artifact("mec.txt", lambda p: save_mec(enum, p))
         labels = enum.source.labels
         artifact("ates/true-mec.npz", lambda p: save_ate_samples(true_ates, labels, p, digest))
     elif stage.startswith("discover:"):
@@ -562,7 +565,8 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
     """Evaluate a posterior produced outside this package (stages 2-3 only).
 
     dataset and truth_graph may be objects or paths.  The posterior's own
-    method tag names the report row.
+    method tag names the report row and the seed's files, so it must match
+    ``[A-Za-z0-9][A-Za-z0-9._+-]*`` and may not be ``true-mec``.
     """
     cfg.validate()
     data = dataset if isinstance(dataset, Dataset) else load_dataset(dataset)
@@ -573,6 +577,11 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
         raise SchemaError(
             f"{posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved for the true "
             "equivalence class"
+        )
+    if not _METHOD_TAG.fullmatch(ps.method_tag):
+        raise SchemaError(
+            f"{posterior_path}: method tag {ps.method_tag!r} must match "
+            f"{_METHOD_TAG.pattern}, since it names the method's files"
         )
     if ps.dags[0].labels != truth.labels:
         raise SchemaError(

@@ -195,6 +195,7 @@ def save_scm(scm: LinearGaussianScm, path) -> None:
 
 
 def load_scm(path) -> LinearGaussianScm:
+    """Read an SCM written by ``save_scm``: the reader of the ``scm.json`` artifact."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     graph = Dag(payload["node_labels"], np.asarray(payload["adjacency"], dtype=bool))

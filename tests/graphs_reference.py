@@ -20,7 +20,18 @@ from atebench.errors import (
     ParameterError,
 )
 from atebench.graphs import Cpdag, Dag, _check_square
-from atebench.mec import DEFAULT_MEC_CAP, MecEnumeration
+from atebench.mec import DEFAULT_MEC_CAP
+
+
+class MecEnumeration:
+    """The enumeration result as it was: the source DAG, its CPDAG, the
+    members and the cap."""
+
+    def __init__(self, source: Dag, cpdag: Cpdag, members: list[Dag], cap: int):
+        self.source = source
+        self.cpdag = cpdag
+        self.members = members
+        self.cap = cap
 
 
 def topological_order(adjacency: np.ndarray) -> list[int]:

@@ -4,6 +4,9 @@ This is the score as it was written for numba: per-element indexing into
 ``np.empty`` index and matrix buffers, and a multi-right-hand-side Gaussian
 elimination that the score calls with one column.  Tests require the list
 version in ``atebench.kernels`` to return the same bits.
+
+``graph_score`` sums a ``BicScore``'s local scores over a whole adjacency
+matrix, for tests that rank complete graphs.
 """
 
 from __future__ import annotations
@@ -113,3 +116,9 @@ def _local_bic(gram, n_rows, node, mask, cache):
     score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (npa + 1) * math.log(n_rows)
     cache[key] = score
     return score
+
+
+def graph_score(score, adjacency) -> float:
+    """Decomposable BIC of a whole graph: the sum of ``score.local`` over its nodes."""
+    a = np.asarray(adjacency, dtype=bool)
+    return sum(score.local(k, np.flatnonzero(a[:, k]).tolist()) for k in range(a.shape[0]))

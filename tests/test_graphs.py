@@ -13,11 +13,9 @@ from atebench.errors import (
 from atebench.graphs import (
     Cpdag,
     Dag,
-    apply_meek_rules,
     consistent_extension,
     format_edgelist,
     is_acyclic,
-    parse_cpdag_edgelist,
     parse_dag_edgelist,
     save_graph,
     load_dag,
@@ -29,6 +27,7 @@ from atebench.mec import cpdag_of
 from atebench.scm import random_er_dag
 
 from conftest import brute_force_dags, oracle_v_structures
+from graph_helpers import apply_meek_rules, parse_cpdag_edgelist
 
 
 def labels(d):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atebench.errors import MecCapacityError, SchemaError
+from atebench.ate import TRUE_MEC_TAG
+from atebench.discovery import load_external_posterior
+from atebench.errors import MecCapacityError
 from atebench.graphs import Dag
-from atebench.mec import cpdag_of, enumerate_mec, load_mec_members, save_mec
+from atebench.mec import cpdag_of, enumerate_mec, save_mec
 from atebench.scm import random_er_dag
 
 from conftest import oracle_mec_classes, oracle_mec_key
@@ -92,13 +94,7 @@ def test_empty_graph_is_its_own_class():
 def test_mec_save_load_round_trip(tmp_path):
     g = random_er_dag(5, 6, seed=2)
     enum = enumerate_mec(g)
-    save_mec(enum, tmp_path)
-    loaded = load_mec_members(tmp_path)
-    assert loaded == enum.members
-
-
-def test_mec_loader_rejects_invalid_manifest_json(tmp_path):
-    save_mec(enumerate_mec(random_er_dag(4, 3, seed=2)), tmp_path)
-    (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(SchemaError, match="manifest.json: invalid JSON"):
-        load_mec_members(tmp_path)
+    save_mec(enum, tmp_path / "mec.txt")
+    loaded = load_external_posterior(tmp_path / "mec.txt")
+    assert loaded.dags == enum.members
+    assert loaded.method_tag == TRUE_MEC_TAG

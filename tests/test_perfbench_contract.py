@@ -63,6 +63,10 @@ def test_traced_external_run_counts_the_npz_bytes_and_restores_everything(tmp_pa
     written = sorted((tmp_path / "run" / "seeds").glob("*/ates/*.npz"))
     assert [p.name for p in written] == ["ext.npz", "true-mec.npz"]
     assert layers["ate.save_bytes"] == sum(p.stat().st_size for p in written)
+    # the true class is written by one traced `save_mec` call per seed flush
+    saves = [s for s in tracer.spans if s["name"] == "mec.save_mec"]
+    assert len(saves) == cfg.num_seeds == 1
+    assert tracer.spans[saves[0]["parent"]]["name"] == "pipeline.flush"
 
 
 def test_traced_bootstrap_pc_counts_the_tests_of_the_reference_loop(monkeypatch, caplog):

@@ -14,10 +14,10 @@ from atebench.errors import (
     SchemaError,
     ValidationError,
 )
-from atebench.graphs import save_graph
+from atebench.graphs import Dag, load_dag, save_graph
 from atebench.mec import enumerate_mec
 from atebench.pipeline import evaluate_external, run_pipeline, run_real, run_synthetic
-from atebench.discovery import save_posterior, uniform_posterior
+from atebench.discovery import load_external_posterior, save_posterior, uniform_posterior
 from atebench.scm import (
     Dataset,
     random_er_dag,
@@ -46,17 +46,16 @@ def tree_hashes(root):
     """Hashes of every data-bearing artifact.
 
     The log, the run/seed manifests, and the echoed config are excluded:
-    they record wall-clock timings and the volatile workers value.  The MEC
-    manifest is deterministic data and stays in.
+    they record wall-clock timings and the volatile workers value.  Every bag
+    of DAGs is in: the methods' posteriors and the true class's mec.txt, all
+    in the one multi-graph posterior format.
     """
     out = {}
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
-            if name == "run.log" or rel in ("run_config.txt", "run_manifest.json"):
-                continue
-            if name == "manifest.json" and not dirpath.endswith("mec"):
+            if name in ("run.log", "manifest.json") or rel in ("run_config.txt", "run_manifest.json"):
                 continue
             out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
     return out
@@ -90,7 +89,7 @@ def test_synthetic_run_produces_the_artifact_tree(synthetic_run):
             "truth_graph.txt",
             "scm.json",
             "data.csv",
-            "mec/manifest.json",
+            "mec.txt",
             "ates/true-mec.npz",
             "posteriors/bootstrap-pc.txt",
             "ates/bootstrap-pc.npz",
@@ -100,6 +99,7 @@ def test_synthetic_run_produces_the_artifact_tree(synthetic_run):
         ):
             assert (sd / rel).exists(), rel
         assert not list((sd / "ates").glob("*.csv"))
+        assert not (sd / "mec").exists()
     assert [s.method for s in report.summaries] == ["bootstrap-pc"]
 
 
@@ -112,6 +112,7 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
         "report/relaxation_bootstrap-pc.csv",
         "seeds/seed_000/truth_graph.txt",
         "seeds/seed_000/data.csv",
+        "seeds/seed_000/mec.txt",
         "seeds/seed_000/posteriors/bootstrap-pc.txt",
         "seeds/seed_000/pairs/bootstrap-pc.csv",
         "seeds/seed_000/modes/bootstrap-pc.csv",
@@ -123,13 +124,23 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
         "run_manifest.json",
         "seeds/seed_000/scm.json",
         "seeds/seed_000/manifest.json",
-        "seeds/seed_000/mec/manifest.json",
     ):
         doc = json.loads(read_text(root / rel))
         assert doc["config_digest"] == digest, rel
     for rel in ("seeds/seed_000/ates/true-mec.npz", "seeds/seed_000/ates/bootstrap-pc.npz"):
         with np.load(root / rel, allow_pickle=False) as npz:
             assert str(npz["config_digest"]) == digest, rel
+
+
+def test_true_class_is_saved_as_a_uniform_posterior_file(synthetic_run):
+    _, root, _ = synthetic_run
+    for sd in sorted((root / "seeds").iterdir()):
+        members = enumerate_mec(load_dag(sd / "truth_graph.txt")).members
+        ps = load_external_posterior(sd / "mec.txt")
+        assert ps.dags == members
+        assert ps.method_tag == TRUE_MEC_TAG
+        assert ps.seed == 0
+        assert ps.weights.tolist() == [1 / len(members)] * len(members)
 
 
 def test_run_manifest_records_shared_truth_note_and_stages(synthetic_run):
@@ -404,7 +415,7 @@ def test_external_true_mec_posterior_is_exact(real_inputs, tmp_path):
 
 def test_external_posterior_label_mismatch_is_refused(real_inputs, tmp_path):
     g, data, inputs = real_inputs
-    wrong = random_er_dag(4, 4, seed=9).relabel(("a", "b", "c", "d"))
+    wrong = Dag(("a", "b", "c", "d"), random_er_dag(4, 4, seed=9).adjacency)
     ps = uniform_posterior([wrong], "mislabeled", seed=0)
     save_posterior(ps, tmp_path / "wrong.txt")
     cfg = ExperimentConfig(
@@ -450,6 +461,26 @@ def test_external_posterior_may_not_use_the_true_mec_tag(real_inputs, tmp_path):
         f"{posterior}: method tag 'true-mec' is reserved for the true equivalence class"
     )
     assert not root.exists()
+
+
+@pytest.mark.parametrize("tag", ["../../escaped", ""])
+def test_external_method_tag_must_be_a_plain_file_name(real_inputs, tmp_path, tag):
+    g, data, inputs = real_inputs
+    posterior = tmp_path / "post.txt"
+    save_posterior(uniform_posterior([g], tag, seed=0), posterior)
+    root = tmp_path / "run"
+    cfg = ExperimentConfig(
+        mode="real",
+        dataset_path=str(inputs / "data.csv"),
+        graph_path=str(inputs / "truth.txt"),
+        posterior_path=str(posterior),
+        output_root=str(root),
+    )
+    with pytest.raises(SchemaError) as err:
+        run_real(cfg)
+    assert str(err.value).startswith(f"{posterior}: method tag {tag!r} must match ")
+    assert not root.exists()
+    assert [p.name for p in tmp_path.rglob("*")] == ["post.txt"]
 
 
 def test_evaluate_external_names_a_missing_dataset_or_graph(real_inputs, tmp_path):
