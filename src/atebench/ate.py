@@ -7,10 +7,8 @@ import zipfile
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, SchemaError
-from .kernels import ate_sweep_kernel, transitive_closure_batch
+from .kernels import ate_sweep_kernel, centered_gram, transitive_closure_batch
 from .scm import Dataset
-
-TRUE_MEC_TAG = "true-mec"
 
 
 class AteQuery:
@@ -81,42 +79,22 @@ class AteSampleSet:
         return f"AteSampleSet({self.query!r}, m={len(self)}, tag={self.source_tag!r})"
 
 
-def _bag_parts(dag_bag):
-    """(labels, dags, weights, tag) from a posterior sample or MEC enumeration."""
-    if hasattr(dag_bag, "members"):
-        dags = list(dag_bag.members)
-        weights = np.full(len(dags), 1.0 / len(dags))
-        tag = TRUE_MEC_TAG
-    elif hasattr(dag_bag, "dags"):
-        dags = list(dag_bag.dags)
-        weights = np.asarray(dag_bag.weights, dtype=float)
-        tag = dag_bag.method_tag
-    else:
-        raise ParameterError(f"not a DAG bag: {type(dag_bag).__name__}")
-    if not dags:
-        raise ParameterError("empty DAG bag")
-    return dags[0].labels, dags, weights, tag
-
-
 def sweep(
     dag_bag,
     data: Dataset,
     treatment_value_b: float = 1.0,
     reference_value_a: float = 0.0,
 ) -> dict[AteQuery, AteSampleSet]:
-    """ATE sample sets for every ordered pair under every DAG in the bag.
+    """ATE sample sets for every ordered pair under every DAG in the bag, a
+    ``PosteriorSample`` (the true class's ``MecEnumeration`` is one).
 
-    One value per (pair, DAG); weights inherited from the bag.
+    One value per (pair, DAG); weights and source tag inherited from the bag.
     """
-    labels, dags, weights, tag = _bag_parts(dag_bag)
-    if labels != data.column_labels:
+    if dag_bag.labels != data.column_labels:
         raise SchemaError("DAG bag labels do not match dataset columns")
-    d = len(labels)
-    stack = np.stack([g.adjacency for g in dags])
-    x = data.values
-    xc = x - x.mean(axis=0)
-    gram = np.ascontiguousarray(xc.T @ xc)
-    unit = ate_sweep_kernel(gram, stack, transitive_closure_batch(stack))
+    d = len(dag_bag.labels)
+    stack = np.stack([g.adjacency for g in dag_bag.dags])
+    unit = ate_sweep_kernel(centered_gram(data.values), stack, transitive_closure_batch(stack))
     bad = np.argwhere(~np.isfinite(unit))
     if bad.size:
         g0, t0, y0 = bad[0]
@@ -130,7 +108,7 @@ def sweep(
             if t == y:
                 continue
             q = AteQuery(t, y, treatment_value_b, reference_value_a)
-            out[q] = AteSampleSet(q, unit[:, t, y] * contrast, weights, tag)
+            out[q] = AteSampleSet(q, unit[:, t, y] * contrast, dag_bag.weights, dag_bag.method_tag)
     return out
 
 

@@ -39,7 +39,7 @@ _KEY_HELP = {
     "output_root": "run directory (or set " + OUTPUT_ROOT_ENV + ")",
     "dataset_path": "real mode: observations CSV",
     "graph_path": "real mode: ground-truth edge list",
-    "posterior_path": "externally produced posterior file or directory",
+    "posterior_path": "externally produced posterior: one multi-graph text file",
     "standardize": "z-score each column before discovery",
 }
 

@@ -147,20 +147,11 @@ _FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _input_sha256(key, path) -> str:
-    """sha256 of a file's bytes; for a directory, of its files' relative
-    names and bytes in sorted order."""
-    root = Path(path)
-    h = hashlib.sha256()
+    """sha256 of a file's bytes."""
     try:
-        if root.is_dir():
-            for f in sorted(p for p in root.rglob("*") if p.is_file()):
-                h.update(f.relative_to(root).as_posix().encode("utf-8") + b"\0")
-                h.update(hashlib.sha256(f.read_bytes()).digest())
-        else:
-            h.update(root.read_bytes())
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as exc:
         raise ConfigError(f"config key {key!r}: cannot read input {path}: {exc}") from exc
-    return h.hexdigest()
 
 
 def _format_value(name, value) -> str:

@@ -1,7 +1,7 @@
 """Posterior learners: constraint-based, score-based, bootstrap, MCMC, external."""
 
 from .bootstrap import bootstrap
-from .citest import CiTestConfig, FisherZTester, fisher_z_ci_test
+from .citest import CiTestConfig, FisherZTester
 from .ges import ges
 from .mcmc import structure_mcmc
 from .pc import pc
@@ -20,7 +20,6 @@ __all__ = [
     "PosteriorSample",
     "bootstrap",
     "centered_gram",
-    "fisher_z_ci_test",
     "ges",
     "load_external_posterior",
     "pc",

@@ -101,8 +101,3 @@ class FisherZTester:
             return False
         stat = math.sqrt(self.n - k - 3) * math.atanh(r)
         return abs(stat) <= self.threshold
-
-
-def fisher_z_ci_test(data: Dataset, i: int, j: int, cond, alpha: float) -> bool:
-    """One-shot Fisher-z test; builds the correlation matrix each call."""
-    return FisherZTester(data, alpha).independent(i, j, cond)

@@ -10,7 +10,7 @@ from .. import kernels
 from ..errors import ParameterError
 from ..graphs import Dag
 from ..scm import Dataset
-from .posterior import PosteriorSample
+from .posterior import PosteriorSample, uniform_posterior
 from .score import centered_gram
 
 logger = logging.getLogger(__name__)
@@ -59,4 +59,4 @@ def structure_mcmc(
         len(dags),
         thin,
     )
-    return PosteriorSample(dags, np.full(len(dags), 1.0 / len(dags)), "mcmc", seed)
+    return uniform_posterior(dags, "mcmc", seed)

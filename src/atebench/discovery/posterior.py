@@ -1,10 +1,10 @@
-"""Posterior samples over DAGs and their on-disk formats.
+"""Posterior samples over DAGs and their one on-disk format.
 
-Two layouts are accepted for externally produced posteriors: a directory of
-edge-list files with a manifest.json, or a single multi-graph text file.
-The multi-graph format is also what the built-in methods persist, and what
-the pipeline writes the true equivalence class in (``mec.txt``, tag
-``true-mec``, uniform weights):
+Every bag of DAGs is stored as one multi-graph text file: the built-in
+methods' samples, the true equivalence class (``mec.txt``, tag ``true-mec``,
+uniform weights) and externally produced posteriors alike.  The method tag
+names the method's files, so every sample's tag must match
+``[A-Za-z0-9][A-Za-z0-9._+-]*``:
 
     posterior method=bootstrap-pc seed=3
     graph 0 weight 0.5
@@ -17,18 +17,21 @@ the pipeline writes the true equivalence class in (``mec.txt``, tag
 
 from __future__ import annotations
 
-import json
 import logging
 import os
+import re
 
 import numpy as np
 
 from ..errors import ParameterError, SchemaError, ValidationError
-from ..graphs import Dag, format_edgelist, load_dag, parse_dag_edgelist
+from ..graphs import Dag, format_edgelist, parse_dag_edgelist
 
 logger = logging.getLogger(__name__)
 
 WEIGHT_SUM_WARN = 1e-6
+
+# a method tag names the method's files under a seed directory
+_METHOD_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 
 
 class PosteriorSample:
@@ -53,10 +56,16 @@ class PosteriorSample:
             raise ParameterError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+        method_tag = str(method_tag)
+        if not _METHOD_TAG.fullmatch(method_tag):
+            raise ParameterError(
+                f"method tag {method_tag!r} must match {_METHOD_TAG.pattern}, "
+                "since it names the method's files"
+            )
         w.setflags(write=False)
         self.dags = dags
         self.weights = w
-        self.method_tag = str(method_tag)
+        self.method_tag = method_tag
         self.seed = int(seed)
 
     @property
@@ -159,49 +168,16 @@ def _load_posterior_file(path) -> PosteriorSample:
         raise SchemaError(f"{path}: graph line without an edge list")
     if not dags:
         raise ValidationError(f"{path}: posterior file contains no graphs")
-    return PosteriorSample(dags, _normalized(weights, str(path)), method_tag, seed)
-
-
-def _load_posterior_dir(path) -> PosteriorSample:
-    manifest_path = os.path.join(path, "manifest.json")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: missing manifest.json") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{manifest_path}: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SchemaError(f"{manifest_path}: top level must be a JSON object")
-    files = manifest.get("files")
-    if not files:
-        raise ValidationError(f"{path}: manifest lists no files")
-    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
-        raise SchemaError(f"{manifest_path}: files must be a list of strings")
-    dags = [load_dag(os.path.join(path, name)) for name in files]
-    raw = manifest.get("weights")
-    if raw is None:
-        weights = np.full(len(dags), 1.0 / len(dags))
-    else:
-        if not isinstance(raw, list) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in raw
-        ):
-            raise SchemaError(f"{manifest_path}: weights must be a list of numbers")
-        if len(raw) != len(dags):
-            raise SchemaError(f"{path}: weights length does not match file count")
-        weights = _normalized(raw, str(manifest_path))
-    method_tag = manifest.get("method", "external")
-    try:
-        seed = int(manifest.get("seed", 0))
-    except (TypeError, ValueError):
-        raise SchemaError(f"{manifest_path}: non-integer seed {manifest['seed']!r}") from None
-    return PosteriorSample(dags, weights, method_tag, seed)
+        return PosteriorSample(dags, _normalized(weights, str(path)), method_tag, seed)
+    except ParameterError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_external_posterior(path) -> PosteriorSample:
-    """Parse and validate a posterior from a directory or multi-graph file."""
-    if os.path.isdir(path):
-        return _load_posterior_dir(path)
-    if os.path.isfile(path):
-        return _load_posterior_file(path)
-    raise ValidationError(f"{path}: no such posterior file or directory")
+    """Parse and validate a posterior from a multi-graph file."""
+    if not os.path.isfile(path):
+        raise ValidationError(
+            f"{path}: not a posterior file; a posterior is one multi-graph text file"
+        )
+    return _load_posterior_file(path)

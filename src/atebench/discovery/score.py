@@ -6,13 +6,8 @@ import numpy as np
 
 from .. import kernels
 from ..errors import DegenerateDataError, ParameterError
+from ..kernels import centered_gram
 from ..scm import Dataset
-
-
-def centered_gram(values: np.ndarray) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc
 
 
 class BicScore:

@@ -16,6 +16,14 @@ RIDGE = 1e-8
 logger = logging.getLogger(__name__)
 
 
+def centered_gram(values: np.ndarray) -> np.ndarray:
+    """X_c^T X_c of the column-centered data: the BIC score's, the MCMC
+    chain's and the ATE sweep's only view of the data."""
+    x = np.asarray(values, dtype=np.float64)
+    xc = x - x.mean(axis=0)
+    return xc.T @ xc
+
+
 def backend_name() -> str:
     return "numpy"
 

@@ -6,8 +6,9 @@ The class is saved in the posterior multi-graph format (see
 
 from __future__ import annotations
 
-from .ate import TRUE_MEC_TAG
-from .discovery.posterior import save_posterior, uniform_posterior
+import numpy as np
+
+from .discovery.posterior import PosteriorSample, save_posterior
 from .errors import CyclicGraphError, MecCapacityError, ParameterError
 from .graphs import (
     Cpdag,
@@ -24,24 +25,28 @@ from .graphs import (
 
 DEFAULT_MEC_CAP = 100_000
 
+TRUE_MEC_TAG = "true-mec"
 
-class MecEnumeration:
-    """A DAG and every DAG Markov equivalent to it."""
 
-    __slots__ = ("source", "members")
+class MecEnumeration(PosteriorSample):
+    """A DAG and every DAG Markov equivalent to it: a uniform posterior
+    sample tagged ``true-mec`` with seed 0."""
+
+    __slots__ = ("source",)
 
     def __init__(self, source: Dag, members: list[Dag]):
+        super().__init__(members, np.full(len(members), 1.0 / len(members)), TRUE_MEC_TAG, 0)
         self.source = source
-        self.members = members
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @property
+    def members(self) -> list[Dag]:
+        return self.dags
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.dags)
 
     def __repr__(self) -> str:
-        return f"MecEnumeration(d={self.source.num_nodes}, members={len(self.members)})"
+        return f"MecEnumeration(d={self.source.num_nodes}, members={len(self)})"
 
 
 def cpdag_of(g: Dag) -> Cpdag:
@@ -100,4 +105,4 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
 
 def save_mec(enumeration: MecEnumeration, path) -> None:
     """Write the class as a uniform posterior file tagged ``true-mec``."""
-    save_posterior(uniform_posterior(enumeration.members, TRUE_MEC_TAG, seed=0), path)
+    save_posterior(enumeration, path)

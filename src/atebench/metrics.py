@@ -547,6 +547,15 @@ def _csv_rows(path, expected_header):
         raise SchemaError(f"{path}: missing header row")
 
 
+def _row_pair(path, lineno, index, t_lab, y_lab) -> tuple[int, int]:
+    """Node indices of a row's treatment and outcome labels."""
+    if t_lab not in index or y_lab not in index:
+        raise SchemaError(f"{path}:{lineno}: unknown node label")
+    if t_lab == y_lab:
+        raise SchemaError(f"{path}:{lineno}: treatment and outcome must differ")
+    return index[t_lab], index[y_lab]
+
+
 def read_pair_reports_csv(path, labels) -> list[PairReport]:
     """Inverse of write_pair_reports_csv; repr-formatted floats round-trip."""
     labels = tuple(labels)
@@ -559,14 +568,12 @@ def read_pair_reports_csv(path, labels) -> list[PairReport]:
     for lineno, row in _csv_rows(path, PAIR_REPORT_HEADER):
         if len(row) != len(PAIR_REPORT_HEADER):
             raise SchemaError(f"{path}:{lineno}: expected {len(PAIR_REPORT_HEADER)} columns")
-        t_lab, y_lab = row[0], row[1]
-        if t_lab not in index or y_lab not in index:
-            raise SchemaError(f"{path}:{lineno}: unknown node label")
+        t, y = _row_pair(path, lineno, index, row[0], row[1])
         try:
             counts = ModeCounts(*(int(c) for c in row[7:12]))
             reports.append(
                 PairReport(
-                    AteQuery(index[t_lab], index[y_lab]),
+                    AteQuery(t, y),
                     float(row[2]),
                     opt(row[3]),
                     opt(row[4]),
@@ -593,15 +600,14 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> list[PairMo
         if len(row) != 5:
             raise SchemaError(f"{path}:{lineno}: expected 5 columns")
         t_lab, y_lab, tag, value, mass = row
-        if t_lab not in index or y_lab not in index:
-            raise SchemaError(f"{path}:{lineno}: unknown node label")
+        pair = _row_pair(path, lineno, index, t_lab, y_lab)
         if tag not in tags:
             raise SchemaError(f"{path}:{lineno}: unexpected source tag {tag!r}")
         try:
             entry = (float(value), float(mass))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
-        acc.setdefault((index[t_lab], index[y_lab]), ([], []))[tags.index(tag)].append(entry)
+        acc.setdefault(pair, ([], []))[tags.index(tag)].append(entry)
     out = []
     for (t, y), sides in sorted(acc.items()):
         try:

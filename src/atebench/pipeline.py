@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels
-from .ate import TRUE_MEC_TAG, load_ate_samples, save_ate_samples, sweep
+from .ate import load_ate_samples, save_ate_samples, sweep
 from .config import KNOWN_METHODS, ExperimentConfig
 from .discovery import (
     CiTestConfig,
@@ -44,7 +43,7 @@ from .discovery import (
 )
 from .errors import AggregationError, ConfigError, SchemaError
 from .graphs import Dag, load_dag, save_graph
-from .mec import enumerate_mec, save_mec
+from .mec import TRUE_MEC_TAG, enumerate_mec, save_mec
 from .metrics import (
     RegroupConfig,
     RunReport,
@@ -82,9 +81,6 @@ _STREAM_METHOD_BASE = 10
 _CUTS = {"generate": 0, "discover": 1, "ate-sweep": 2, "evaluate": 3, "run": 3}
 
 _DIGEST_PREFIX = "# config_digest="
-
-# an external posterior's method tag names its files under a seed directory
-_METHOD_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 
 
 def _stream_seed(master_seed: int, seed_index: int, stream: int) -> int:
@@ -361,10 +357,11 @@ def _prepare_root(cfg: ExperimentConfig) -> Path:
             "or the ATEBENCH_OUTPUT_ROOT environment variable"
         )
     root = Path(cfg.output_root)
+    # the digest reads the input files, so an unreadable input creates nothing
+    digest = cfg.digest()
     (root / "seeds").mkdir(parents=True, exist_ok=True)
     (root / "report").mkdir(parents=True, exist_ok=True)
     cfg_path = root / "run_config.txt"
-    digest = cfg.digest()
     if cfg_path.exists():
         stored = _stored_digest(cfg_path)
         if stored != digest:
@@ -565,8 +562,8 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
     """Evaluate a posterior produced outside this package (stages 2-3 only).
 
     dataset and truth_graph may be objects or paths.  The posterior's own
-    method tag names the report row and the seed's files, so it must match
-    ``[A-Za-z0-9][A-Za-z0-9._+-]*`` and may not be ``true-mec``.
+    method tag names the report row and the seed's files; the loader refuses
+    a tag that is not a plain file name, and ``true-mec`` is refused here.
     """
     cfg.validate()
     data = dataset if isinstance(dataset, Dataset) else load_dataset(dataset)
@@ -577,11 +574,6 @@ def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfi
         raise SchemaError(
             f"{posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved for the true "
             "equivalence class"
-        )
-    if not _METHOD_TAG.fullmatch(ps.method_tag):
-        raise SchemaError(
-            f"{posterior_path}: method tag {ps.method_tag!r} must match "
-            f"{_METHOD_TAG.pattern}, since it names the method's files"
         )
     if ps.dags[0].labels != truth.labels:
         raise SchemaError(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from atebench.ate import (
-    TRUE_MEC_TAG,
     AteQuery,
     AteSampleSet,
     load_ate_samples,
@@ -12,7 +11,7 @@ from atebench.ate import (
 from atebench.errors import DegenerateDataError, ParameterError, SampleSizeError, SchemaError
 from atebench.graphs import Dag
 from atebench.kernels import transitive_closure_batch
-from atebench.mec import enumerate_mec
+from atebench.mec import TRUE_MEC_TAG, enumerate_mec
 from atebench.scm import (
     Dataset,
     LinearGaussianScm,

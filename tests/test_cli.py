@@ -139,21 +139,24 @@ def test_reserved_external_method_tag_is_exit_two(tmp_path, capsys):
     assert not (tmp_path / "R").exists()
 
 
-def test_malformed_posterior_manifest_is_exit_two(tmp_path, capsys):
+def test_posterior_directory_is_exit_two(tmp_path, capsys):
     g = random_er_dag(3, 2, seed=1)
     save_graph(g, tmp_path / "truth.txt")
     save_dataset(sample(random_scm(g, seed=1), 50, seed=1), tmp_path / "data.csv")
     posterior = tmp_path / "posterior"
     posterior.mkdir()
     save_graph(g, posterior / "g.txt")
-    (posterior / "manifest.json").write_text('{"files": "g.txt"}')
-    code = run_cli(
-        "run", "--mode", "real",
-        "--dataset-path", str(tmp_path / "data.csv"),
-        "--graph-path", str(tmp_path / "truth.txt"),
-        "--posterior-path", str(posterior),
-        "--output-root", str(tmp_path / "R"),
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "manifest.json: files must be a list of strings" in err
+    # run loads the posterior first; report fails on the digest of its input
+    for command, fault in (("run", f"{posterior}: not a posterior file"),
+                           ("report", f"cannot read input {posterior}")):
+        code = run_cli(
+            command, "--mode", "real",
+            "--dataset-path", str(tmp_path / "data.csv"),
+            "--graph-path", str(tmp_path / "truth.txt"),
+            "--posterior-path", str(posterior),
+            "--output-root", str(tmp_path / "R"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert fault in err
+        assert not (tmp_path / "R").exists()

@@ -94,13 +94,11 @@ def test_digest_covers_input_paths(tmp_path):
     assert real("x.csv").digest() == real("x_copy.csv").digest()
 
 
-def test_digest_of_posterior_directory_and_missing_input(tmp_path):
+def test_digest_of_posterior_file_and_missing_input(tmp_path):
     (tmp_path / "g.txt").write_text("nodes: a,b\na -> b\n")
     (tmp_path / "d.csv").write_text("a,b\n1,2\n3,5\n")
-    post = tmp_path / "post"
-    post.mkdir()
-    (post / "manifest.json").write_text('{"files": ["g0.txt"]}')
-    (post / "g0.txt").write_text("nodes: a,b\na -> b\n")
+    post = tmp_path / "post.txt"
+    post.write_text("posterior method=m seed=0\ngraph 0 weight 1.0\nnodes: a,b\na -> b\n")
     cfg = ExperimentConfig(
         mode="real",
         dataset_path=str(tmp_path / "d.csv"),
@@ -108,9 +106,9 @@ def test_digest_of_posterior_directory_and_missing_input(tmp_path):
         posterior_path=str(post),
     )
     before = cfg.digest()
-    (post / "g0.txt").write_text("nodes: a,b\nb -> a\n")
+    post.write_text("posterior method=m seed=0\ngraph 0 weight 1.0\nnodes: a,b\nb -> a\n")
     edited = cfg.digest()
-    (post / "g0.txt").rename(post / "g1.txt")
+    post.write_text("posterior method=m seed=1\ngraph 0 weight 1.0\nnodes: a,b\nb -> a\n")
     assert len({before, edited, cfg.digest()}) == 3
     (tmp_path / "d.csv").unlink()
     with pytest.raises(ConfigError) as err:

@@ -8,7 +8,6 @@ from atebench.discovery import (
     FisherZTester,
     bootstrap,
     centered_gram,
-    fisher_z_ci_test,
     ges,
     load_external_posterior,
     pc,
@@ -20,6 +19,7 @@ from atebench.errors import (
     ParameterError,
     SampleSizeError,
     SchemaError,
+    ValidationError,
 )
 from atebench.graphs import Dag
 from atebench.mec import cpdag_of
@@ -124,11 +124,6 @@ def test_fisher_z_threshold_is_the_normal_quantile_bit_for_bit():
                              np.random.default_rng(0).uniform(0.0, 1.0, size=500)])
     for alpha in alphas.tolist():
         assert FisherZTester(data, alpha).threshold == float(stats.norm.ppf(1.0 - alpha / 2.0)), alpha
-
-
-def test_fisher_z_one_shot_wrapper_agrees():
-    _, data = collider_data(seed=3)
-    assert fisher_z_ci_test(data, 0, 1, [], 0.05) == FisherZTester(data, 0.05).independent(0, 1, [])
 
 
 def test_fisher_z_rejects_variables_outside_the_data_and_repeated_ones():
@@ -354,23 +349,35 @@ def test_posterior_loader_rejects_malformed_weight(tmp_path):
         load_external_posterior(path)
 
 
-@pytest.mark.parametrize(
-    "manifest, fault",
-    [
-        ("{not json", "invalid JSON"),
-        ('["g.txt"]', "top level must be a JSON object"),
-        ('{"files": ["g.txt"], "seed": "x"}', "non-integer seed 'x'"),
-        ('{"files": ["g.txt"], "weights": ["a"]}', "weights must be a list of numbers"),
-        ('{"files": "g.txt"}', "files must be a list of strings"),
-    ],
-    ids=["invalid-json", "top-level-list", "string-seed", "string-weight", "files-string"],
-)
-def test_posterior_directory_rejects_a_malformed_manifest(tmp_path, manifest, fault):
+@pytest.mark.parametrize("tag", ["a b", "", "../x", "-x", "a/b"])
+def test_posterior_sample_refuses_a_tag_that_is_not_a_file_name(tmp_path, tag):
+    g = random_er_dag(3, 2, seed=22)
+    path = tmp_path / "p.txt"
+    with pytest.raises(ParameterError, match="must match"):
+        save_posterior(uniform_posterior([g], tag, seed=0), path)
+    assert not path.exists()
+
+
+def test_posterior_sample_accepts_plain_file_name_tags(tmp_path):
+    g = random_er_dag(3, 2, seed=22)
+    for tag in ("bootstrap-pc", "true-mec", "a.b+c_d", "7"):
+        save_posterior(uniform_posterior([g], tag, seed=0), tmp_path / "p.txt")
+        assert load_external_posterior(tmp_path / "p.txt").method_tag == tag
+
+
+def test_posterior_loader_names_the_file_of_a_bad_tag(tmp_path):
+    path = tmp_path / "posterior.txt"
+    path.write_text("posterior method=a/b seed=0\ngraph 0 weight 1.0\nnodes: a,b\n")
+    with pytest.raises(SchemaError) as err:
+        load_external_posterior(path)
+    assert str(err.value).startswith(f"{path}: method tag 'a/b' must match ")
+
+
+def test_posterior_loader_refuses_a_directory(tmp_path):
     (tmp_path / "g.txt").write_text("nodes: a,b\na -> b\n")
-    (tmp_path / "manifest.json").write_text(manifest)
-    with pytest.raises(SchemaError, match="manifest.json") as info:
+    with pytest.raises(ValidationError) as err:
         load_external_posterior(tmp_path)
-    assert fault in str(info.value)
+    assert str(err.value).startswith(f"{tmp_path}: not a posterior file")
 
 
 def test_uniform_posterior_validates_inputs():

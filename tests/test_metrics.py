@@ -400,6 +400,28 @@ def test_modes_csv_names_the_file_and_pair_of_a_bad_mode_set(tmp_path):
     assert str(err.value) == f"{path}: pair (X1, X0): representatives must be strictly increasing"
 
 
+def test_pair_reports_csv_names_the_line_of_a_self_pair(tmp_path):
+    labels = ("X0", "X1")
+    report = PairReport(AteQuery(0, 1), 0.25, 1.0, 1.0, None, None, ModeCounts(1, 1, 1, 0, 0))
+    path = tmp_path / "pairs.csv"
+    write_pair_reports_csv([report, report], labels, path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace("X0,X1,", "X1,X1,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_pair_reports_csv(path, labels)
+    assert str(err.value) == f"{path}:{len(lines)}: treatment and outcome must differ"
+
+
+def test_modes_csv_names_the_line_of_a_self_pair(tmp_path):
+    path = tmp_path / "modes.csv"
+    header = "treatment,outcome,source_tag,mode_value,mass\n"
+    path.write_text(header + "X0,X1,true-mec,0.0,1.0\nX0,X0,m,0.5,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+    assert str(err.value) == f"{path}:3: treatment and outcome must differ"
+
+
 def test_run_report_csv_has_one_row_per_method(tmp_path):
     s = aggregate({0: [report_of(0, 1, 0.1, 1.0, 0.5)]}, "m1")
     path = tmp_path / "report.csv"

@@ -67,6 +67,10 @@ def test_traced_external_run_counts_the_npz_bytes_and_restores_everything(tmp_pa
     saves = [s for s in tracer.spans if s["name"] == "mec.save_mec"]
     assert len(saves) == cfg.num_seeds == 1
     assert tracer.spans[saves[0]["parent"]]["name"] == "pipeline.flush"
+    # the true class is a posterior sample too, tagged true-mec, but its sweep
+    # belongs to the truth stage
+    sweeps = [s["stage"] for s in tracer.spans if s["name"] == "ate.sweep"]
+    assert sorted(sweeps) == ["ates:ext", "truth"]
 
 
 def test_traced_bootstrap_pc_counts_the_tests_of_the_reference_loop(monkeypatch, caplog):

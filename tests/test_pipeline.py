@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from atebench.ate import TRUE_MEC_TAG
 from atebench.config import ExperimentConfig
 from atebench.errors import (
     AggregationError,
@@ -14,8 +13,8 @@ from atebench.errors import (
     SchemaError,
     ValidationError,
 )
-from atebench.graphs import Dag, load_dag, save_graph
-from atebench.mec import enumerate_mec
+from atebench.graphs import Dag, format_edgelist, load_dag, save_graph
+from atebench.mec import TRUE_MEC_TAG, enumerate_mec
 from atebench.pipeline import evaluate_external, run_pipeline, run_real, run_synthetic
 from atebench.discovery import load_external_posterior, save_posterior, uniform_posterior
 from atebench.scm import (
@@ -467,7 +466,10 @@ def test_external_posterior_may_not_use_the_true_mec_tag(real_inputs, tmp_path):
 def test_external_method_tag_must_be_a_plain_file_name(real_inputs, tmp_path, tag):
     g, data, inputs = real_inputs
     posterior = tmp_path / "post.txt"
-    save_posterior(uniform_posterior([g], tag, seed=0), posterior)
+    # such a tag cannot be saved, so the header is written by hand
+    posterior.write_text(
+        f"posterior method={tag} seed=0\ngraph 0 weight 1.0\n" + format_edgelist(g)
+    )
     root = tmp_path / "run"
     cfg = ExperimentConfig(
         mode="real",
