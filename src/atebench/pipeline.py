@@ -6,6 +6,9 @@ Layout under output_root:
     run_manifest.json         stage markers, timings, diagnostics, version
     run.log                   line-delimited orchestrator log
     seeds/seed_NNN/           per-seed artifacts (graph, data, MEC, sweeps, ...)
+    seeds/seed_NNN/manifest.json
+                              config_digest; stages, each with its files and
+                              seconds; failed, the stage and error of a failure
     report/                   aggregated CSVs
 
 Every bag of DAGs is written in the one posterior multi-graph format of
@@ -18,10 +21,19 @@ the orchestrating process, in a deterministic format, so a run's artifact
 bytes do not depend on the worker count.  The aggregation stage re-reads the
 per-seed CSVs from disk rather than reusing in-memory results, which makes
 the final report byte-identical across worker counts and resume points.
+
+A seed that fails keeps the stages it completed before the failing one.  When
+a stage's own computation raises an ``AteBenchError``, the seed manifest
+records it under ``failed``, and a later command under the same config digest
+whose cut reaches that stage returns the recorded error without computing
+anything for the seed.  A failed artifact read and any other exception are
+not recorded, so the next command retries them.  A seed is reported only once
+every method is evaluated on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -41,7 +53,7 @@ from .discovery import (
     save_posterior,
     structure_mcmc,
 )
-from .errors import AggregationError, ConfigError, SchemaError
+from .errors import AggregationError, AteBenchError, ConfigError, SchemaError
 from .graphs import Dag, load_dag, save_graph
 from .mec import TRUE_MEC_TAG, enumerate_mec, save_mec
 from .metrics import (
@@ -79,6 +91,8 @@ _STREAM_METHOD_BASE = 10
 
 # how far each CLI command advances every seed
 _CUTS = {"generate": 0, "discover": 1, "ate-sweep": 2, "evaluate": 3, "run": 3}
+# the cut at which each kind of stage is computed
+_STAGE_CUTS = {"generate": 0, "discover": 1, "truth": 2, "ates": 2, "evaluate": 3}
 
 _DIGEST_PREFIX = "# config_digest="
 
@@ -156,21 +170,42 @@ def _align_to_graph(data: Dataset, truth: Dag) -> Dataset:
     raise SchemaError(f"dataset has column(s) absent from the graph: {', '.join(extra)}")
 
 
-def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
-                  done: frozenset, cut: int, external):
-    """Compute this seed's missing stages, reusing completed artifacts.
+@dataclasses.dataclass
+class _SeedProgress:
+    """What one seed's computation got done: (stage name, payload) pairs in
+    write order, their seconds, and the stage whose own computation raised an
+    AteBenchError, as {"stage", "error"}."""
 
-    Returns (stages, timings): (stage name, payload) pairs in write order.
+    stages: list = dataclasses.field(default_factory=list)
+    timings: dict = dataclasses.field(default_factory=dict)
+    failed: dict | None = None
+
+
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _stage_cut(stage: str) -> int:
+    """The command cut at which a stage is computed."""
+    return _STAGE_CUTS[stage.split(":", 1)[0]]
+
+
+def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
+                  done: frozenset, cut: int, external, progress: _SeedProgress) -> None:
+    """Compute this seed's missing stages into `progress`, reusing completed
+    artifacts; an error propagates once `progress` holds what came before it.
     """
     sd = Path(seed_dir)
-    stages = []
-    timings = {}
 
     def timed(name, fn):
         t0 = time.perf_counter()
-        payload = fn()
-        timings[name] = time.perf_counter() - t0
-        stages.append((name, payload))
+        try:
+            payload = fn()
+        except AteBenchError as exc:
+            progress.failed = {"stage": name, "error": _error_text(exc)}
+            raise
+        progress.timings[name] = time.perf_counter() - t0
+        progress.stages.append((name, payload))
         return payload
 
     # stage: generate (synthetic) or ingest (real/external); artifact names shared
@@ -264,22 +299,34 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
             timed(f"evaluate:{method}", lambda la=learned, mth=method: evaluate_pair_sets(
                 true_ates, la, rcfg, cfg.filter_tolerance
             ) + (labels, mth))
-    return stages, timings
+
+
+def _seed_result(seed_index: int, progress: _SeedProgress, error, reused=False) -> dict:
+    return {"seed": seed_index, "stages": progress.stages, "timings": progress.timings,
+            "error": error, "failed": progress.failed, "reused": reused}
 
 
 def _seed_worker(task):
-    """Pool entry point: per-seed failures become diagnostics, not crashes."""
-    cfg, seed_index, seed_dir, done, cut, external = task
+    """Pool entry point: per-seed failures become diagnostics, not crashes.
+
+    A failure recorded under the current digest at a stage this command's
+    cut reaches is returned as it stands, and nothing is computed for the
+    seed.  Otherwise the stages completed before a failure are returned for
+    flushing, and the failure is recorded only if a stage's own computation
+    raised an AteBenchError; a failed artifact read or any other exception
+    is retried by the next command.
+    """
+    cfg, seed_index, seed_dir, done, cut, external, recorded = task
+    if recorded is not None and _stage_cut(recorded["stage"]) <= cut:
+        return _seed_result(seed_index, _SeedProgress(failed=recorded), recorded["error"],
+                            reused=True)
+    progress = _SeedProgress()
     try:
-        stages, timings = _seed_compute(cfg, seed_index, seed_dir, done, cut, external)
-        return {"seed": seed_index, "stages": stages, "timings": timings, "error": None}
+        _seed_compute(cfg, seed_index, seed_dir, done, cut, external, progress)
+        error = None
     except Exception as exc:
-        return {
-            "seed": seed_index,
-            "stages": [],
-            "timings": {},
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        error = _error_text(exc)
+    return _seed_result(seed_index, progress, error)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +384,11 @@ def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
 def _flush_seed_result(seed_dir: Path, result: dict) -> None:
     man_path = seed_dir / "manifest.json"
     manifest = _read_json(man_path) or {"seed_index": result["seed"], "stages": {}}
+    if manifest.get("config_digest") != result["digest"]:
+        manifest.pop("failed", None)
     manifest["config_digest"] = result["digest"]
+    if result["failed"] is not None:
+        manifest["failed"] = result["failed"]
     if not result["stages"]:
         _write_json(man_path, manifest)
     for stage, payload in result["stages"]:
@@ -428,7 +479,8 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=Non
     for i, sd in enumerate(_seed_dirs(cfg, root)):
         sd.mkdir(parents=True, exist_ok=True)
         manifest = _read_json(sd / "manifest.json") or {"stages": {}}
-        tasks.append((cfg, i, str(sd), frozenset(manifest["stages"]), cut, external))
+        recorded = manifest.get("failed") if manifest.get("config_digest") == digest else None
+        tasks.append((cfg, i, str(sd), frozenset(manifest["stages"]), cut, external, recorded))
     seed_status = {}
 
     def handle(result, sd):
@@ -438,6 +490,9 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=Non
             seed_status[result["seed"]] = {"status": "ok", "error": None}
         else:
             seed_status[result["seed"]] = {"status": "failed", "error": result["error"]}
+            if result["reused"]:
+                logger.info("seed %d: reusing the failure recorded at stage %s",
+                            result["seed"], result["failed"]["stage"])
             logger.error("seed %d failed: %s", result["seed"], result["error"])
 
     dirs = _seed_dirs(cfg, root)
@@ -451,8 +506,9 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=Non
         # real-data ingestion problems (bad schema, cyclic truth graph) are
         # caller errors, not seed diagnostics; let them surface directly
         for t in tasks:
-            stages, timings = _seed_compute(*t)
-            handle({"seed": t[1], "stages": stages, "timings": timings, "error": None}, dirs[t[1]])
+            progress = _SeedProgress()
+            _seed_compute(*t[:-1], progress)
+            handle(_seed_result(t[1], progress, None), dirs[t[1]])
     else:
         for t in tasks:
             handle(_seed_worker(t), dirs[t[1]])
@@ -473,6 +529,14 @@ def _aggregate(cfg: ExperimentConfig, root: Path) -> RunReport:
     methods = run_manifest.get("methods") or []
     if not methods:
         raise AggregationError(f"{root}: run manifest lists no methods")
+    # a seed is reported only once every method is evaluated on it, so the
+    # methods are compared on the same seeds; a failed seed may keep the
+    # stages it completed before failing
+    evaluated = []
+    for i, sd in enumerate(_seed_dirs(cfg, root)):
+        manifest = _read_json(sd / "manifest.json")
+        if manifest is not None and all(f"evaluate:{m}" in manifest["stages"] for m in methods):
+            evaluated.append((i, sd))
     rcfg = RegroupConfig(cfg.regroup_rtol, cfg.regroup_atol)
     labels = None
     summaries = []
@@ -480,10 +544,7 @@ def _aggregate(cfg: ExperimentConfig, root: Path) -> RunReport:
     for method in methods:
         reports_by_seed = {}
         modes_by_seed = {}
-        for i, sd in enumerate(_seed_dirs(cfg, root)):
-            manifest = _read_json(sd / "manifest.json")
-            if manifest is None or f"evaluate:{method}" not in manifest["stages"]:
-                continue
+        for i, sd in evaluated:
             if labels is None:
                 labels = load_dag(sd / "truth_graph.txt").labels
             pair_path = sd / "pairs" / f"{method}.csv"

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from atebench import pipeline
 from atebench.config import ExperimentConfig
 from atebench.errors import (
     AggregationError,
@@ -252,6 +253,169 @@ def test_failed_seeds_are_isolated_and_reported(tmp_path):
     doc = json.loads(read_text(tmp_path / "fail" / "run_manifest.json"))
     assert doc["seeds"]["0"]["status"] == "failed"
     assert "SampleSizeError" in doc["seeds"]["0"]["error"]
+
+
+# --- recorded failures -----------------------------------------------------
+
+STAGED = ("generate", "discover", "ate-sweep", "evaluate")
+GES_ERROR = "SampleSizeError: GES needs n >= d + 2 rows, got n=5, d=4"
+
+
+def count_discoveries(monkeypatch):
+    calls = []
+    real = pipeline.bootstrap
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "bootstrap", counted)
+    return calls
+
+
+def seed_manifest(root, k):
+    return json.loads(read_text(root / "seeds" / f"seed_{k:03d}" / "manifest.json"))
+
+
+def without_seconds(manifest):
+    stages = {name: entry["files"] for name, entry in manifest["stages"].items()}
+    return {**manifest, "stages": stages}
+
+
+def test_a_recorded_discovery_failure_is_reused_by_later_commands(tmp_path, monkeypatch):
+    # GES needs n >= d + 2, so discovery fails the same way every time
+    calls = count_discoveries(monkeypatch)
+    reused = tiny_cfg(tmp_path / "reused", n=5, num_seeds=1, methods=("bootstrap-ges",))
+    for command in STAGED:
+        status = run_pipeline(reused, command)
+    assert calls == ["ges"]
+    assert status == {0: {"status": "failed", "error": GES_ERROR}}
+    doc = seed_manifest(tmp_path / "reused", 0)
+    assert doc["failed"] == {"stage": "discover:bootstrap-ges", "error": GES_ERROR}
+    assert list(doc["stages"]) == ["generate"]
+    log = read_text(tmp_path / "reused" / "run.log")
+    assert log.count("seed 0: reusing the failure recorded at stage discover:bootstrap-ges") == 2
+    assert log.count(f"seed 0 failed: {GES_ERROR}") == 3
+
+    # without the record every command recomputes the failure, and the run
+    # manifest ends the same, byte for byte
+    calls.clear()
+    recomputed = tiny_cfg(tmp_path / "recomputed", n=5, num_seeds=1, methods=("bootstrap-ges",))
+    man_path = tmp_path / "recomputed" / "seeds" / "seed_000" / "manifest.json"
+    for command in STAGED:
+        if man_path.exists():
+            doc = json.loads(read_text(man_path))
+            doc.pop("failed", None)
+            man_path.write_text(json.dumps(doc))
+        run_pipeline(recomputed, command)
+    assert calls == ["ges"] * 3
+    assert ((tmp_path / "reused" / "run_manifest.json").read_bytes()
+            == (tmp_path / "recomputed" / "run_manifest.json").read_bytes())
+
+
+def test_a_failure_is_reused_only_by_commands_that_reach_its_stage(tmp_path):
+    # master seed 11 at d=4: seed 0's true class has 4 members, seed 1's has 3
+    cfg = tiny_cfg(tmp_path / "cap", mec_cap=3)
+    assert run_pipeline(cfg, "generate")[0]["status"] == "ok"
+    assert run_pipeline(cfg, "discover")[0]["status"] == "ok"
+    status = run_pipeline(cfg, "ate-sweep")
+    assert status[0]["error"].startswith("MecCapacityError: ")
+    assert status[1]["status"] == "ok"
+    recorded = seed_manifest(tmp_path / "cap", 0)["failed"]
+    assert recorded == {"stage": "truth", "error": status[0]["error"]}
+    assert run_pipeline(cfg, "discover")[0] == {"status": "ok", "error": None}
+    assert run_pipeline(cfg, "evaluate")[0] == {"status": "failed", "error": recorded["error"]}
+    assert seed_manifest(tmp_path / "cap", 0)["failed"] == recorded
+
+
+def test_recorded_failures_do_not_depend_on_the_worker_count(tmp_path):
+    roots = {w: tmp_path / f"w{w}" for w in (1, 2)}
+    for w, root in roots.items():
+        cfg = tiny_cfg(root, mec_cap=3, workers=w)
+        for command in STAGED + STAGED:
+            run_pipeline(cfg, command)
+        run_pipeline(cfg, "report")
+    assert seed_manifest(roots[1], 0)["failed"]["stage"] == "truth"
+    assert (roots[1] / "report" / "run_report.csv").exists()
+    assert tree_hashes(roots[1]) == tree_hashes(roots[2])
+    for rel in ("run_manifest.json", "report/run_report.csv"):
+        assert (roots[1] / rel).read_bytes() == (roots[2] / rel).read_bytes()
+    for k in range(2):
+        assert without_seconds(seed_manifest(roots[1], k)) == without_seconds(
+            seed_manifest(roots[2], k))
+
+
+def test_a_run_that_fails_at_discovery_keeps_its_earlier_stages(tmp_path):
+    cfg = tiny_cfg(tmp_path / "kept", n=5, num_seeds=1, methods=("bootstrap-ges",))
+    with pytest.raises(AggregationError):
+        run_synthetic(cfg)
+    sd = tmp_path / "kept" / "seeds" / "seed_000"
+    doc = seed_manifest(tmp_path / "kept", 0)
+    assert list(doc["stages"]) == ["generate", "truth"]
+    assert doc["failed"]["stage"] == "discover:bootstrap-ges"
+    for rel in ("truth_graph.txt", "data.csv", "mec.txt"):
+        assert read_text(sd / rel).splitlines()[0] == f"# config_digest={cfg.digest()}", rel
+    with np.load(sd / "ates" / "true-mec.npz", allow_pickle=False) as npz:
+        assert str(npz["config_digest"]) == cfg.digest()
+    assert not (sd / "posteriors").exists()
+
+
+def test_a_failed_seed_is_reported_for_no_method(tmp_path):
+    # mcmc completes on every seed, then bootstrap-GES fails on every seed
+    cfg = tiny_cfg(tmp_path / "partial", n=5, methods=("mcmc", "bootstrap-ges"),
+                   mcmc_steps=400, mcmc_burn_in=100)
+    with pytest.raises(AggregationError) as err:
+        run_synthetic(cfg)
+    assert "'mcmc'" in str(err.value)
+    for k in range(2):
+        doc = seed_manifest(tmp_path / "partial", k)
+        assert "evaluate:mcmc" in doc["stages"]
+        assert doc["failed"]["stage"] == "discover:bootstrap-ges"
+
+
+def test_an_error_that_is_not_an_atebench_error_is_retried(tmp_path, monkeypatch):
+    real = pipeline.bootstrap
+    raised = []
+
+    def flaky(*args, **kwargs):
+        if not raised:
+            raised.append(1)
+            raise OSError("disk hiccup")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "bootstrap", flaky)
+    cfg = tiny_cfg(tmp_path / "flaky", num_seeds=1)
+    run_pipeline(cfg, "generate")
+    assert run_pipeline(cfg, "discover")[0] == {"status": "failed", "error": "OSError: disk hiccup"}
+    assert "failed" not in seed_manifest(tmp_path / "flaky", 0)
+    assert run_pipeline(cfg, "discover")[0] == {"status": "ok", "error": None}
+    assert "discover:bootstrap-pc" in seed_manifest(tmp_path / "flaky", 0)["stages"]
+
+
+def test_a_failed_artifact_read_is_never_recorded(tmp_path):
+    cfg = tiny_cfg(tmp_path / "load", num_seeds=1)
+    run_pipeline(cfg, "generate")
+    run_pipeline(cfg, "discover")
+    posterior = tmp_path / "load" / "seeds" / "seed_000" / "posteriors" / "bootstrap-pc.txt"
+    saved = posterior.read_bytes()
+    posterior.unlink()
+    assert run_pipeline(cfg, "ate-sweep")[0]["status"] == "failed"
+    assert "failed" not in seed_manifest(tmp_path / "load", 0)
+    posterior.write_bytes(saved)
+    assert run_pipeline(cfg, "ate-sweep")[0] == {"status": "ok", "error": None}
+    assert "ates:bootstrap-pc" in seed_manifest(tmp_path / "load", 0)["stages"]
+
+
+def test_a_failure_recorded_under_another_digest_is_ignored_and_dropped(tmp_path, monkeypatch):
+    calls = count_discoveries(monkeypatch)
+    cfg = tiny_cfg(tmp_path / "stale", num_seeds=1)
+    run_pipeline(cfg, "generate")
+    man_path = tmp_path / "stale" / "seeds" / "seed_000" / "manifest.json"
+    doc = json.loads(read_text(man_path))
+    doc["config_digest"] = "0" * 12
+    doc["failed"] = {"stage": "discover:bootstrap-pc", "error": "SampleSizeError: stale"}
+    man_path.write_text(json.dumps(doc))
+    assert run_pipeline(cfg, "discover")[0] == {"status": "ok", "error": None}
+    assert calls == ["pc"]
+    assert "failed" not in seed_manifest(tmp_path / "stale", 0)
 
 
 def test_a_fixed_weight_magnitude_generates(tmp_path):
