@@ -82,15 +82,17 @@ class FisherZTester:
 
         Indices are not checked.  Each r equals the single-test value bit for
         bit.  Raises LinAlgError if any submatrix is singular, and ValueError
-        if any r would need the square root of a negative number.
+        if any r would need the square root of a number that is not positive.
         """
         if conds.shape[1] == 0:
             return self.corr[pairs[:, 0], pairs[:, 1]]
         idx = np.concatenate((pairs, conds), axis=1)
         prec = np.linalg.inv(self.corr[idx[:, :, None], idx[:, None, :]])
         den = prec[:, 0, 0] * prec[:, 1, 1]
-        if (den < 0).any():
-            # what math.sqrt raises for the same number
+        if not (den > 0).all():
+            # what math.sqrt raises for a negative number; a zero (-0.0
+            # included) or NaN product comes from a singular submatrix that
+            # the inversion let through, and would give an infinite or NaN r
             raise ValueError("math domain error")
         return -prec[:, 0, 1] / np.sqrt(den)
 
@@ -101,3 +103,16 @@ class FisherZTester:
             return False
         stat = math.sqrt(self.n - k - 3) * math.atanh(r)
         return abs(stat) <= self.threshold
+
+    def decide_many(self, rs: np.ndarray, k: int) -> np.ndarray:
+        """`decide` for every entry of rs, as one comparison of |r| with the r
+        at which the statistic meets the threshold.  The rounding of
+        `decide` (math.atanh, the product) moves its own boundary a few ulps
+        from that r, so entries within a relative 1e-9 of it are decided by
+        `decide` itself."""
+        edge = math.tanh(self.threshold / math.sqrt(self.n - k - 3))
+        size = np.abs(rs)
+        out = size < edge * (1 - 1e-9)
+        for b in np.flatnonzero((size >= edge * (1 - 1e-9)) & (size <= edge * (1 + 1e-9))):
+            out[b] = self.decide(float(rs[b]), k)
+        return out

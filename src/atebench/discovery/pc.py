@@ -1,9 +1,18 @@
-"""Order-independent (stable) PC: skeleton, colliders, orientation propagation."""
+"""Order-independent (stable) PC: skeleton, colliders, orientation propagation.
+
+A level's snapshot fixes every Fisher-z test before any runs, so a level is
+one array pass: its tests, listed in visiting order, are inverted as stacks
+and decided at once, and each pair keeps its first independent test.  Edges,
+sepsets and `tests_run` are those of testing one at a time.  A side-(j, i)
+set that is also a side-(i, j) set is counted when reached but computed once.
+"""
 
 from __future__ import annotations
 
 import logging
-from itertools import chain, combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -15,7 +24,7 @@ from .citest import CiTestConfig, FisherZTester
 logger = logging.getLogger(__name__)
 
 
-# float64 entries of one stacked gather: bounds a block's memory, never its results
+# float64 entries of one stacked gather: bounds a chunk's memory, never its results
 _STACK_ENTRIES = 1 << 18
 
 
@@ -25,85 +34,77 @@ def _skeleton(tester: FisherZTester, d: int, cfg: CiTestConfig):
     adj = ~np.eye(d, dtype=bool)
     sepsets: dict[tuple[int, int], frozenset[int]] = {}
     level = 0
-    while True:
-        if cfg.max_condition_size is not None and level > cfg.max_condition_size:
+    while cfg.max_condition_size is None or level <= cfg.max_condition_size:
+        if not _test_level(tester, adj, level, sepsets):
             break
-        snapshot = adj.copy()
-        degrees = snapshot.sum(axis=1)
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d) if snapshot[i, j]]
-        if not any(degrees[i] - 1 >= level or degrees[j] - 1 >= level for i, j in pairs):
-            break
-        _test_level(tester, snapshot, pairs, level, adj, sepsets)
         level += 1
     return adj, sepsets
 
 
-def _runs(snapshot: np.ndarray, pairs, level: int, done: list[bool], size: int):
-    """(pair index, conditioning sets) runs holding every test of a level in
-    visiting order: side (i, j) then (j, i), sets in `combinations` order,
-    at most `size` sets a run.  A pair yields no more runs once it is done."""
-    nbrs = [np.flatnonzero(row).tolist() for row in snapshot]
-    for p, (i, j) in enumerate(pairs):
-        for a, b in ((i, j), (j, i)):
-            if done[p]:
-                break
-            rest = nbrs[a].copy()
-            rest.remove(b)
-            sets = combinations(rest, level)
-            while run := list(islice(sets, size)):
-                yield p, run
-                if done[p]:
-                    break
+@lru_cache(maxsize=16)
+def _set_table(width: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """`combinations(range(width), level)`, read-only, and comb(m, level) for
+    m = 0..width: the sets of the last m positions are its last rows."""
+    rows = comb(width, level)
+    table = np.fromiter(chain.from_iterable(combinations(range(width), level)),
+                        dtype=np.intp, count=rows * level).reshape(rows, level)
+    counts = np.array([comb(m, level) for m in range(width + 1)], dtype=np.intp)
+    table.flags.writeable = counts.flags.writeable = False
+    return table, counts
 
 
-def _test_level(tester: FisherZTester, snapshot, pairs, level: int, adj, sepsets) -> None:
-    """Run one level's tests.  The snapshot fixes every candidate test before
-    any runs, so a block of them is computed as one stack and then scanned
-    in visiting order: a pair stops at its first independent test, and
-    `tests_run` counts only the tests that scan reaches."""
-    size = max(1, _STACK_ENTRIES // (level + 2) ** 2)
-    done = [False] * len(pairs)
-    block, filled = [], 0
-    for run in _runs(snapshot, pairs, level, done, size):
-        block.append(run)
-        filled += len(run[1])
-        if filled >= size:
-            _test_block(tester, pairs, level, block, done, adj, sepsets)
-            block, filled = [], 0
-    if block:
-        _test_block(tester, pairs, level, block, done, adj, sepsets)
-
-
-def _test_block(tester: FisherZTester, pairs, level: int, block, done, adj, sepsets) -> None:
-    """One stacked computation over a block's runs, then the scan."""
+def _test_level(tester: FisherZTester, adj, level: int, sepsets) -> bool:
+    """Run one level's tests; False if no pair has `level` other neighbours.
+    Rows go pair-major, side (i, j) then (j, i), sets in `combinations` order;
+    a side's sorted other neighbours end a padded row, so its sets are the
+    last rows of one `_set_table`."""
+    snapshot = adj.copy()
+    pairs = np.argwhere(np.triu(snapshot))
+    sides = np.stack((pairs, pairs[:, ::-1]), axis=1).reshape(-1, 2)
+    others = snapshot[sides[:, 0]]
+    others[np.arange(len(sides)), sides[:, 1]] = False
+    m = others.sum(axis=1)
+    width = int(m.max(initial=-1))
+    if width < level:
+        return False
     tester.check_sample_size(level)
-    ij = np.repeat(np.array([pairs[p] for p, _ in block], dtype=np.intp),
-                   [len(run) for _, run in block], axis=0)
-    conds = np.fromiter(chain.from_iterable(cond for _, run in block for cond in run),
-                        dtype=np.intp, count=len(ij) * level).reshape(len(ij), level)
+    rest = np.sort(np.where(others, np.arange(len(adj)), -1), axis=1)[:, len(adj) - width:]
+    table, counts = _set_table(width, level)
+    ends = np.cumsum(counts[m])
+    side = np.repeat(np.arange(len(sides)), counts[m])
+    sets = np.arange(ends[-1]) + np.repeat(len(table) - ends, counts[m])
+    pair = side // 2
+    independent = np.zeros(ends[-1], dtype=bool)
+    size, stacked = max(1, _STACK_ENTRIES // (level + 2) ** 2), True
     try:
-        rs = tester.partial_correlations(ij, conds).tolist()
+        for lo in range(0, ends[-1], size):
+            s = side[lo:lo + size]
+            conds = rest[s[:, None], table[sets[lo:lo + size]]]
+            # a repeated side-(j, i) set follows its dependent side-(i, j) twin
+            new = (s % 2 == 0) | ~snapshot[sides[s, 1][:, None], conds].all(axis=1)
+            rs = tester.partial_correlations(pairs[pair[lo:lo + size][new]], conds[new])
+            independent[lo:lo + size][new] = tester.decide_many(rs, level)
     except ValueError:
-        # a singular matrix (LinAlgError is a ValueError) or a negative
+        # a singular matrix (LinAlgError is a ValueError) or a non-positive
         # precision product may sit where the scan never reaches; test one by
         # one so that only a reached test raises, as it always did
-        rs = None
-    at = 0
-    for p, run in block:
-        if not done[p]:
-            i, j = pairs[p]
-            for b, cond in enumerate(run, at):
-                if rs is None:
-                    independent = tester.independent(i, j, cond)
-                else:
-                    tester.tests_run += 1
-                    independent = tester.decide(rs[b], level)
-                if independent:
-                    adj[i, j] = adj[j, i] = False
-                    sepsets[(i, j)] = sepsets[(j, i)] = frozenset(cond)
-                    done[p] = True
-                    break
-        at += len(run)
+        independent[:], stacked, hit = False, False, -1
+        for row, p in enumerate(pair.tolist()):
+            if p != hit and tester.independent(
+                    *pairs[p].tolist(), rest[side[row], table[sets[row]]].tolist()):
+                independent[row], hit = True, p
+    hits = np.flatnonzero(independent)
+    hit_pairs = pair[hits]
+    first = hit_pairs != np.concatenate(([-1], hit_pairs[:-1]))
+    hits, hit_pairs = hits[first], hit_pairs[first]
+    if stacked:
+        tester.tests_run += int(ends[-1] - (ends[2 * hit_pairs + 1] - hits - 1).sum())
+    i, j = pairs[hit_pairs].T
+    adj[i, j] = adj[j, i] = False
+    conds = rest[side[hits][:, None], table[sets[hits]]]
+    for a, b, cond in zip(i.tolist(), j.tolist(), conds.tolist()):
+        sepsets[(a, b)] = sepsets[(b, a)] = frozenset(cond)
+    return True
 
 
 def _orient_colliders(adj: np.ndarray, sepsets) -> tuple[np.ndarray, int]:

@@ -1,8 +1,8 @@
 """Reference for the stable-PC skeleton in ``atebench.discovery.pc``.
 
-This is the level loop the stacked skeleton replaced: every test runs on its
+This is the level loop the array skeleton replaced: every test runs on its
 own, one `np.ix_` gather and one `np.linalg.inv` per call, in visiting order,
-and a pair stops at its first independent test.  Tests require the stacked
+and a pair stops at its first independent test.  Tests require the array
 skeleton to remove the same edges with the same sepsets after the same
 number of tests, and to raise the same errors.
 """
@@ -24,7 +24,12 @@ def reference_partial_correlation(corr: np.ndarray, i: int, j: int, cond: list[i
         return corr[i, j]
     idx = [i, j] + cond
     prec = np.linalg.inv(corr[np.ix_(idx, idx)])
-    return -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
+    den = prec[0, 0] * prec[1, 1]
+    if not den > 0:
+        # math.sqrt refuses a negative product; a zero (-0.0 included) or NaN
+        # one would give an infinite r, and the stacked kernel refuses it too
+        raise ValueError("math domain error")
+    return -prec[0, 1] / math.sqrt(den)
 
 
 class ReferenceFisherZ(FisherZTester):

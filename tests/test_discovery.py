@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -156,6 +158,27 @@ def test_fisher_z_stacked_kernel_equals_the_single_test_bit_for_bit():
         for b in range(0, 300, 37):
             one = tester.partial_correlations(pairs[b:b + 1], conds[b:b + 1])
             assert one.tobytes() == stacked[b:b + 1].tobytes(), (k, b)
+
+
+def test_fisher_z_decide_many_equals_decide_entry_by_entry():
+    # decide rounds math.atanh and the product, so 1..4 ulps around the r
+    # where the statistic meets the threshold the array decision must defer
+    # to it; |r| = 1, infinities and NaN are dependence in both
+    rng = np.random.default_rng(3)
+    for n in (8, 500):
+        tester = FisherZTester(Dataset(rng.normal(size=(n, 3)), default_labels(3), "t"), 0.05)
+        for k in range(5):
+            edge = math.tanh(tester.threshold / math.sqrt(n - k - 3))
+            near, up, down = [edge], edge, edge
+            for _ in range(4):
+                up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+                near += [float(up), float(down)]
+            near += [-r for r in near]
+            assert {tester.decide(r, k) for r in near} == {True, False}, (n, k)
+            rs = near + [0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+            rs += rng.uniform(-1.0, 1.0, size=50).tolist()
+            got = tester.decide_many(np.array(rs), k)
+            assert got.tolist() == [tester.decide(r, k) for r in rs], (n, k)
 
 
 # --- PC --------------------------------------------------------------------

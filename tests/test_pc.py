@@ -1,4 +1,4 @@
-"""Stable PC: the stacked skeleton against the per-test reference loop."""
+"""Stable PC: the array skeleton against the per-test reference loop."""
 
 import importlib
 import logging
@@ -84,15 +84,53 @@ def test_skeleton_matches_the_reference_loop(d, caplog, monkeypatch):
             assert np.array_equal(got.undirected, expected.undirected), at
 
 
+def _dense_data():
+    # ER(30, 90) at n=2000: PC removes edges given sets of 4
+    return sample(random_scm(random_er_dag(30, 90, seed=0), seed=0), 2000, seed=0)
+
+
 def test_skeleton_blocks_do_not_change_the_result(monkeypatch):
-    # blocks of one test, and blocks that split a pair's runs, scan the same
-    scm = random_scm(random_er_dag(12, 24, seed=3), seed=3)
-    data = sample(scm, 300, seed=3)
-    cfg = CiTestConfig()
-    for entries in (1, 40, 300):
-        monkeypatch.setattr(pc_module, "_STACK_ENTRIES", entries)
-        _assert_same_skeleton(FisherZTester(data, 0.05), ReferenceFisherZ(data, 0.05), cfg,
-                              f"entries={entries}")
+    # chunks of one test, and chunks that split a pair's or a side's sets,
+    # decide the same, up to the dense case's sets of 4
+    sparse = sample(random_scm(random_er_dag(12, 24, seed=3), seed=3), 300, seed=3)
+    dense, cfg = _dense_data(), CiTestConfig()
+    default = pc_module._STACK_ENTRIES
+    for data in (sparse, dense):
+        for entries in (1, 40, 300, default):
+            monkeypatch.setattr(pc_module, "_STACK_ENTRIES", entries)
+            _assert_same_skeleton(FisherZTester(data, 0.05), ReferenceFisherZ(data, 0.05), cfg,
+                                  f"d={data.d} entries={entries}")
+    _, sepsets = pc_module._skeleton(FisherZTester(dense, 0.05), dense.d, cfg)
+    assert max(map(len, sepsets.values())) >= 4
+
+
+def test_side_repeats_are_counted_but_not_computed(monkeypatch):
+    # a side-(j, i) set that is also a side-(i, j) set is the same test: the
+    # scan counts it when it gets there, but no stack computes it again
+    data = _dense_data()
+    d = data.d
+    rows = []
+    original = FisherZTester.partial_correlations
+
+    def counting(self, pairs, conds):
+        rows.append(len(pairs))
+        return original(self, pairs, conds)
+
+    monkeypatch.setattr(FisherZTester, "partial_correlations", counting)
+    tester = FisherZTester(data, 0.05)
+    cfg = CiTestConfig(0.05, 0)
+    assert _assert_same_skeleton(tester, ReferenceFisherZ(data, 0.05), cfg, "level 0") is None
+    # one empty set a pair is computed, and counted again for a dependent pair
+    assert rows == [d * (d - 1) // 2] and rows[0] < tester.tests_run
+    # level 1 computes each distinct (i, j | {k}) once
+    level0, _ = reference_skeleton(ReferenceFisherZ(data, 0.05), d, cfg)
+    distinct = sum(len(set(np.flatnonzero(level0[i] | level0[j]).tolist()) - {i, j})
+                   for i, j in np.argwhere(np.triu(level0)).tolist())
+    rows.clear()
+    cfg = CiTestConfig(0.05, 1)
+    assert _assert_same_skeleton(FisherZTester(data, 0.05), ReferenceFisherZ(data, 0.05), cfg,
+                                 "level 1") is None
+    assert rows == [d * (d - 1) // 2, distinct]
 
 
 def test_sample_size_error_is_raised_at_the_first_level_that_needs_more_rows():
@@ -149,6 +187,24 @@ def test_a_reached_singular_submatrix_raises_as_before():
     exc = _assert_same_skeleton(tester, reference, CiTestConfig(), "reached")
     assert isinstance(exc, DegenerateDataError)
     assert str(exc) == "singular correlation submatrix for (1, 2 | [3])"
+
+
+def test_a_zero_precision_product_raises_a_typed_error():
+    # 1 and 2 correlate perfectly, so the submatrix on {0, 1, 2} is singular;
+    # the inversion still returns, with a zero precision entry for 0, and the
+    # product for (0, 1 | 2) is -0.0.  Its r used to be -inf, read as
+    # dependence; now the test fails typed, so bootstrap redraws the resample
+    tester, reference = _with_corr([[1.0, -0.5, 0.0], [-0.5, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    prec = np.linalg.inv(tester.corr)
+    assert prec[0, 0] * prec[1, 1] == 0 and np.signbit(prec[0, 0] * prec[1, 1])
+    with pytest.raises(ValueError, match="^math domain error$"):
+        tester.partial_correlations(np.array([[0, 1]]), np.array([[2]]))
+    with pytest.raises(ValueError, match="^math domain error$"):
+        reference_skeleton(reference, 3, CiTestConfig())
+    message = "indefinite correlation submatrix for (0, 1 | [2])"
+    with pytest.raises(DegenerateDataError, match=f"^{re.escape(message)}$"):
+        pc_module._skeleton(tester, 3, CiTestConfig())
+    assert tester.tests_run == reference.tests_run == 6
 
 
 def test_an_unreached_singular_submatrix_does_not_raise(monkeypatch):
