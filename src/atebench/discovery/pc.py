@@ -1,17 +1,17 @@
 """Order-independent (stable) PC: skeleton, colliders, orientation propagation.
 
 A level's snapshot fixes every Fisher-z test before any runs, so a level is
-one array pass: its tests, listed in visiting order, are inverted as stacks
-and decided at once, and each pair keeps its first independent test.  Edges,
-sepsets and `tests_run` are those of testing one at a time.  A side-(j, i)
-set that is also a side-(i, j) set is counted when reached but computed once.
+one array pass: its tests are listed in visiting order a bounded chunk at a
+time, inverted as stacks and decided at once, and each pair keeps its first
+independent test; a chunk skips the rest of a pair that stopped earlier.
+Edges, sepsets and `tests_run` are those of testing one at a time.  A
+side-(j, i) set that is also a side-(i, j) set is counted when reached but
+computed once.
 """
 
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -41,23 +41,11 @@ def _skeleton(tester: FisherZTester, d: int, cfg: CiTestConfig):
     return adj, sepsets
 
 
-@lru_cache(maxsize=16)
-def _set_table(width: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """`combinations(range(width), level)`, read-only, and comb(m, level) for
-    m = 0..width: the sets of the last m positions are its last rows."""
-    rows = comb(width, level)
-    table = np.fromiter(chain.from_iterable(combinations(range(width), level)),
-                        dtype=np.intp, count=rows * level).reshape(rows, level)
-    counts = np.array([comb(m, level) for m in range(width + 1)], dtype=np.intp)
-    table.flags.writeable = counts.flags.writeable = False
-    return table, counts
-
-
 def _test_level(tester: FisherZTester, adj, level: int, sepsets) -> bool:
     """Run one level's tests; False if no pair has `level` other neighbours.
-    Rows go pair-major, side (i, j) then (j, i), sets in `combinations` order;
-    a side's sorted other neighbours end a padded row, so its sets are the
-    last rows of one `_set_table`."""
+    Rows go pair-major, side (i, j) then (j, i), sets in `combinations` order,
+    and are listed one chunk of rows at a time: a row's set is unranked from
+    its rank among its side's sets, so no array grows with the level."""
     snapshot = adj.copy()
     pairs = np.argwhere(np.triu(snapshot))
     sides = np.stack((pairs, pairs[:, ::-1]), axis=1).reshape(-1, 2)
@@ -68,42 +56,52 @@ def _test_level(tester: FisherZTester, adj, level: int, sepsets) -> bool:
     if width < level:
         return False
     tester.check_sample_size(level)
-    rest = np.sort(np.where(others, np.arange(len(adj)), -1), axis=1)[:, len(adj) - width:]
-    table, counts = _set_table(width, level)
-    ends = np.cumsum(counts[m])
-    side = np.repeat(np.arange(len(sides)), counts[m])
-    sets = np.arange(ends[-1]) + np.repeat(len(table) - ends, counts[m])
-    pair = side // 2
-    independent = np.zeros(ends[-1], dtype=bool)
-    size, stacked = max(1, _STACK_ENTRIES // (level + 2) ** 2), True
-    try:
-        for lo in range(0, ends[-1], size):
-            s = side[lo:lo + size]
-            conds = rest[s[:, None], table[sets[lo:lo + size]]]
-            # a repeated side-(j, i) set follows its dependent side-(i, j) twin
-            new = (s % 2 == 0) | ~snapshot[sides[s, 1][:, None], conds].all(axis=1)
-            rs = tester.partial_correlations(pairs[pair[lo:lo + size][new]], conds[new])
-            independent[lo:lo + size][new] = tester.decide_many(rs, level)
-    except ValueError:
-        # a singular matrix (LinAlgError is a ValueError) or a non-positive
-        # precision product may sit where the scan never reaches; test one by
-        # one so that only a reached test raises, as it always did
-        independent[:], stacked, hit = False, False, -1
-        for row, p in enumerate(pair.tolist()):
-            if p != hit and tester.independent(
-                    *pairs[p].tolist(), rest[side[row], table[sets[row]]].tolist()):
-                independent[row], hit = True, p
-    hits = np.flatnonzero(independent)
-    hit_pairs = pair[hits]
-    first = hit_pairs != np.concatenate(([-1], hit_pairs[:-1]))
-    hits, hit_pairs = hits[first], hit_pairs[first]
-    if stacked:
-        tester.tests_run += int(ends[-1] - (ends[2 * hit_pairs + 1] - hits - 1).sum())
-    i, j = pairs[hit_pairs].T
-    adj[i, j] = adj[j, i] = False
-    conds = rest[side[hits][:, None], table[sets[hits]]]
-    for a, b, cond in zip(i.tolist(), j.tolist(), conds.tolist()):
-        sepsets[(a, b)] = sepsets[(b, a)] = frozenset(cond)
+    # each side's other neighbours in ascending order, side after side
+    rest, starts = np.nonzero(others)[1], np.cumsum(m) - m
+    binom = np.array([[comb(a, k) for a in range(width + 1)] for k in range(level + 1)],
+                     dtype=np.int64)
+    ends = np.cumsum(binom[level, m])
+    size, lo = max(1, _STACK_ENTRIES // (level + 2) ** 2), 0
+    while lo < ends[-1]:
+        hi = min(lo + size, int(ends[-1]))
+        rows = np.arange(lo, hi)
+        side = np.searchsorted(ends, rows, side="right")
+        pair = side // 2
+        # the set of lexicographic rank r among comb(m, level) is the one whose
+        # colexicographic complement has rank comb(m, level) - 1 - r
+        code, cols = ends[side] - 1 - rows, np.empty((len(rows), level), dtype=np.intp)
+        for t in range(level):
+            a = np.searchsorted(binom[level - t], code, side="right") - 1
+            code -= binom[level - t, a]
+            cols[:, t] = m[side] - 1 - a
+        conds = rest[starts[side][:, None] + cols]
+        # a repeated side-(j, i) set follows its dependent side-(i, j) twin
+        new = (side % 2 == 0) | ~snapshot[sides[side, 1][:, None], conds].all(axis=1)
+        independent = np.zeros(len(rows), dtype=bool)
+        try:
+            rs = tester.partial_correlations(pairs[pair[new]], conds[new])
+            independent[new] = tester.decide_many(rs, level)
+            stacked = True
+        except ValueError:
+            # a singular matrix (LinAlgError is a ValueError) or a non-positive
+            # precision product may sit where the scan never reaches; test one
+            # by one so that only a reached test raises, as it always did
+            stacked, hit = False, -1
+            for b, (p, cond) in enumerate(zip(pair.tolist(), conds.tolist())):
+                if p != hit and tester.independent(*pairs[p].tolist(), cond):
+                    independent[b], hit = True, p
+        hits = np.flatnonzero(independent)
+        hits = hits[np.diff(pair[hits], prepend=-1) != 0]
+        if stacked:
+            # a pair's rows after its first hit are never reached
+            stops = np.minimum(ends[2 * pair[hits] + 1], hi)
+            tester.tests_run += len(rows) - int((stops - lo - hits - 1).sum())
+        i, j = pairs[pair[hits]].T
+        adj[i, j] = adj[j, i] = False
+        for a, b, cond in zip(i.tolist(), j.tolist(), conds[hits].tolist()):
+            sepsets[(a, b)] = sepsets[(b, a)] = frozenset(cond)
+        # a pair that stopped in this chunk skips its rows in the next
+        lo = max(hi, int(ends[2 * pair[hits[-1]] + 1])) if len(hits) else hi
     return True
 
 

@@ -3,6 +3,7 @@
 import importlib
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ def test_side_repeats_are_counted_but_not_computed(monkeypatch):
     assert _assert_same_skeleton(FisherZTester(data, 0.05), ReferenceFisherZ(data, 0.05), cfg,
                                  "level 1") is None
     assert rows == [d * (d - 1) // 2, distinct]
+    # with one row a chunk, every computed row is one the scan reaches: a
+    # chunk skips the rows of a pair that stopped in an earlier chunk
+    rows.clear()
+    monkeypatch.setattr(pc_module, "_STACK_ENTRIES", 1)
+    tester, cfg = FisherZTester(data, 0.05), CiTestConfig(0.05, 2)
+    assert _assert_same_skeleton(tester, ReferenceFisherZ(data, 0.05), cfg, "one row") is None
+    assert max(rows) == 1 and sum(rows) < tester.tests_run
+
+
+def test_a_level_is_listed_one_chunk_at_a_time(monkeypatch):
+    # all 30 variables correlate 0.5, so at n=100 every test up to |cond|=2 is
+    # dependent and every listed row is reached: level 2 lists 435 * 2 *
+    # comb(28, 2) = 328,860 rows, 2.6 MB for one index array of the level
+    d = 30
+    tester, _ = _with_corr(np.full((d, d), 0.5) + 0.5 * np.eye(d))
+    monkeypatch.setattr(pc_module, "_STACK_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        adj, sepsets = pc_module._skeleton(tester, d, CiTestConfig(0.05, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.sum() == d * (d - 1) and not sepsets
+    assert tester.tests_run == d * (d - 1) * (1 + (d - 2) + (d - 2) * (d - 3) // 2)
+    # chunks of 4096 // 16 = 256 rows: every array of the level stays small
+    assert peak < 1 << 20
 
 
 def test_sample_size_error_is_raised_at_the_first_level_that_needs_more_rows():
@@ -190,13 +217,15 @@ def test_a_reached_singular_submatrix_raises_as_before():
 
 
 def test_a_zero_precision_product_raises_a_typed_error():
-    # 1 and 2 correlate perfectly, so the submatrix on {0, 1, 2} is singular;
-    # the inversion still returns, with a zero precision entry for 0, and the
-    # product for (0, 1 | 2) is -0.0.  Its r used to be -inf, read as
-    # dependence; now the test fails typed, so bootstrap redraws the resample
+    # 1 and 2 correlate perfectly, so the submatrix on {0, 1, 2} is indefinite
+    # (determinant -0.25) and the cofactor of its entry (0, 0), 1 - 1 * 1, is
+    # zero: the precision product for (0, 1 | 2) is a zero.  The dyadic
+    # entries keep the elimination exact, so the zero does not depend on
+    # rounding.  Its r used to be infinite, read as dependence; now the test
+    # fails typed, so bootstrap redraws the resample
     tester, reference = _with_corr([[1.0, -0.5, 0.0], [-0.5, 1.0, 1.0], [0.0, 1.0, 1.0]])
     prec = np.linalg.inv(tester.corr)
-    assert prec[0, 0] * prec[1, 1] == 0 and np.signbit(prec[0, 0] * prec[1, 1])
+    assert prec[0, 0] * prec[1, 1] == 0
     with pytest.raises(ValueError, match="^math domain error$"):
         tester.partial_correlations(np.array([[0, 1]]), np.array([[2]]))
     with pytest.raises(ValueError, match="^math domain error$"):
