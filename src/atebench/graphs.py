@@ -283,10 +283,6 @@ class Dag:
         """Symmetric boolean adjacency with orientation dropped."""
         return self.adjacency | self.adjacency.T
 
-    def descendants_matrix(self) -> np.ndarray:
-        """Boolean matrix with entry (i, j) true iff a directed path i ~> j exists."""
-        return transitive_closure(self.adjacency)
-
     def topological_order(self) -> list[int]:
         return topological_order(self.adjacency)
 

@@ -1,4 +1,4 @@
-"""Numerical kernels in numpy: closure, the backdoor ATE sweep, the
+"""Numerical kernels in numpy: closure, the backdoor ATE table, the
 weighted Wasserstein distance and the structure-MCMC chain.  Deterministic.
 The local BIC score runs on Python floats and matches numpy bit for bit."""
 
@@ -105,28 +105,37 @@ def transitive_closure_batch(stack) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
-    """Unit-contrast effects for every (graph, treatment, outcome) triple.
+def unique_rows(rows):
+    """(first, inverse) of ``np.unique(rows, axis=0)`` on a 2-D uint8 array:
+    the index of each distinct row's first copy, in sorted row order, and
+    each row's distinct-row index.  Each row is viewed as one opaque item,
+    which sorts like its bytes and far faster than ``axis=0``."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    items = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inv = np.unique(items, return_index=True, return_inverse=True)
+    return first, inv
 
-    gram is the centered Gram matrix of the dataset.  For each graph g and
-    treatment t the regressors are t plus its parents in g; out[g, t, y] is
-    the coefficient on t when y is regressed on them, forced to exactly 0.0
-    when y is not a descendant of t, and NaN only if even the ridge-adjusted
-    solve fails.  The coefficients depend on g only through pa(t), so each
-    distinct (t, pa(t)) is solved once, in order of first appearance, and
-    indexed back to every graph that has it; a ridge retry is logged once per
-    such key.
+
+def ate_table(gram, stack):
+    """Unit-contrast effects of every distinct (treatment, parent set) in a
+    (m, d, d) bool DAG stack, as (table, keys).
+
+    gram is the centered Gram matrix of the dataset.  keys[g, t] is the row
+    of the (K, d) table that holds graph g's regression for treatment t: its
+    entry y is the coefficient on t when y is regressed on t and its parents
+    in g, NaN only if even the ridge-adjusted solve fails.  Effects depend on
+    g only through pa(t), so each distinct (t, pa(t)) is one row, solved once
+    in order of first appearance in (g, t) C-order; a ridge retry is logged
+    once per row.  Whether y descends from t is left to the caller.
     """
     gram = np.ascontiguousarray(gram, dtype=float)
     stack = np.ascontiguousarray(stack, dtype=bool)
-    closure = np.ascontiguousarray(closure, dtype=bool)
     m, d, _ = stack.shape
     # key of (g, t): t as four bytes, then the parent column stack[g, :, t] as bits
     ts = np.arange(d, dtype=np.uint32).view(np.uint8).reshape(d, 4)
     cols = np.packbits(stack, axis=1).transpose(0, 2, 1)
     keys = np.concatenate([np.broadcast_to(ts, (m, d, 4)), cols], axis=2)
-    keys = keys.reshape(m * d, keys.shape[2])
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, inv = unique_rows(keys.reshape(m * d, keys.shape[2]))
     table = np.empty((first.size, d))
     for at in sorted(first.tolist()):
         g, t = divmod(at, d)
@@ -147,7 +156,19 @@ def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
             except np.linalg.LinAlgError:
                 x = np.full_like(b, np.nan)
         table[inv[at]] = x[0]
-    out = table[inv.reshape(m, d)]
+    return table, inv.reshape(m, d)
+
+
+def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
+    """Unit-contrast effects for every (graph, treatment, outcome) triple:
+    ``ate_table`` expanded to a (m, d, d) stack, forced to exactly 0.0 where
+    closure says y does not descend from t and on the diagonal.  The package
+    sweeps through ``ate_table``; this form is kept for the benchmark's
+    kernel cases."""
+    closure = np.ascontiguousarray(closure, dtype=bool)
+    table, keys = ate_table(gram, stack)
+    d = table.shape[1]
+    out = table[keys]
     # zero the non-descendants in place: np.where would build a second stack
     np.copyto(out, 0.0, where=~closure)
     out[:, range(d), range(d)] = 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -270,7 +271,7 @@ def evaluate_pair(
     cfg: RegroupConfig,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
 ) -> tuple[PairReport, PairModes]:
-    """Full stage-3 evaluation of one pair: WD on raw samples, then mode
+    """Full stage-3 evaluation of one pair: WD on the weighted values, then mode
     precision/recall before and after low-mass filtering."""
     if true_set.query != learned_set.query:
         raise ParameterError("sample sets answer different queries")
@@ -284,11 +285,13 @@ def evaluate_pair(
 
 
 def evaluate_pair_sets(
-    true_sets: dict[AteQuery, AteSampleSet],
-    learned_sets: dict[AteQuery, AteSampleSet],
+    true_sets: Mapping[AteQuery, AteSampleSet],
+    learned_sets: Mapping[AteQuery, AteSampleSet],
     cfg: RegroupConfig,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
 ) -> tuple[list[PairReport], list[PairModes]]:
+    """evaluate_pair on every pair, in (treatment, outcome) order; the sets
+    are typically two sweeps' ``AteAtoms``, whose pairs are their atoms."""
     if set(true_sets) != set(learned_sets):
         raise AggregationError("true and learned sweeps cover different pairs")
     reports = []

@@ -163,19 +163,6 @@ def sample(scm: LinearGaussianScm, n: int, seed: int) -> Dataset:
     return Dataset(values, scm.graph.labels, provenance=f"synthetic:seed={seed},n={n}")
 
 
-def analytic_total_effect(scm: LinearGaussianScm, treatment: int, outcome: int) -> float:
-    """Total causal effect of a unit treatment shift: entry (treatment, outcome)
-    of (I - W)^-1, equal to the sum over directed paths of edge-weight products."""
-    d = scm.graph.num_nodes
-    if treatment == outcome:
-        raise ParameterError("treatment and outcome must differ")
-    if not (0 <= treatment < d and 0 <= outcome < d):
-        raise ParameterError("treatment/outcome index out of range")
-    eye = np.eye(d)
-    inv = np.linalg.solve(eye - scm.weights, eye)
-    return float(inv[treatment, outcome])
-
-
 # ---------------------------------------------------------------------------
 # SCM + dataset persistence
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ distinct (treatment, parent set): one normal-equations solve per (DAG,
 treatment) pair.  Tests require ``atebench.kernels.ate_sweep_kernel`` to
 return the same bytes.  ``estimate_ate`` is the textbook single-query
 estimate, a regression on centred data, kept as an independent oracle for
-the sweep and for the estimator-consistency acceptance test.
+the sweep and for the estimator-consistency acceptance test, whose own
+oracle is ``analytic_total_effect``.  ``descendants_matrix`` is the
+reachability of one DAG, which ``estimate_ate`` reads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import numpy as np
 
 from atebench.errors import ParameterError, SampleSizeError, SchemaError
+from atebench.graphs import transitive_closure
 
 RIDGE = 1e-8
 
@@ -56,6 +59,24 @@ def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
     return out
 
 
+def descendants_matrix(g) -> np.ndarray:
+    """Boolean matrix with entry (i, j) true iff a directed path i ~> j exists in g."""
+    return transitive_closure(g.adjacency)
+
+
+def analytic_total_effect(scm, treatment: int, outcome: int) -> float:
+    """Total causal effect of a unit treatment shift: entry (treatment, outcome)
+    of (I - W)^-1, equal to the sum over directed paths of edge-weight products."""
+    d = scm.graph.num_nodes
+    if treatment == outcome:
+        raise ParameterError("treatment and outcome must differ")
+    if not (0 <= treatment < d and 0 <= outcome < d):
+        raise ParameterError("treatment/outcome index out of range")
+    eye = np.eye(d)
+    inv = np.linalg.solve(eye - scm.weights, eye)
+    return float(inv[treatment, outcome])
+
+
 def backdoor_adjustment_set(g, q) -> set[int]:
     """Parents of the treatment: a valid backdoor set in any latent-free DAG."""
     return g.parents(q.treatment)
@@ -73,7 +94,7 @@ def estimate_ate(g, data, q) -> float:
     t, y = q.treatment, q.outcome
     if not 0 <= y < g.num_nodes:
         raise ParameterError(f"outcome index {y} out of range")
-    if not g.descendants_matrix()[t, y]:
+    if not descendants_matrix(g)[t, y]:
         return 0.0
     z = sorted(backdoor_adjustment_set(g, q))
     if data.n < len(z) + 2:

@@ -25,7 +25,6 @@ from atebench.metrics import (
 )
 from atebench.pipeline import run_real, run_synthetic
 from atebench.scm import (
-    analytic_total_effect,
     default_labels,
     random_er_dag,
     random_scm,
@@ -33,7 +32,7 @@ from atebench.scm import (
     save_dataset,
 )
 
-from ate_reference import estimate_ate
+from ate_reference import analytic_total_effect, estimate_ate
 from conftest import brute_force_dags, oracle_mec_classes
 from score_reference import graph_score
 

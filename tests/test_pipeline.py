@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -402,6 +403,29 @@ def test_a_failed_artifact_read_is_never_recorded(tmp_path):
     posterior.write_bytes(saved)
     assert run_pipeline(cfg, "ate-sweep")[0] == {"status": "ok", "error": None}
     assert "ates:bootstrap-pc" in seed_manifest(tmp_path / "load", 0)["stages"]
+
+
+def test_an_ates_file_in_the_stack_layout_is_refused_by_evaluate(tmp_path):
+    cfg = tiny_cfg(tmp_path / "old", num_seeds=1)
+    assert run_pipeline(cfg, "ate-sweep")[0] == {"status": "ok", "error": None}
+    sd = tmp_path / "old" / "seeds" / "seed_000"
+    path = sd / "ates" / "bootstrap-pc.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        labels, digest = npz["labels"], npz["config_digest"]
+    # the layout written before atoms, under the same digest: one (m, d, d)
+    # stack of per-DAG effects, without offsets
+    with open(path, "wb") as fh:
+        np.savez(fh, values=np.zeros((6, 4, 4)), weights=np.full(6, 1 / 6),
+                 labels=labels, config_digest=digest)
+    status = run_pipeline(cfg, "evaluate")[0]
+    assert status["status"] == "failed"
+    assert status["error"].startswith(f"SchemaError: {path}: an (m, d, d) stack of per-DAG effects")
+    assert status["error"].endswith("use a new output root or delete that seed's directory")
+    assert "failed" not in seed_manifest(tmp_path / "old", 0)
+    # and the advice holds: without the seed's directory, evaluate recomputes it
+    shutil.rmtree(sd)
+    assert run_pipeline(cfg, "evaluate")[0] == {"status": "ok", "error": None}
+    assert "evaluate:bootstrap-pc" in seed_manifest(tmp_path / "old", 0)["stages"]
 
 
 def test_a_failure_recorded_under_another_digest_is_ignored_and_dropped(tmp_path, monkeypatch):

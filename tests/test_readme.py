@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
+from atebench.ate import AteQuery, load_ate_samples, save_ate_samples, sweep
 from atebench.discovery import load_external_posterior
 from atebench.graphs import save_graph
+from atebench.mec import TRUE_MEC_TAG, enumerate_mec
+from atebench.scm import random_er_dag, random_scm, sample
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +53,20 @@ def test_the_edge_list_conversion_recipe_writes_the_same_posterior(tmp_path):
     assert back.dags == example.dags
     assert np.array_equal(back.weights, example.weights)
     assert (back.method_tag, back.seed) == (example.method_tag, example.seed)
+
+
+def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    g = random_er_dag(5, 6, seed=7)
+    data = sample(random_scm(g, seed=7), 200, seed=7)
+    path = tmp_path / "seeds" / "seed_000" / "ates" / "true-mec.npz"
+    path.parent.mkdir(parents=True)
+    save_ate_samples(sweep(enumerate_mec(g), data), data.column_labels, path, "abc")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    want = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG)[AteQuery(0, 1)]
+    assert scope["values"].tobytes() == want.values.tobytes()
+    assert scope["weights"].tobytes() == want.weights.tobytes()

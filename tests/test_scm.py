@@ -8,7 +8,6 @@ from atebench.graphs import Dag
 from atebench.scm import (
     Dataset,
     LinearGaussianScm,
-    analytic_total_effect,
     default_labels,
     load_dataset,
     load_scm,
@@ -19,6 +18,7 @@ from atebench.scm import (
     save_scm,
 )
 
+from ate_reference import analytic_total_effect
 from conftest import oracle_path_effect
 
 
