@@ -7,8 +7,8 @@ import os
 import sys
 
 from .config import _FIELDS, _PARSERS, ExperimentConfig, load_config
-from .errors import AteBenchError, ConfigError
-from .pipeline import run_pipeline, run_real, run_synthetic
+from .errors import AteBenchError
+from .pipeline import run_pipeline
 
 OUTPUT_ROOT_ENV = "ATEBENCH_OUTPUT_ROOT"
 
@@ -39,7 +39,7 @@ _KEY_HELP = {
     "output_root": "run directory (or set " + OUTPUT_ROOT_ENV + ")",
     "dataset_path": "real mode: observations CSV",
     "graph_path": "real mode: ground-truth edge list",
-    "posterior_path": "externally produced posterior: one multi-graph text file",
+    "posterior_path": "real mode: an external posterior, one multi-graph text file",
     "standardize": "z-score each column before discovery",
 }
 
@@ -119,21 +119,11 @@ def _print_status(status: dict) -> int:
     return 1 if failed else 0
 
 
-def _dispatch(cfg: ExperimentConfig, command: str):
-    if command == "run":
-        return run_synthetic(cfg) if cfg.mode == "synthetic" else run_real(cfg)
-    if cfg.posterior_path is not None and command != "report":
-        raise ConfigError(
-            "external posterior evaluation supports only the run and report commands"
-        )
-    return run_pipeline(cfg, command)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble_config(args)
-        result = _dispatch(cfg, args.command)
+        result = run_pipeline(cfg, args.command)
     except AteBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

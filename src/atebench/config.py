@@ -116,6 +116,8 @@ class ExperimentConfig:
                 fail("graph_path", "required in real mode")
             if self.num_seeds != 1:
                 fail("num_seeds", "real mode runs a single seed (the dataset is fixed)")
+        elif self.posterior_path is not None:
+            fail("posterior_path", "an external posterior needs mode=real")
         return self
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":

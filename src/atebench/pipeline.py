@@ -28,7 +28,9 @@ records it under ``failed``, and a later command under the same config digest
 whose cut reaches that stage returns the recorded error without computing
 anything for the seed.  A failed artifact read and any other exception are
 not recorded, so the next command retries them.  A seed is reported only once
-every method is evaluated on it.
+every method is evaluated on it.  Real mode, whose external posterior is one
+more config input, follows the same rule; its one seed is the whole run, so
+its failure, recorded or not, is then also raised to the caller.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__, errors, kernels
 from .ate import load_ate_samples, save_ate_samples, sweep
 from .config import KNOWN_METHODS, ExperimentConfig
 from .discovery import (
@@ -191,9 +193,10 @@ def _stage_cut(stage: str) -> int:
 
 
 def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
-                  done: frozenset, cut: int, external, progress: _SeedProgress) -> None:
+                  done: frozenset, cut: int, posterior, progress: _SeedProgress) -> None:
     """Compute this seed's missing stages into `progress`, reusing completed
     artifacts; an error propagates once `progress` holds what came before it.
+    A parsed external `posterior` is the seed's only method.
     """
     sd = Path(seed_dir)
 
@@ -208,17 +211,18 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
         progress.stages.append((name, payload))
         return payload
 
-    # stage: generate (synthetic) or ingest (real/external); artifact names shared
+    # stage: generate (synthetic) or ingest (real); artifact names shared
     if "generate" in done:
         truth = load_dag(sd / "truth_graph.txt")
         data = load_dataset(sd / "data.csv")
     else:
+        if cfg.mode == "real":
+            # inputs are read like stored artifacts: untimed, a failed read unrecorded
+            inputs = load_dataset(cfg.dataset_path), load_dag(cfg.graph_path)
+
         def build_base():
-            if external is not None:
-                base_data, base_truth = external[0], external[1]
-            elif cfg.mode == "real":
-                base_data = load_dataset(cfg.dataset_path)
-                base_truth = load_dag(cfg.graph_path)
+            if cfg.mode == "real":
+                g, m, d0 = inputs[1], None, _align_to_graph(*inputs)
             else:
                 g = random_er_dag(
                     cfg.d, cfg.er_edges(), _stream_seed(cfg.master_seed, seed_index, _STREAM_GRAPH)
@@ -229,18 +233,14 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
                     _stream_seed(cfg.master_seed, seed_index, _STREAM_SCM),
                 )
                 d0 = sample(m, cfg.n, _stream_seed(cfg.master_seed, seed_index, _STREAM_DATA))
-                if cfg.standardize:
-                    d0 = d0.standardized()
-                return g, m, d0
-            base_data = _align_to_graph(base_data, base_truth)
-            if cfg.standardize:
-                base_data = base_data.standardized()
-            return base_truth, None, base_data
+            return g, m, d0.standardized() if cfg.standardize else d0
         truth, _, data = timed("generate", build_base)
     labels = truth.labels
 
-    if external is not None:
-        plan = [(external[2].method_tag, lambda: external[2])]
+    if posterior is not None:
+        if posterior.labels != labels:
+            raise SchemaError("external posterior node labels do not match the ground-truth graph")
+        plan = [(posterior.method_tag, lambda: posterior)]
     else:
         plan = []
         for name in cfg.methods:
@@ -306,8 +306,16 @@ def _seed_result(seed_index: int, progress: _SeedProgress, error, reused=False) 
             "error": error, "failed": progress.failed, "reused": reused}
 
 
-def _seed_worker(task):
-    """Pool entry point: per-seed failures become diagnostics, not crashes.
+def _recorded_error(text: str) -> AteBenchError:
+    """The typed error a recorded failure names, made from its message alone
+    although its class may take other arguments."""
+    name, _, message = text.partition(": ")
+    cls = getattr(errors, name, AteBenchError)
+    return cls.__new__(cls, message)
+
+
+def _seed_attempt(task):
+    """One seed's result, for flushing, and the exception that stopped it.
 
     A failure recorded under the current digest at a stage this command's
     cut reaches is returned as it stands, and nothing is computed for the
@@ -316,17 +324,21 @@ def _seed_worker(task):
     raised an AteBenchError; a failed artifact read or any other exception
     is retried by the next command.
     """
-    cfg, seed_index, seed_dir, done, cut, external, recorded = task
+    cfg, seed_index, seed_dir, done, cut, posterior, recorded = task
     if recorded is not None and _stage_cut(recorded["stage"]) <= cut:
-        return _seed_result(seed_index, _SeedProgress(failed=recorded), recorded["error"],
-                            reused=True)
+        return (_seed_result(seed_index, _SeedProgress(failed=recorded), recorded["error"],
+                             reused=True), _recorded_error(recorded["error"]))
     progress = _SeedProgress()
     try:
-        _seed_compute(cfg, seed_index, seed_dir, done, cut, external, progress)
-        error = None
+        _seed_compute(cfg, seed_index, seed_dir, done, cut, posterior, progress)
     except Exception as exc:
-        error = _error_text(exc)
-    return _seed_result(seed_index, progress, error)
+        return _seed_result(seed_index, progress, _error_text(exc)), exc
+    return _seed_result(seed_index, progress, None), None
+
+
+def _seed_worker(task):
+    """Pool entry point: per-seed failures become diagnostics, not crashes."""
+    return _seed_attempt(task)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +413,13 @@ def _flush_seed_result(seed_dir: Path, result: dict) -> None:
         logger.info("seed %d: stage %s done (%d files)", result["seed"], stage, len(files))
 
 
-def _prepare_root(cfg: ExperimentConfig) -> Path:
+def _prepare_root(cfg: ExperimentConfig, digest: str) -> Path:
     if cfg.output_root is None:
         raise ConfigError(
             "no output root: set the output_root key, the --output-root flag, "
             "or the ATEBENCH_OUTPUT_ROOT environment variable"
         )
     root = Path(cfg.output_root)
-    # the digest reads the input files, so an unreadable input creates nothing
-    digest = cfg.digest()
     (root / "seeds").mkdir(parents=True, exist_ok=True)
     (root / "report").mkdir(parents=True, exist_ok=True)
     cfg_path = root / "run_config.txt"
@@ -430,14 +440,15 @@ def _seed_dirs(cfg: ExperimentConfig, root: Path) -> list[Path]:
     return [root / "seeds" / f"seed_{i:0{width}d}" for i in range(cfg.num_seeds)]
 
 
-def _update_run_manifest(root: Path, cfg: ExperimentConfig, methods, seed_status) -> None:
+def _update_run_manifest(root: Path, cfg: ExperimentConfig, digest: str, methods,
+                         seed_status) -> None:
     path = root / "run_manifest.json"
     manifest = _read_json(path) or {}
     manifest.update(
         {
             "version": __version__,
             "backend": kernels.backend_name(),
-            "config_digest": cfg.digest(),
+            "config_digest": digest,
             "mode": cfg.mode,
             "methods": list(methods),
             "num_seeds": cfg.num_seeds,
@@ -471,16 +482,17 @@ def _detach_run_log(attached) -> None:
     handler.close()
 
 
-def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=None) -> dict:
+def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, digest: str,
+                   posterior) -> dict:
     cut = _CUTS[command]
-    digest = cfg.digest()
-    methods = [external[2].method_tag] if external is not None else list(cfg.methods)
+    methods = [posterior.method_tag] if posterior is not None else list(cfg.methods)
+    dirs = _seed_dirs(cfg, root)
     tasks = []
-    for i, sd in enumerate(_seed_dirs(cfg, root)):
+    for i, sd in enumerate(dirs):
         sd.mkdir(parents=True, exist_ok=True)
         manifest = _read_json(sd / "manifest.json") or {"stages": {}}
         recorded = manifest.get("failed") if manifest.get("config_digest") == digest else None
-        tasks.append((cfg, i, str(sd), frozenset(manifest["stages"]), cut, external, recorded))
+        tasks.append((cfg, i, str(sd), frozenset(manifest["stages"]), cut, posterior, recorded))
     seed_status = {}
 
     def handle(result, sd):
@@ -495,29 +507,27 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, external=Non
                             result["seed"], result["failed"]["stage"])
             logger.error("seed %d failed: %s", result["seed"], result["error"])
 
-    dirs = _seed_dirs(cfg, root)
-    if cfg.workers > 1 and cfg.num_seeds > 1 and external is None:
+    raised = None
+    if cfg.workers > 1 and cfg.num_seeds > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.num_seeds)) as pool:
             futures = {pool.submit(_seed_worker, t): t[1] for t in tasks}
             for fut in as_completed(futures):
                 i = futures[fut]
                 handle(fut.result(), dirs[i])
-    elif cfg.mode == "real" or external is not None:
-        # real-data ingestion problems (bad schema, cyclic truth graph) are
-        # caller errors, not seed diagnostics; let them surface directly
-        for t in tasks:
-            progress = _SeedProgress()
-            _seed_compute(*t[:-1], progress)
-            handle(_seed_result(t[1], progress, None), dirs[t[1]])
     else:
         for t in tasks:
-            handle(_seed_worker(t), dirs[t[1]])
-    _update_run_manifest(root, cfg, methods, seed_status)
+            result, exc = _seed_attempt(t)
+            handle(result, dirs[t[1]])
+            raised = raised or exc
+    _update_run_manifest(root, cfg, digest, methods, seed_status)
+    if cfg.mode == "real" and raised is not None:
+        # the one real-data seed is the whole run: once its stages and its
+        # failure are on disk, the failure is the caller's error
+        raise raised
     return seed_status
 
 
-def _aggregate(cfg: ExperimentConfig, root: Path) -> RunReport:
-    digest = cfg.digest()
+def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
     run_manifest = _read_json(root / "run_manifest.json")
     if run_manifest is None:
         raise AggregationError(f"{root}: no run_manifest.json; run the pipeline first")
@@ -576,7 +586,7 @@ def _aggregate(cfg: ExperimentConfig, root: Path) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def run_pipeline(cfg: ExperimentConfig, command: str = "run", external=None):
+def run_pipeline(cfg: ExperimentConfig, command: str = "run"):
     """Advance every seed to the stage the command names; `run` also reports.
 
     Returns the RunReport for `run` and `report`, otherwise the per-seed
@@ -585,18 +595,27 @@ def run_pipeline(cfg: ExperimentConfig, command: str = "run", external=None):
     if command not in _CUTS and command != "report":
         raise ConfigError(f"unknown pipeline command {command!r}")
     cfg.validate()
-    root = _prepare_root(cfg)
+    # the digest reads every input file, so a missing or unreadable input
+    # fails here, before anything is parsed or created
+    digest = cfg.digest()
+    posterior = None
+    if cfg.posterior_path is not None and command != "report":
+        posterior = load_external_posterior(cfg.posterior_path)
+        if posterior.method_tag == TRUE_MEC_TAG:
+            raise SchemaError(f"{cfg.posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved "
+                              "for the true equivalence class")
+    root = _prepare_root(cfg, digest)
     run_log = _attach_run_log(root)
     try:
         if command == "report":
-            return _aggregate(cfg, root)
-        status = _execute_seeds(cfg, root, command, external=external)
+            return _aggregate(cfg, root, digest)
+        status = _execute_seeds(cfg, root, command, digest, posterior)
         if command != "run":
             return status
         failed = {i: s["error"] for i, s in status.items() if s["status"] == "failed"}
         if failed:
             logger.warning("%d of %d seeds failed", len(failed), cfg.num_seeds)
-        return _aggregate(cfg, root)
+        return _aggregate(cfg, root, digest)
     finally:
         _detach_run_log(run_log)
 
@@ -611,35 +630,22 @@ def run_synthetic(cfg: ExperimentConfig) -> RunReport:
 
 def run_real(cfg: ExperimentConfig) -> RunReport:
     """Real-data run: ingest a dataset CSV plus ground-truth edge list, then
-    the same pipeline minus generation; single-seed aggregation."""
+    discover (or take the external posterior) and score one seed."""
     if cfg.mode != "real":
         raise ConfigError("run_real requires mode=real")
-    if cfg.posterior_path is not None:
-        return evaluate_external(cfg.posterior_path, cfg.dataset_path, cfg.graph_path, cfg)
     return run_pipeline(cfg, "run")
 
 
-def evaluate_external(posterior_path, dataset, truth_graph, cfg: ExperimentConfig) -> RunReport:
-    """Evaluate a posterior produced outside this package (stages 2-3 only).
-
-    dataset and truth_graph may be objects or paths.  The posterior's own
-    method tag names the report row and the seed's files; the loader refuses
-    a tag that is not a plain file name, and ``true-mec`` is refused here.
+def evaluate_external(posterior_path, dataset_path, graph_path, cfg: ExperimentConfig) -> RunReport:
+    """`run_real` with the three paths written into the config, so its digest
+    covers them.  The posterior's method tag names the report row and the
+    seed's files; a tag that is not a plain file name, or is ``true-mec``, is
+    refused before anything is written.
     """
-    cfg.validate()
-    data = dataset if isinstance(dataset, Dataset) else load_dataset(dataset)
-    truth = truth_graph if isinstance(truth_graph, Dag) else load_dag(truth_graph)
-    data = _align_to_graph(data, truth)
-    ps = load_external_posterior(posterior_path)
-    if ps.method_tag == TRUE_MEC_TAG:
-        raise SchemaError(
-            f"{posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved for the true "
-            "equivalence class"
-        )
-    if ps.dags[0].labels != truth.labels:
-        raise SchemaError(
-            "external posterior node labels do not match the ground-truth graph"
-        )
-    if cfg.num_seeds != 1:
-        raise ConfigError("external evaluation runs a single seed")
-    return run_pipeline(cfg, "run", external=(data, truth, ps))
+    paths = {"posterior_path": posterior_path, "dataset_path": dataset_path,
+             "graph_path": graph_path}
+    for key, path in paths.items():
+        if not isinstance(path, (str, os.PathLike)):
+            raise ConfigError(f"{key} must be a file path, got a {type(path).__name__}")
+        paths[key] = os.fspath(path)
+    return run_real(cfg.with_overrides(mode="real", **paths))

@@ -118,7 +118,8 @@ def test_missing_external_inputs_are_exit_two(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert f"{tmp_path / 'nope.csv'}: no such dataset file" in err
+    assert f"error: config key 'dataset_path': cannot read input {tmp_path / 'nope.csv'}: " in err
+    assert not (tmp_path / "R").exists()
 
 
 def test_reserved_external_method_tag_is_exit_two(tmp_path, capsys):
@@ -146,9 +147,8 @@ def test_posterior_directory_is_exit_two(tmp_path, capsys):
     posterior = tmp_path / "posterior"
     posterior.mkdir()
     save_graph(g, posterior / "g.txt")
-    # run loads the posterior first; report fails on the digest of its input
-    for command, fault in (("run", f"{posterior}: not a posterior file"),
-                           ("report", f"cannot read input {posterior}")):
+    # every command hashes its inputs before it parses or creates anything
+    for command in ("run", "report"):
         code = run_cli(
             command, "--mode", "real",
             "--dataset-path", str(tmp_path / "data.csv"),
@@ -158,5 +158,29 @@ def test_posterior_directory_is_exit_two(tmp_path, capsys):
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert fault in err
+        assert f"error: config key 'posterior_path': cannot read input {posterior}: " in err
         assert not (tmp_path / "R").exists()
+
+
+def test_staged_commands_on_an_external_posterior_match_one_run(tmp_path, capsys):
+    g = random_er_dag(4, 4, seed=2)
+    save_graph(g, tmp_path / "truth.txt")
+    save_dataset(sample(random_scm(g, seed=2), 80, seed=2), tmp_path / "data.csv")
+    others = [random_er_dag(4, 3, seed=k) for k in range(3)]
+    save_posterior(uniform_posterior([g] + others, "ext", seed=0), tmp_path / "p.txt")
+
+    def args(root):
+        return ["--mode", "real", "--dataset-path", str(tmp_path / "data.csv"),
+                "--graph-path", str(tmp_path / "truth.txt"),
+                "--posterior-path", str(tmp_path / "p.txt"), "--output-root", str(root)]
+    assert run_cli("run", *args(tmp_path / "one")) == 0
+    for command in ("generate", "discover", "ate-sweep", "evaluate"):
+        assert run_cli(command, *args(tmp_path / "staged")) == 0
+        assert "seeds completed: 1/1" in capsys.readouterr().out
+    assert run_cli("report", *args(tmp_path / "staged")) == 0
+    assert "ext" in capsys.readouterr().out
+    report = ("report", "run_report.csv")
+    assert ((tmp_path / "staged").joinpath(*report).read_bytes()
+            == (tmp_path / "one").joinpath(*report).read_bytes())
+    copy = tmp_path / "staged" / "seeds" / "seed_000" / "posteriors" / "ext.txt"
+    assert copy.read_text().splitlines()[1:] == (tmp_path / "p.txt").read_text().splitlines()

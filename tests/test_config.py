@@ -58,6 +58,15 @@ def test_real_mode_needs_paths_and_single_seed():
     ExperimentConfig(mode="real", dataset_path="d.csv", graph_path="g.txt").validate()
 
 
+def test_an_external_posterior_needs_real_mode():
+    # a synthetic run has no use for the file, yet its digest would hash it
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(d=4, posterior_path="b.txt").validate()
+    assert str(err.value) == "config key 'posterior_path': an external posterior needs mode=real"
+    with pytest.raises(ConfigError):
+        parse_config_text("posterior_path = b.txt\n")
+
+
 def test_treatment_values_must_differ():
     with pytest.raises(ConfigError):
         ExperimentConfig(treatment_value_a=1.0, treatment_value_b=1.0).validate()

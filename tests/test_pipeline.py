@@ -12,6 +12,7 @@ from atebench.config import ExperimentConfig
 from atebench.errors import (
     AggregationError,
     ConfigError,
+    MecCapacityError,
     SchemaError,
     ValidationError,
 )
@@ -616,18 +617,78 @@ def test_external_posterior_label_mismatch_is_refused(real_inputs, tmp_path):
         run_real(cfg)
 
 
-def test_evaluate_external_accepts_objects_directly(real_inputs, tmp_path):
+def test_evaluate_external_refuses_objects(real_inputs, tmp_path):
     g, data, inputs = real_inputs
     ps = uniform_posterior(list(enumerate_mec(g).members), "tag-x", seed=0)
     save_posterior(ps, tmp_path / "obj.txt")
+    root = tmp_path / "ext_obj"
     cfg = ExperimentConfig(
         mode="real",
         dataset_path=str(inputs / "data.csv"),
         graph_path=str(inputs / "truth.txt"),
-        output_root=str(tmp_path / "ext_obj"),
+        output_root=str(root),
     )
-    report = evaluate_external(tmp_path / "obj.txt", data, g, cfg)
-    assert report.summaries[0].method == "tag-x"
+    # only paths enter the config, so only paths are covered by its digest
+    with pytest.raises(ConfigError) as err:
+        evaluate_external(tmp_path / "obj.txt", data, g, cfg)
+    assert str(err.value) == "dataset_path must be a file path, got a Dataset"
+    with pytest.raises(ConfigError) as err:
+        evaluate_external(ps, inputs / "data.csv", inputs / "truth.txt", cfg)
+    assert str(err.value) == "posterior_path must be a file path, got a PosteriorSample"
+    assert not root.exists()
+
+
+def test_evaluate_external_of_another_posterior_on_a_scored_root_is_refused(
+        real_inputs, tmp_path):
+    g, data, inputs = real_inputs
+    members = list(enumerate_mec(g).members)
+    other = Dag(g.labels, np.zeros((4, 4), dtype=bool))
+    assert other not in members
+    save_posterior(uniform_posterior(members, "same-tag", seed=0), tmp_path / "a.txt")
+    save_posterior(uniform_posterior([other], "same-tag", seed=0), tmp_path / "b.txt")
+    cfg = ExperimentConfig(mode="real", dataset_path=str(inputs / "data.csv"),
+                           graph_path=str(inputs / "truth.txt"),
+                           output_root=str(tmp_path / "shared"))
+    paths = (inputs / "data.csv", inputs / "truth.txt")
+    assert evaluate_external(tmp_path / "a.txt", *paths, cfg).summaries[0].wd_mean <= 1e-12
+    before = tree_hashes(tmp_path / "shared")
+    with pytest.raises(ConfigError) as err:
+        evaluate_external(tmp_path / "b.txt", *paths, cfg)
+    assert "refusing to mix experiments in one output root" in str(err.value)
+    assert tree_hashes(tmp_path / "shared") == before
+    fresh = cfg.with_overrides(output_root=str(tmp_path / "fresh"))
+    assert evaluate_external(tmp_path / "b.txt", *paths, fresh).summaries[0].wd_mean > 0
+
+
+def test_a_real_run_that_fails_keeps_its_earlier_stages_and_raises(real_inputs, tmp_path,
+                                                                   monkeypatch):
+    g, data, inputs = real_inputs
+    calls = []
+    real_enumerate = pipeline.enumerate_mec
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real_enumerate(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "enumerate_mec", counted)
+    root = tmp_path / "real_cap"
+    cfg = ExperimentConfig(mode="real", dataset_path=str(inputs / "data.csv"),
+                           graph_path=str(inputs / "truth.txt"), posterior_size=6,
+                           mec_cap=1, output_root=str(root))
+    with pytest.raises(MecCapacityError) as err:
+        run_real(cfg)
+    error = f"MecCapacityError: {err.value}"
+    doc = seed_manifest(root, 0)
+    assert list(doc["stages"]) == ["generate"]
+    assert doc["failed"] == {"stage": "truth", "error": error}
+    run_doc = json.loads(read_text(root / "run_manifest.json"))
+    assert run_doc["seeds"] == {"0": {"status": "failed", "error": error}}
+    assert len(calls) == 1
+    # a rerun reuses the record: it raises the same error and computes nothing
+    with pytest.raises(MecCapacityError) as again:
+        run_real(cfg)
+    assert str(again.value) == str(err.value)
+    assert len(calls) == 1
+    assert seed_manifest(root, 0)["failed"] == doc["failed"]
 
 
 def test_external_posterior_may_not_use_the_true_mec_tag(real_inputs, tmp_path):
@@ -677,7 +738,7 @@ def test_evaluate_external_names_a_missing_dataset_or_graph(real_inputs, tmp_pat
     g, data, inputs = real_inputs
     save_posterior(uniform_posterior([g], "one", seed=0), tmp_path / "p.txt")
     present = (str(inputs / "data.csv"), str(inputs / "truth.txt"))
-    for k, kind in ((0, "dataset"), (1, "graph")):
+    for k, key in ((0, "dataset_path"), (1, "graph_path")):
         paths = list(present)
         paths[k] = str(tmp_path / "nope")
         cfg = ExperimentConfig(
@@ -686,6 +747,7 @@ def test_evaluate_external_names_a_missing_dataset_or_graph(real_inputs, tmp_pat
             graph_path=paths[1],
             output_root=str(tmp_path / "ext_missing"),
         )
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(ConfigError) as err:
             evaluate_external(tmp_path / "p.txt", *paths, cfg)
-        assert str(err.value) == f"{paths[k]}: no such {kind} file"
+        assert str(err.value).startswith(f"config key {key!r}: cannot read input {paths[k]}: ")
+        assert not (tmp_path / "ext_missing").exists()
