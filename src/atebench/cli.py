@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import _FIELDS, _PARSERS, ExperimentConfig, load_config
+from .config import _FIELDS, _PARSERS, ExperimentConfig, read_config_values
 from .errors import AteBenchError
 from .pipeline import run_pipeline
 
@@ -73,16 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+    """The config file's keys, then the flags, then the output-root variable,
+    validated once as a whole: keys that only make sense together may be
+    split between file and flags."""
+    values = read_config_values(args.config) if args.config else {}
     for key in _FIELDS:
         raw = getattr(args, key, None)
         if raw is not None:
-            overrides[key] = _PARSERS[key](key, raw)
-    cfg = cfg.with_overrides(**overrides)
-    if cfg.output_root is None and os.environ.get(OUTPUT_ROOT_ENV):
-        cfg = cfg.with_overrides(output_root=os.environ[OUTPUT_ROOT_ENV])
-    return cfg.validate()
+            values[key] = _PARSERS[key](key, raw)
+    if values.get("output_root") is None and os.environ.get(OUTPUT_ROOT_ENV):
+        values["output_root"] = os.environ[OUTPUT_ROOT_ENV]
+    return ExperimentConfig(**values).validate()
 
 
 def _print_report(report, root) -> None:

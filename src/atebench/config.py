@@ -253,7 +253,9 @@ _PARSERS = {
 assert set(_PARSERS) == set(_FIELDS)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def parse_config_values(text: str, source: str = "<config>") -> dict:
+    """The parsed key=value pairs of a config text, not yet validated as a
+    whole, so that keys may be completed by later overrides."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -269,13 +271,22 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
         values[key] = _PARSERS[key](key, raw)
-    return ExperimentConfig(**values).validate()
+    return values
 
 
-def load_config(path) -> ExperimentConfig:
+def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    return ExperimentConfig(**parse_config_values(text, source)).validate()
+
+
+def read_config_values(path) -> dict:
+    """parse_config_values of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_values(text, source=str(path))
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig(**read_config_values(path)).validate()

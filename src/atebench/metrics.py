@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ate import AteQuery, AteSampleSet
+from .ate import AteAtoms, AteQuery, AteSampleSet
 from .errors import AggregationError, ParameterError, SchemaError
-from .kernels import weighted_wasserstein
 
 DEFAULT_FILTER_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 DEFAULT_FILTER_TOLERANCE = 0.05
@@ -65,6 +64,13 @@ class ModeSet:
         m.setflags(write=False)
         self.representatives = r
         self.masses = m
+
+    @classmethod
+    def _view(cls, representatives, masses) -> "ModeSet":
+        """A set over read-only arrays that were built valid elsewhere."""
+        s = cls.__new__(cls)
+        s.representatives, s.masses = representatives, masses
+        return s
 
     @property
     def modes(self) -> list[tuple[float, float]]:
@@ -134,6 +140,59 @@ class PairModes(NamedTuple):
     learned_modes: ModeSet
 
 
+class ModeTable(Sequence):
+    """Every pair's true and learned modes, in flat arrays.
+
+    Pair p's true modes are ``representatives[offsets[2p]:offsets[2p + 1]]``
+    and its learned modes run on to ``offsets[2p + 2]``; ``masses`` holds
+    their masses at the same positions.  Pairs are in (treatment, outcome)
+    order.  As a sequence, the table gives each pair's ``PairModes`` over
+    read-only ``ModeSet`` views of the arrays.
+    """
+
+    __slots__ = ("queries", "representatives", "masses", "offsets")
+
+    def __init__(self, queries, representatives, masses, offsets):
+        self.queries = tuple(queries)
+        self.representatives = np.array(representatives, dtype=float)
+        self.masses = np.array(masses, dtype=float)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        if self.offsets.shape != (2 * len(self.queries) + 1,):
+            raise ParameterError("mode offsets must bound two sides per pair")
+        for a in (self.representatives, self.masses, self.offsets):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, pair_modes) -> "ModeTable":
+        """The table of a sequence of PairModes (a table is returned as is)."""
+        if isinstance(pair_modes, ModeTable):
+            return pair_modes
+        sides = [ms for pm in pair_modes for ms in (pm.true_modes, pm.learned_modes)]
+        offsets = np.zeros(len(sides) + 1, dtype=np.int64)
+        np.cumsum([len(ms) for ms in sides], out=offsets[1:])
+        return cls(
+            [pm.query for pm in pair_modes],
+            np.concatenate([ms.representatives for ms in sides] or [np.zeros(0)]),
+            np.concatenate([ms.masses for ms in sides] or [np.zeros(0)]),
+            offsets,
+        )
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __getitem__(self, p) -> PairModes:
+        q = self.queries[p]
+        lo, mid, hi = self.offsets[2 * (p % len(self)):][:3]
+        r, m = self.representatives, self.masses
+        return PairModes(q, ModeSet._view(r[lo:mid], m[lo:mid]), ModeSet._view(r[mid:hi], m[mid:hi]))
+
+    def __iter__(self):
+        return (self[p] for p in range(len(self)))
+
+    def __repr__(self) -> str:
+        return f"ModeTable(pairs={len(self)}, modes={self.representatives.size})"
+
+
 def _weighted(x):
     if isinstance(x, AteSampleSet):
         return x.values, x.weights
@@ -149,9 +208,258 @@ def _weighted(x):
     return v, w
 
 
-def _sorted(v, w):
-    order = np.argsort(v, kind="stable")
-    return v[order], w[order]
+# ---------------------------------------------------------------------------
+# segmented array kernels: a flat array cut into segments by offsets, each
+# segment computed as the same numpy calls would compute it alone
+# ---------------------------------------------------------------------------
+
+# (mode, other-side mode) cells compared per pass of the mode matcher: bounds
+# each pass's index and value arrays at 2 MB apiece
+_MATCH_CELLS = 1 << 18
+
+
+def _rows_by_length(offsets):
+    """(segments, gather index) per nonzero segment length; the index lays
+    those segments out as the rows of one C-contiguous block."""
+    lengths = np.diff(offsets)
+    if not lengths.size:
+        return
+    order = np.argsort(lengths, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        n = lengths[rows[0]]
+        if n:
+            yield rows, offsets[rows, None] + np.arange(n)
+
+
+def _segment_sums(x, offsets) -> np.ndarray:
+    """Each segment's ``np.sum``: numpy's pairwise grouping depends only on
+    the count, so rows of one length summed as a block add alike."""
+    out = np.zeros(offsets.size - 1)
+    for rows, idx in _rows_by_length(offsets):
+        out[rows] = x[idx].sum(axis=1)
+    return out
+
+
+def _segment_cumsums(x, offsets) -> np.ndarray:
+    """Each segment's ``np.cumsum``, laid out like x."""
+    out = np.empty_like(x)
+    for _, idx in _rows_by_length(offsets):
+        out[idx] = np.cumsum(x[idx], axis=1)
+    return out
+
+
+def _sort_segments(values, weights, segment, count):
+    """Values sorted within each segment, stably as ``argsort(kind="stable")``
+    sorts it alone, with their weights, and the segment offsets."""
+    order = np.lexsort((values, segment))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segment, minlength=count), out=offsets[1:])
+    return values[order], weights[order], offsets
+
+
+def _regroup(v, w, offsets, cfg: RegroupConfig):
+    """Modes of every segment of sorted values: (representatives, masses,
+    group offsets), masses normalized within each segment.
+
+    Within a segment, a value joins the current group while it is close to
+    the group's anchor (its first, smallest value); each group's
+    representative is its weighted mean and its mass the summed weight.
+    """
+    n = v.size
+    lengths = np.diff(offsets)
+    ends = offsets[1:][lengths > 0]
+    reach = cfg.atol + cfg.rtol * np.abs(v)
+    # an anchor at k is a group of its own unless its successor is close to it
+    joins = np.zeros(n, dtype=bool)
+    joins[:-1] = v[1:] - v[:-1] <= reach[:-1]
+    joins[ends - 1] = False
+    start = np.ones(n, dtype=bool)
+    if joins.any():
+        # nxt[k]: the first position >= k that would anchor a longer group
+        nxt = np.where(np.append(joins, True), np.arange(n + 1), n + 1)
+        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+        heads, tails = [], []
+        pos, end = nxt[offsets[:-1][lengths > 0]], ends
+        while True:
+            live = pos < end
+            pos, end = pos[live], end[live]
+            if not pos.size:
+                break
+            # v[k] - anchor rises with k, so bisect for the first value not
+            # close to the anchor; pos + 1 is known to be close
+            anchor, bound = v[pos], reach[pos]
+            lo, hi = pos + 2, end.copy()
+            while (open_ := lo < hi).any():
+                mid = np.where(open_, (lo + hi) >> 1, pos)
+                close = v[mid] - anchor <= bound
+                lo = np.where(open_ & close, mid + 1, lo)
+                hi = np.where(open_ & ~close, mid, hi)
+            heads.append(pos)
+            tails.append(lo)
+            pos = nxt[lo]
+        heads, tails = np.concatenate(heads), np.concatenate(tails)
+        inside = np.bincount(heads + 1, minlength=n + 1) - np.bincount(tails, minlength=n + 1)
+        start = np.cumsum(inside[:n]) == 0
+    first = np.flatnonzero(start)
+    size = np.diff(np.append(first, n))
+    mass = w[first]
+    rep = v[first] * mass / mass
+    for g in np.flatnonzero(size > 1):
+        lo, hi = first[g], first[g] + size[g]
+        mass[g] = w[lo:hi].sum()
+        rep[g] = np.dot(v[lo:hi], w[lo:hi]) / mass[g]
+    group_offsets = np.searchsorted(first, offsets)
+    # float rounding of weighted means could in principle collapse two
+    # adjacent groups onto one value; such segments merge them defensively
+    later = np.ones(first.size, dtype=bool)
+    later[group_offsets[:-1][lengths > 0]] = False
+    clash = later[1:] & (rep[1:] <= rep[:-1])
+    if clash.any():
+        rep, mass, group_offsets = _merge_clashes(rep, mass, group_offsets, np.flatnonzero(clash) + 1)
+    segment = np.repeat(np.arange(offsets.size - 1), np.diff(group_offsets))
+    return rep, mass / _segment_sums(mass, group_offsets)[segment], group_offsets
+
+
+def _merge_clashes(rep, mass, group_offsets, clashing_groups):
+    """Merge, one segment at a time, every group whose representative does
+    not exceed its predecessor's into that predecessor."""
+    segments = np.unique(np.searchsorted(group_offsets, clashing_groups, side="right") - 1)
+    reps, masses, counts = [], [], np.diff(group_offsets)
+    done = 0
+    for s in segments.tolist():
+        lo, hi = group_offsets[s], group_offsets[s + 1]
+        reps.append(rep[done:lo])
+        masses.append(mass[done:lo])
+        r, m = rep[lo:hi].tolist(), mass[lo:hi].tolist()
+        k = 1
+        while k < len(r):
+            if r[k] <= r[k - 1]:
+                total = m[k - 1] + m[k]
+                r[k - 1] = (r[k - 1] * m[k - 1] + r[k] * m[k]) / total
+                m[k - 1] = total
+                del r[k], m[k]
+            else:
+                k += 1
+        reps.append(np.array(r))
+        masses.append(np.array(m))
+        counts[s] = len(r)
+        done = hi
+    reps.append(rep[done:])
+    masses.append(mass[done:])
+    offsets = np.zeros_like(group_offsets)
+    np.cumsum(counts, out=offsets[1:])
+    return np.concatenate(reps), np.concatenate(masses), offsets
+
+
+def _wasserstein(v, w, offsets) -> np.ndarray:
+    """First Wasserstein distance between segments 2p and 2p + 1 of sorted
+    values, for every p, as ``kernels.weighted_wasserstein`` computes it for
+    the two alone: the CDF gap at each point of their merged grid, times the
+    step to the next point, summed."""
+    n = v.size
+    segment = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    pair = segment >> 1
+    # the merged grid of a pair; among equal values, the first segment's
+    # points come first, as in a stable sort of the two concatenated
+    order = np.lexsort((v, pair))
+    grid = v[order]
+    first_side = (segment[order] & 1) == 0
+    block_start, block_end = offsets[0:-1:2], offsets[2::2]
+    last = np.ones(n, dtype=bool)
+    last[:-1] = grid[1:] != grid[:-1]
+    last[block_end - 1] = True
+    # a grid point's CDF counts every atom <= it: up to its last equal point
+    run_end = np.minimum.accumulate(np.where(last, np.arange(n), n)[::-1])[::-1]
+    seen_first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(first_side, out=seen_first[1:])
+    p = pair[order]
+    ix = seen_first[run_end + 1] - seen_first[block_start[p]]
+    iy = run_end + 1 - block_start[p] - ix
+    cum = _segment_cumsums(w, offsets)
+    cx = np.where(ix > 0, cum[np.maximum(offsets[2 * p] + ix - 1, 0)], 0.0)
+    cy = np.where(iy > 0, cum[np.maximum(offsets[2 * p + 1] + iy - 1, 0)], 0.0)
+    inner = np.ones(n, dtype=bool)
+    inner[block_end - 1] = False
+    k = np.flatnonzero(inner)
+    terms = np.abs(cx[k] - cy[k]) * (grid[k + 1] - grid[k])
+    term_offsets = np.zeros(block_start.size + 1, dtype=np.int64)
+    np.cumsum(block_end - block_start - 1, out=term_offsets[1:])
+    return _segment_sums(terms, term_offsets)
+
+
+def _heaviest_close(table: ModeTable, cfg: RegroupConfig) -> np.ndarray:
+    """For every mode, the largest mass among the modes on the other side of
+    its pair that it is close to (the other mode as the reference), or -1
+    when it is close to none."""
+    r, m, offsets = table.representatives, table.masses, table.offsets
+    lengths = np.diff(offsets)
+    other = np.repeat(np.arange(lengths.size), lengths) ^ 1
+    width, first = lengths[other], offsets[other]
+    ends = np.cumsum(width)
+    out = np.full(r.size, -1.0)
+    lo = 0
+    while lo < r.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _MATCH_CELLS, side="right")))
+        rows = np.arange(lo, hi)[width[lo:hi] > 0]
+        lo = hi
+        if not rows.size:
+            continue
+        wid = width[rows]
+        row_start = np.cumsum(wid) - wid
+        cells = np.arange(row_start[-1] + wid[-1])
+        mode = np.repeat(rows, wid)
+        partner = np.repeat(first[rows] - row_start, wid) + cells
+        ref = r[partner]
+        close = np.abs(r[mode] - ref) <= cfg.atol + cfg.rtol * np.abs(ref)
+        out[rows] = np.maximum.reduceat(np.where(close, m[partner], -1.0), row_start)
+    return out
+
+
+def _tolerances(tolerances) -> np.ndarray:
+    tols = np.asarray(tolerances, dtype=float)
+    if tols.ndim != 1 or not np.all((tols >= 0) & (tols < 1)):
+        raise ParameterError("tolerance must be in [0, 1)")
+    return tols
+
+
+def _match_counts(table: ModeTable, cfg: RegroupConfig, tols) -> list[np.ndarray]:
+    """Mode-match counts of every pair after low-mass filtering at each
+    (validated) tolerance: ModeCounts' five fields as (pairs, tolerances)
+    integer arrays.  Filtering keeps the modes of raw mass >= tol, so a kept
+    true mode is found when its heaviest close learned mode is kept, and a
+    kept learned mode is spurious when its heaviest close true mode is not."""
+    offsets = table.offsets
+    kept = table.masses[:, None] >= tols
+    matched = kept & (_heaviest_close(table, cfg)[:, None] >= tols)
+
+    def per_side(flags):
+        c = np.zeros((flags.shape[0] + 1, tols.size), dtype=np.int64)
+        np.cumsum(flags, axis=0, out=c[1:])
+        return c[offsets[1:]] - c[offsets[:-1]]
+
+    kept, matched = per_side(kept), per_side(matched)
+    n_true, n_learned, tp = kept[0::2], kept[1::2], matched[0::2]
+    return [n_true, n_learned, tp, n_learned - matched[1::2], n_true - tp]
+
+
+def _rates(counts, filtered: bool = False) -> tuple[list, list]:
+    """Each pair's (precision, recall) from ModeCounts' five fields as
+    arrays; None where undefined, and after filtering also where a side kept
+    no mode."""
+    n_true, n_learned, tp, fp, fn = counts
+    out = []
+    for den in (tp + fp, tp + fn):
+        ok = den > 0
+        if filtered:
+            ok &= (n_true > 0) & (n_learned > 0)
+        rate = (tp / np.where(ok, den, 1)).tolist()
+        out.append([x if k else None for x, k in zip(rate, ok.tolist())])
+    return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# public evaluation
+# ---------------------------------------------------------------------------
 
 
 def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
@@ -162,38 +470,9 @@ def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
     Each group's representative is its weighted mean; its mass is the summed
     weight.
     """
-    return _regroup_sorted(*_sorted(*_weighted((values, weights))), cfg)
-
-
-def _regroup_sorted(v, w, cfg: RegroupConfig) -> ModeSet:
-    """regroup on values already sorted ascending (weights permuted alike)."""
-    # v[lo:] - anchor is >= 0 and nondecreasing, so one search finds where
-    # the closeness predicate first fails
-    bounds = [0]
-    while bounds[-1] < v.size:
-        lo = bounds[-1]
-        anchor = v[lo]
-        bound = cfg.atol + cfg.rtol * abs(anchor)
-        bounds.append(lo + int((v[lo:] - anchor).searchsorted(bound, side="right")))
-    reps = []
-    masses = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mass = w[lo:hi].sum()
-        reps.append(float(np.dot(v[lo:hi], w[lo:hi]) / mass))
-        masses.append(float(mass))
-    # float rounding of weighted means could in principle collapse two
-    # adjacent groups onto one value; merge such groups defensively
-    k = 1
-    while k < len(reps):
-        if reps[k] <= reps[k - 1]:
-            total = masses[k - 1] + masses[k]
-            reps[k - 1] = (reps[k - 1] * masses[k - 1] + reps[k] * masses[k]) / total
-            masses[k - 1] = total
-            del reps[k], masses[k]
-        else:
-            k += 1
-    masses = np.asarray(masses)
-    return ModeSet(reps, masses / masses.sum())
+    v, w = _weighted((values, weights))
+    rep, mass, _ = _regroup(*_sort_segments(v, w, np.zeros(v.size, dtype=np.int64), 1), cfg)
+    return ModeSet(rep, mass)
 
 
 def wasserstein_1d(x, y) -> float:
@@ -203,85 +482,22 @@ def wasserstein_1d(x, y) -> float:
     AteSampleSet or a (values, weights) pair.  Kept as the public raw-sample
     form of the paper's headline metric, which the acceptance tests pin.
     """
-    return weighted_wasserstein(*_sorted(*_weighted(x)), *_sorted(*_weighted(y)))
+    (vx, wx), (vy, wy) = _weighted(x), _weighted(y)
+    segment = np.repeat([0, 1], [vx.size, vy.size])
+    v, w, offsets = _sort_segments(np.concatenate([vx, vy]), np.concatenate([wx, wy]), segment, 2)
+    return float(_wasserstein(v, w, offsets)[0])
 
 
-def _tolerances(tolerances) -> np.ndarray:
-    tols = np.asarray(tolerances, dtype=float)
-    if tols.ndim != 1 or not np.all((tols >= 0) & (tols < 1)):
-        raise ParameterError("tolerance must be in [0, 1)")
-    return tols
-
-
-def _match_counts(true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig, tols) -> list[ModeCounts]:
-    """Mode-match counts of a pair after low-mass filtering at each (validated)
-    tolerance.  Filtering keeps the modes of raw mass >= tol, so a kept true
-    mode is found when its heaviest close learned mode is kept, and a kept
-    learned mode is spurious when its heaviest close true mode is not."""
-    mt, ml = true_modes.masses, learned_modes.masses
-    t, l = true_modes.representatives, learned_modes.representatives
-    # -1 where nothing is close: below every tolerance
-    heaviest_l = np.where(cfg.close(t[:, None], l[None, :]), ml, -1.0).max(axis=1, initial=-1.0)
-    heaviest_t = np.where(cfg.close(l[:, None], t[None, :]), mt, -1.0).max(axis=1, initial=-1.0)
-    col = tols[:, None]
-    keep_t = mt >= col
-    keep_l = ml >= col
-    n_true = keep_t.sum(axis=1)
-    tp = (keep_t & (heaviest_l >= col)).sum(axis=1)
-    fp = (keep_l & (heaviest_t < col)).sum(axis=1)
-    cols = (n_true, keep_l.sum(axis=1), tp, fp, n_true - tp)
-    return [ModeCounts(*c) for c in zip(*(a.tolist() for a in cols))]
-
-
-def _rates(c: ModeCounts, filtered: bool = False) -> tuple[Optional[float], Optional[float]]:
-    """(precision, recall); after filtering, undefined when a side kept no mode."""
-    if filtered and not (c.n_true and c.n_learned):
-        return None, None
-    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else None
-    return precision, (c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else None)
-
-
-def mode_precision_recall(
-    true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig
-) -> tuple[Optional[float], Optional[float], ModeCounts]:
-    """Match mode representatives under the regrouping closeness predicate.
-
-    A true mode is found when some learned mode is close to it (learned value
-    as the reference); a learned mode is spurious when it is close to no true
-    mode (true value as the reference).  Precision and recall are None when
-    their denominator is zero.
-    """
-    (counts,) = _match_counts(true_modes, learned_modes, cfg, np.zeros(1))
-    return (*_rates(counts), counts)
-
-
-def filter_low_mass(modes: ModeSet, tolerance: float) -> ModeSet:
-    """Drop modes with mass below the tolerance and renormalize the rest."""
-    _tolerances([tolerance])
-    keep = modes.masses >= tolerance
-    if not keep.any():
-        return ModeSet([], [])
-    masses = modes.masses[keep]
-    return ModeSet(modes.representatives[keep], masses / masses.sum())
-
-
-def evaluate_pair(
-    true_set: AteSampleSet,
-    learned_set: AteSampleSet,
-    cfg: RegroupConfig,
-    filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
-) -> tuple[PairReport, PairModes]:
-    """Full stage-3 evaluation of one pair: WD on the weighted values, then mode
-    precision/recall before and after low-mass filtering."""
-    if true_set.query != learned_set.query:
-        raise ParameterError("sample sets answer different queries")
-    tols = _tolerances((0.0, filter_tolerance))
-    ts, ls = (_sorted(s.values, s.weights) for s in (true_set, learned_set))
-    tm, lm = _regroup_sorted(*ts, cfg), _regroup_sorted(*ls, cfg)
-    counts, filtered = _match_counts(tm, lm, cfg, tols)
-    wd = weighted_wasserstein(*ts, *ls)
-    report = PairReport(true_set.query, wd, *_rates(counts), *_rates(filtered, filtered=True), counts)
-    return report, PairModes(true_set.query, tm, lm)
+def _flat(sets, queries):
+    """(values, weights, offsets) of the sets' pairs in the order of queries."""
+    if isinstance(sets, AteAtoms):
+        return sets.atom_values, sets.atom_weights, sets.offsets
+    parts = [_weighted(sets[q]) for q in queries]
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([v.size for v, _ in parts], out=offsets[1:])
+    if not parts:
+        return np.zeros(0), np.zeros(0), offsets
+    return np.concatenate([v for v, _ in parts]), np.concatenate([w for _, w in parts]), offsets
 
 
 def evaluate_pair_sets(
@@ -289,18 +505,33 @@ def evaluate_pair_sets(
     learned_sets: Mapping[AteQuery, AteSampleSet],
     cfg: RegroupConfig,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
-) -> tuple[list[PairReport], list[PairModes]]:
-    """evaluate_pair on every pair, in (treatment, outcome) order; the sets
-    are typically two sweeps' ``AteAtoms``, whose pairs are their atoms."""
-    if set(true_sets) != set(learned_sets):
+) -> tuple[list[PairReport], ModeTable]:
+    """Stage-3 evaluation of every pair, in (treatment, outcome) order: WD on
+    the weighted values, then mode precision/recall before and after
+    low-mass filtering.  The sets are typically two sweeps' ``AteAtoms``,
+    whose pairs are their atoms; all pairs are computed in one array pass,
+    each with the arithmetic it would get alone."""
+    tols = _tolerances((0.0, filter_tolerance))
+    if isinstance(true_sets, AteAtoms) and isinstance(learned_sets, AteAtoms):
+        same = len(true_sets) == len(learned_sets) and (
+            true_sets.treatment_value_b, true_sets.reference_value_a
+        ) == (learned_sets.treatment_value_b, learned_sets.reference_value_a)
+    else:
+        same = set(true_sets) == set(learned_sets)
+    if not same:
         raise AggregationError("true and learned sweeps cover different pairs")
-    reports = []
-    modes = []
-    for q in sorted(true_sets, key=lambda q: (q.treatment, q.outcome)):
-        report, pm = evaluate_pair(true_sets[q], learned_sets[q], cfg, filter_tolerance)
-        reports.append(report)
-        modes.append(pm)
-    return reports, modes
+    queries = sorted(true_sets, key=lambda q: (q.treatment, q.outcome))
+    (tv, tw, to), (lv, lw, lo) = _flat(true_sets, queries), _flat(learned_sets, queries)
+    pair = np.arange(len(queries))
+    segment = np.concatenate([2 * np.repeat(pair, np.diff(to)), 2 * np.repeat(pair, np.diff(lo)) + 1])
+    v, w, offsets = _sort_segments(np.concatenate([tv, lv]), np.concatenate([tw, lw]), segment, 2 * pair.size)
+    wd = _wasserstein(v, w, offsets).tolist()
+    table = ModeTable(queries, *_regroup(v, w, offsets, cfg))
+    counts = _match_counts(table, cfg, tols)
+    rates = _rates([c[:, 0] for c in counts]) + _rates([c[:, 1] for c in counts], filtered=True)
+    mode_counts = [ModeCounts(*row) for row in zip(*(c[:, 0].tolist() for c in counts))]
+    reports = [PairReport(q, *row) for q, *row in zip(queries, wd, *rates, mode_counts)]
+    return reports, table
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +628,23 @@ def aggregate(reports_by_seed: dict[int, list[PairReport]], method: str) -> Meth
 
 
 def relaxation_rows(
-    modes_by_seed: dict[int, list[PairModes]],
+    modes_by_seed: dict,
     grid=DEFAULT_FILTER_GRID,
     cfg: RegroupConfig | None = None,
 ) -> list[dict]:
-    """Precision/recall aggregated at each filtering tolerance of the grid."""
+    """Precision/recall aggregated at each filtering tolerance of the grid;
+    each seed's modes are a ModeTable or a sequence of PairModes."""
     cfg = cfg or RegroupConfig()
     grid = tuple(grid)
     tols = _tolerances(grid)
-    rates = {}  # rates[seed][pair][k]: (precision, recall) at grid[k]
+    rates = {}  # rates[seed][k]: per-pair (precisions, recalls) at grid[k]
     for seed, pair_modes in modes_by_seed.items():
-        counts = [_match_counts(pm.true_modes, pm.learned_modes, cfg, tols) for pm in pair_modes]
-        rates[seed] = [[_rates(c, filtered=True) for c in by_tol] for by_tol in counts]
+        counts = _match_counts(ModeTable.of(pair_modes), cfg, tols)
+        rates[seed] = [_rates([c[:, k] for c in counts], filtered=True) for k in range(tols.size)]
     rows = []
     for k, tol in enumerate(grid):
-        p_mean, p_se, p_excl = _aggregate_metric({s: [r[k][0] for r in prs] for s, prs in rates.items()})
-        r_mean, r_se, r_excl = _aggregate_metric({s: [r[k][1] for r in prs] for s, prs in rates.items()})
+        p_mean, p_se, p_excl = _aggregate_metric({s: r[k][0] for s, r in rates.items()})
+        r_mean, r_se, r_excl = _aggregate_metric({s: r[k][1] for s, r in rates.items()})
         rows.append(dict(tolerance=tol, precision_mean=p_mean, precision_se=p_se, recall_mean=r_mean,
                          recall_se=r_se, excluded_pairs=max(p_excl, r_excl)))
     return rows
@@ -499,18 +731,23 @@ def write_pair_reports_csv(reports: list[PairReport], labels, path) -> None:
             )
 
 
-def write_modes_csv(pair_modes: list[PairModes], labels, true_tag: str, learned_tag: str, path) -> None:
-    """Histogram file: one row per (pair, source, mode), plot-ready."""
+def write_modes_csv(pair_modes, labels, true_tag: str, learned_tag: str, path) -> None:
+    """Histogram file: one row per (pair, source, mode), plot-ready; the
+    modes are a ModeTable or a sequence of PairModes."""
     labels = tuple(labels)
+    table = ModeTable.of(pair_modes)
+    reps, masses = table.representatives.tolist(), table.masses.tolist()
+    offsets = table.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MODES_CSV_HEADER)
-        for pm in pair_modes:
-            t_lab = labels[pm.query.treatment]
-            y_lab = labels[pm.query.outcome]
-            for tag, ms in ((true_tag, pm.true_modes), (learned_tag, pm.learned_modes)):
-                for value, mass in ms.modes:
-                    writer.writerow([t_lab, y_lab, tag, repr(value), repr(mass)])
+        for p, q in enumerate(table.queries):
+            t_lab = labels[q.treatment]
+            y_lab = labels[q.outcome]
+            for s, tag in ((2 * p, true_tag), (2 * p + 1, learned_tag)):
+                writer.writerows(
+                    [t_lab, y_lab, tag, repr(reps[i]), repr(masses[i])] for i in range(offsets[s], offsets[s + 1])
+                )
 
 
 def write_relaxation_csv(rows: list[dict], path) -> None:
@@ -532,22 +769,17 @@ def write_relaxation_csv(rows: list[dict], path) -> None:
             )
 
 
-def _csv_rows(path, expected_header):
-    """Data rows of a CSV, skipping blank and #-comment lines; header checked."""
+def _csv_rows(path, expected_header) -> list[tuple[int, list]]:
+    """(line, row) of a CSV's data rows, skipping blank and #-comment lines;
+    header checked."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if header is None:
-                header = row
-                if header != expected_header:
-                    raise SchemaError(f"{path}: expected header {expected_header}, got {header}")
-                continue
-            yield lineno, row
-    if header is None:
+        rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row and not row[0].startswith("#")]
+    if not rows:
         raise SchemaError(f"{path}: missing header row")
+    header = rows[0][1]
+    if header != expected_header:
+        raise SchemaError(f"{path}: expected header {expected_header}, got {header}")
+    return rows[1:]
 
 
 def _row_pair(path, lineno, index, t_lab, y_lab) -> tuple[int, int]:
@@ -593,29 +825,46 @@ def read_pair_reports_csv(path, labels) -> list[PairReport]:
 MODES_CSV_HEADER = ["treatment", "outcome", "source_tag", "mode_value", "mass"]
 
 
-def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> list[PairModes]:
-    """Inverse of write_modes_csv: rows regrouped into per-pair ModeSets."""
+def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
+    """Inverse of write_modes_csv: the rows of each pair and side, in file
+    order, as one ModeTable."""
     labels = tuple(labels)
     index = {lab: k for k, lab in enumerate(labels)}
-    tags = (true_tag, learned_tag)
-    acc: dict[tuple[int, int], tuple[list, list]] = {}
+    sides = {learned_tag: 1, true_tag: 0}
+    keys, values, masses = [], [], []
     for lineno, row in _csv_rows(path, MODES_CSV_HEADER):
         if len(row) != 5:
             raise SchemaError(f"{path}:{lineno}: expected 5 columns")
         t_lab, y_lab, tag, value, mass = row
-        pair = _row_pair(path, lineno, index, t_lab, y_lab)
-        if tag not in tags:
+        t, y = _row_pair(path, lineno, index, t_lab, y_lab)
+        if tag not in sides:
             raise SchemaError(f"{path}:{lineno}: unexpected source tag {tag!r}")
         try:
-            entry = (float(value), float(mass))
+            values.append(float(value))
+            masses.append(float(mass))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
-        acc.setdefault(pair, ([], []))[tags.index(tag)].append(entry)
-    out = []
-    for (t, y), sides in sorted(acc.items()):
+        keys.append((t * len(labels) + y) * 2 + sides[tag])
+    # each pair's true rows, then its learned rows, each in file order
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    key, values, masses = keys[order], np.array(values)[order], np.array(masses)[order]
+    pairs = np.unique(key >> 1)
+    segment = 2 * np.searchsorted(pairs, key >> 1) + (key & 1)
+    offsets = np.zeros(2 * pairs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segment, minlength=2 * pairs.size), out=offsets[1:])
+    # ModeSet's checks on every side at once; the first bad pair is named
+    same = segment[1:] == segment[:-1]
+    bad = (np.diff(offsets) > 0) & (np.abs(_segment_sums(masses, offsets) - 1.0) > 1e-9)
+    bad[segment[1:][same & ~(values[1:] > values[:-1])]] = True
+    bad[segment[masses <= 0]] = True
+    if bad.any():
+        p = int(np.argmax(bad)) // 2
+        t, y = divmod(int(pairs[p]), len(labels))
         try:
-            modes = [ModeSet([v for v, _ in side], [m for _, m in side]) for side in sides]
+            for s in (2 * p, 2 * p + 1):
+                ModeSet(values[offsets[s]:offsets[s + 1]], masses[offsets[s]:offsets[s + 1]])
         except ParameterError as exc:
             raise SchemaError(f"{path}: pair ({labels[t]}, {labels[y]}): {exc}") from exc
-        out.append(PairModes(AteQuery(t, y), *modes))
-    return out
+    queries = [AteQuery(*divmod(int(k), len(labels))) for k in pairs.tolist()]
+    return ModeTable(queries, values, masses, offsets)

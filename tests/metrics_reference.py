@@ -1,15 +1,25 @@
-"""Loop reference for the mode metrics in ``atebench.metrics``.
+"""References for the pair metrics in ``atebench.metrics``.
 
-These are the bodies the one-pass code replaced: regrouping by a per-value
-anchor loop, low-mass filtering that builds a new ModeSet per tolerance, mode
-matching on the filtered sets, and the relaxation table and pair evaluation
-built from them.  Tests require the current code to reproduce them exactly.
+Two generations of replaced code, each held equal to its successor:
+
+- The loop reference: regrouping by a per-value anchor loop, low-mass
+  filtering that builds a new ModeSet per tolerance, mode matching on the
+  filtered sets, and the relaxation table and pair evaluation built from
+  them.
+- The per-pair reference: one pass per pair, as the package evaluated
+  before it took every pair of a seed in one array pass.  Each pair is
+  sorted, regrouped by a search per group, matched at every tolerance from
+  one closeness matrix, and its WD taken by ``kernels.weighted_wasserstein``.
+
+Tests require the current code to reproduce both exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from atebench.errors import AggregationError, ParameterError
+from atebench.kernels import weighted_wasserstein
 from atebench.metrics import (
     DEFAULT_FILTER_GRID,
     DEFAULT_FILTER_TOLERANCE,
@@ -19,9 +29,18 @@ from atebench.metrics import (
     PairReport,
     RegroupConfig,
     _aggregate_metric,
-    wasserstein_1d,
+    _tolerances,
+    _weighted,
 )
-from atebench.errors import ParameterError
+
+
+def _sorted(v, w):
+    order = np.argsort(v, kind="stable")
+    return v[order], w[order]
+
+
+def wasserstein_1d(x, y) -> float:
+    return weighted_wasserstein(*_sorted(*_weighted(x)), *_sorted(*_weighted(y)))
 
 
 def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
@@ -134,4 +153,125 @@ def relaxation_rows(modes_by_seed, grid=DEFAULT_FILTER_GRID, cfg: RegroupConfig 
                 "excluded_pairs": max(p_excl, r_excl),
             }
         )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference: one pass per pair
+# ---------------------------------------------------------------------------
+
+
+def regroup_sorted(v, w, cfg: RegroupConfig) -> ModeSet:
+    """regroup on values already sorted ascending (weights permuted alike)."""
+    # v[lo:] - anchor is >= 0 and nondecreasing, so one search finds where
+    # the closeness predicate first fails
+    bounds = [0]
+    while bounds[-1] < v.size:
+        lo = bounds[-1]
+        anchor = v[lo]
+        bound = cfg.atol + cfg.rtol * abs(anchor)
+        bounds.append(lo + int((v[lo:] - anchor).searchsorted(bound, side="right")))
+    reps = []
+    masses = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mass = w[lo:hi].sum()
+        reps.append(float(np.dot(v[lo:hi], w[lo:hi]) / mass))
+        masses.append(float(mass))
+    # float rounding of weighted means could in principle collapse two
+    # adjacent groups onto one value; merge such groups defensively
+    k = 1
+    while k < len(reps):
+        if reps[k] <= reps[k - 1]:
+            total = masses[k - 1] + masses[k]
+            reps[k - 1] = (reps[k - 1] * masses[k - 1] + reps[k] * masses[k]) / total
+            masses[k - 1] = total
+            del reps[k], masses[k]
+        else:
+            k += 1
+    masses = np.asarray(masses)
+    return ModeSet(reps, masses / masses.sum())
+
+
+def match_counts(true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig, tols) -> list[ModeCounts]:
+    """Mode-match counts of a pair after low-mass filtering at each (validated)
+    tolerance.  Filtering keeps the modes of raw mass >= tol, so a kept true
+    mode is found when its heaviest close learned mode is kept, and a kept
+    learned mode is spurious when its heaviest close true mode is not."""
+    mt, ml = true_modes.masses, learned_modes.masses
+    t, l = true_modes.representatives, learned_modes.representatives
+    # -1 where nothing is close: below every tolerance
+    heaviest_l = np.where(cfg.close(t[:, None], l[None, :]), ml, -1.0).max(axis=1, initial=-1.0)
+    heaviest_t = np.where(cfg.close(l[:, None], t[None, :]), mt, -1.0).max(axis=1, initial=-1.0)
+    col = tols[:, None]
+    keep_t = mt >= col
+    keep_l = ml >= col
+    n_true = keep_t.sum(axis=1)
+    tp = (keep_t & (heaviest_l >= col)).sum(axis=1)
+    fp = (keep_l & (heaviest_t < col)).sum(axis=1)
+    cols = (n_true, keep_l.sum(axis=1), tp, fp, n_true - tp)
+    return [ModeCounts(*c) for c in zip(*(a.tolist() for a in cols))]
+
+
+def rates(c: ModeCounts, filtered: bool = False):
+    """(precision, recall); after filtering, undefined when a side kept no mode."""
+    if filtered and not (c.n_true and c.n_learned):
+        return None, None
+    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else None
+    return precision, (c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else None)
+
+
+def one_pass_mode_precision_recall(true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig):
+    """Match mode representatives under the regrouping closeness predicate.
+
+    A true mode is found when some learned mode is close to it (learned value
+    as the reference); a learned mode is spurious when it is close to no true
+    mode (true value as the reference).  Precision and recall are None when
+    their denominator is zero.
+    """
+    (counts,) = match_counts(true_modes, learned_modes, cfg, np.zeros(1))
+    return (*rates(counts), counts)
+
+
+def one_pass_evaluate_pair(true_set, learned_set, cfg: RegroupConfig, filter_tolerance=DEFAULT_FILTER_TOLERANCE):
+    """Full stage-3 evaluation of one pair: WD on the weighted values, then mode
+    precision/recall before and after low-mass filtering."""
+    if true_set.query != learned_set.query:
+        raise ParameterError("sample sets answer different queries")
+    tols = _tolerances((0.0, filter_tolerance))
+    ts, ls = (_sorted(s.values, s.weights) for s in (true_set, learned_set))
+    tm, lm = regroup_sorted(*ts, cfg), regroup_sorted(*ls, cfg)
+    counts, filtered = match_counts(tm, lm, cfg, tols)
+    wd = weighted_wasserstein(*ts, *ls)
+    report = PairReport(true_set.query, wd, *rates(counts), *rates(filtered, filtered=True), counts)
+    return report, PairModes(true_set.query, tm, lm)
+
+
+def one_pass_evaluate_pair_sets(true_sets, learned_sets, cfg: RegroupConfig, filter_tolerance=DEFAULT_FILTER_TOLERANCE):
+    """one_pass_evaluate_pair on every pair, in (treatment, outcome) order."""
+    if set(true_sets) != set(learned_sets):
+        raise AggregationError("true and learned sweeps cover different pairs")
+    reports = []
+    modes = []
+    for q in sorted(true_sets, key=lambda q: (q.treatment, q.outcome)):
+        report, pm = one_pass_evaluate_pair(true_sets[q], learned_sets[q], cfg, filter_tolerance)
+        reports.append(report)
+        modes.append(pm)
+    return reports, modes
+
+
+def one_pass_relaxation_rows(modes_by_seed, grid=DEFAULT_FILTER_GRID, cfg: RegroupConfig | None = None):
+    """Precision/recall aggregated at each filtering tolerance of the grid."""
+    cfg = cfg or RegroupConfig()
+    grid = tuple(grid)
+    tols = _tolerances(grid)
+    by_seed = {}  # by_seed[seed][pair][k]: (precision, recall) at grid[k]
+    for seed, pair_modes in modes_by_seed.items():
+        counts = [match_counts(pm.true_modes, pm.learned_modes, cfg, tols) for pm in pair_modes]
+        by_seed[seed] = [[rates(c, filtered=True) for c in by_tol] for by_tol in counts]
+    rows = []
+    for k, tol in enumerate(grid):
+        p_mean, p_se, p_excl = _aggregate_metric({s: [r[k][0] for r in prs] for s, prs in by_seed.items()})
+        r_mean, r_se, r_excl = _aggregate_metric({s: [r[k][1] for r in prs] for s, prs in by_seed.items()})
+        rows.append(dict(tolerance=tol, precision_mean=p_mean, precision_se=p_se, recall_mean=r_mean,
+                         recall_se=r_se, excluded_pairs=max(p_excl, r_excl)))
     return rows

@@ -18,7 +18,7 @@ from atebench.graphs import Dag, save_graph
 from atebench.mec import enumerate_mec
 from atebench.metrics import (
     RegroupConfig,
-    evaluate_pair,
+    evaluate_pair_sets,
     read_pair_reports_csv,
     regroup,
     wasserstein_1d,
@@ -179,7 +179,7 @@ def test_a05_filtering_effect():
     q = AteQuery(0, 1)
     true_set = AteSampleSet(q, [0.0, 2.0], [0.5, 0.5], "truth")
     learned = AteSampleSet(q, [0.0, 2.0, 9.0], [0.495, 0.495, 0.01], "learned")
-    rep, _ = evaluate_pair(true_set, learned, RegroupConfig(), filter_tolerance=0.05)
+    (rep,), _ = evaluate_pair_sets({q: true_set}, {q: learned}, RegroupConfig(), filter_tolerance=0.05)
     ok = (
         rep.precision == 2 / 3
         and rep.filtered_precision == 1.0

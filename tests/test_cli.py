@@ -184,3 +184,51 @@ def test_staged_commands_on_an_external_posterior_match_one_run(tmp_path, capsys
             == (tmp_path / "one").joinpath(*report).read_bytes())
     copy = tmp_path / "staged" / "seeds" / "seed_000" / "posteriors" / "ext.txt"
     assert copy.read_text().splitlines()[1:] == (tmp_path / "p.txt").read_text().splitlines()
+
+
+def test_real_mode_keys_may_be_split_between_file_and_flags(tmp_path, capsys):
+    g = random_er_dag(3, 2, seed=1)
+    save_graph(g, tmp_path / "truth.txt")
+    save_dataset(sample(random_scm(g, seed=1), 50, seed=1), tmp_path / "data.csv")
+    save_posterior(uniform_posterior([g], "ext", seed=0), tmp_path / "p.txt")
+    cfg_file = tmp_path / "real.cfg"
+    cfg_file.write_text(f"mode = real\nposterior_path = {tmp_path / 'p.txt'}\n")
+    root = tmp_path / "R"
+    code = run_cli(
+        "generate", "--config", str(cfg_file),
+        "--dataset-path", str(tmp_path / "data.csv"),
+        "--graph-path", str(tmp_path / "truth.txt"),
+        "--output-root", str(root),
+    )
+    assert code == 0
+    assert "seeds completed: 1/1" in capsys.readouterr().out
+    stamped = (root / "run_config.txt").read_text().splitlines()
+    assert "mode=real" in stamped
+    assert f"graph_path={tmp_path / 'truth.txt'}" in stamped
+
+
+def test_a_config_still_invalid_after_the_flags_is_exit_two(tmp_path, capsys):
+    cfg_file = tmp_path / "real.cfg"
+    cfg_file.write_text("mode = real\n")
+    root = str(tmp_path / "R")
+    want = "error: config key 'graph_path': required in real mode\n"
+    # the same message whether the keys come from flags alone or from both
+    assert run_cli("generate", "--mode", "real", "--dataset-path", "d.csv", "--output-root", root) == 2
+    assert capsys.readouterr().err == want
+    assert run_cli("generate", "--config", str(cfg_file), "--dataset-path", "d.csv", "--output-root", root) == 2
+    assert capsys.readouterr().err == want
+    assert run_cli("generate", "--config", str(cfg_file), "--output-root", root) == 2
+    assert capsys.readouterr().err == "error: config key 'dataset_path': required in real mode\n"
+    assert not (tmp_path / "R").exists()
+
+
+def test_a_none_flag_overrides_the_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("d = 3\nn = 50\nposterior_size = 4\nmax_condition_size = 2\nmcmc_thin = 3\n")
+    root = tmp_path / "R"
+    code = run_cli("generate", "--config", str(cfg_file), "--max-condition-size", "none",
+                   "--mcmc-thin", "auto", "--output-root", str(root))
+    assert code == 0
+    stamped = (root / "run_config.txt").read_text().splitlines()
+    assert "max_condition_size=none" in stamped
+    assert "mcmc_thin=none" in stamped

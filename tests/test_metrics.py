@@ -14,10 +14,7 @@ from atebench.metrics import (
     RegroupConfig,
     RunReport,
     aggregate,
-    evaluate_pair,
     evaluate_pair_sets,
-    filter_low_mass,
-    mode_precision_recall,
     read_modes_csv,
     read_pair_reports_csv,
     regroup,
@@ -29,6 +26,9 @@ from atebench.metrics import (
 )
 
 from conftest import random_weighted_sample
+from metrics_reference import filter_low_mass
+from metrics_reference import one_pass_evaluate_pair as evaluate_pair
+from metrics_reference import one_pass_mode_precision_recall as mode_precision_recall
 
 
 def sample_set(values, weights=None, tag="t", q=None):

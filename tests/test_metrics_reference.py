@@ -1,5 +1,5 @@
-"""Mode metrics: the one-pass matcher and sorted regrouping against the
-per-tolerance loops of ``metrics_reference``."""
+"""Mode metrics: the array pass, on single pairs and on the relaxation
+table, against the per-tolerance loops of ``metrics_reference``."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,14 @@ from atebench.ate import AteQuery, AteSampleSet
 from atebench.errors import ParameterError
 from atebench.metrics import (
     DEFAULT_FILTER_GRID,
+    ModeCounts,
     ModeSet,
+    ModeTable,
     PairModes,
     RegroupConfig,
-    evaluate_pair,
+    _match_counts,
+    _rates,
     evaluate_pair_sets,
-    mode_precision_recall,
     regroup,
     relaxation_rows,
 )
@@ -22,6 +24,22 @@ from atebench.metrics import (
 CONFIGS = (RegroupConfig(), RegroupConfig(rtol=1e-3, atol=1e-2), RegroupConfig(rtol=0.0, atol=1.0))
 # 0 keeps every mode; 0.5 and 0.99 make most pairs lose a whole side
 GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.99)
+
+
+def evaluate_pair(true_set, learned_set, cfg, filter_tolerance):
+    """The array pass on a single pair."""
+    reports, modes = evaluate_pair_sets(
+        {true_set.query: true_set}, {learned_set.query: learned_set}, cfg, filter_tolerance
+    )
+    return reports[0], modes[0]
+
+
+def mode_precision_recall(true_modes, learned_modes, cfg):
+    """The array matcher on a single pair, without filtering."""
+    table = ModeTable.of([PairModes(AteQuery(0, 1), true_modes, learned_modes)])
+    counts = _match_counts(table, cfg, np.zeros(1))
+    (precision,), (recall,) = _rates([c[:, 0] for c in counts])
+    return precision, recall, ModeCounts(*(int(c[0, 0]) for c in counts))
 
 
 def _reach(x, cfg):

@@ -71,6 +71,12 @@ def test_traced_external_run_counts_the_npz_bytes_and_restores_everything(tmp_pa
     # belongs to the truth stage
     sweeps = [s["stage"] for s in tracer.spans if s["name"] == "ate.sweep"]
     assert sorted(sweeps) == ["ates:ext", "truth"]
+    # the tracer reads the learned sweep (second argument) and the pair
+    # count (length of the first result) of the evaluation
+    d = len(g.labels)
+    assert layers["metrics.pairs"] == d * (d - 1) == 12
+    evaluations = [s["stage"] for s in tracer.spans if s["name"] == "metrics.evaluate_pair_sets"]
+    assert evaluations == ["evaluate:ext"]
 
 
 def test_traced_bootstrap_pc_counts_the_tests_of_the_reference_loop(monkeypatch, caplog):
