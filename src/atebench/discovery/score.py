@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import kernels
 from ..errors import DegenerateDataError, ParameterError
 from ..kernels import centered_gram
@@ -25,11 +23,10 @@ class BicScore:
         self.d = data.d
         if self.n < 2:
             raise ParameterError("BIC scoring needs at least 2 rows")
-        self.gram = centered_gram(data.values)
-        diag = np.diag(self.gram)
-        if np.any(diag <= 0.0):
-            bad = data.column_labels[int(np.argmin(diag))]
+        bad = data.constant_column()
+        if bad is not None:
             raise DegenerateDataError(f"column {bad!r} has zero variance")
+        self.gram = centered_gram(data.values)
         self._rows = self.gram.tolist()
         self._cache = {}
 

@@ -92,12 +92,19 @@ def closure_one(adj):
 
 
 def transitive_closure_batch(stack) -> np.ndarray:
-    """(m, d, d) bool adjacency stack -> (m, d, d) bool reachability stack."""
-    stack = np.ascontiguousarray(stack, dtype=bool)
-    out = np.empty_like(stack)
-    for g in range(stack.shape[0]):
-        out[g] = closure_one(stack[g])
-    return out
+    """(m, d, d) bool adjacency stack -> (m, d, d) bool reachability stack,
+    by squaring the whole stack at once: each product is a float32 matmul
+    whose entries count two-step paths, at most d, so they are exact."""
+    out = np.array(stack, dtype=bool)
+    edges = np.count_nonzero(out)
+    while True:
+        f = out.astype(np.float32)
+        out |= np.matmul(f, f) > 0
+        # the update only adds edges, so an equal count means an equal stack
+        nxt_edges = np.count_nonzero(out)
+        if nxt_edges == edges:
+            return out
+        edges = nxt_edges
 
 
 # ---------------------------------------------------------------------------

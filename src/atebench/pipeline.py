@@ -40,7 +40,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +508,10 @@ def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, digest: str,
 
     raised = None
     if cfg.workers > 1 and cfg.num_seeds > 1:
+        # imported here: multiprocessing is a sizeable part of a cold start
+        # that a single-worker command never uses
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.num_seeds)) as pool:
             futures = {pool.submit(_seed_worker, t): t[1] for t in tasks}
             for fut in as_completed(futures):

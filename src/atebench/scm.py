@@ -75,12 +75,19 @@ class Dataset:
     def d(self) -> int:
         return self.values.shape[1]
 
+    def constant_column(self) -> str | None:
+        """Label of the first column whose values are all equal, or None.
+        Tested by equality: a constant column whose mean is inexact (all 0.1,
+        say) has a tiny nonzero standard deviation."""
+        const = (self.values == self.values[0]).all(axis=0)
+        return self.column_labels[int(np.argmax(const))] if const.any() else None
+
     def standardized(self) -> "Dataset":
         """Column-wise z-scoring; provenance records the transform."""
+        if self.constant_column() is not None:
+            raise SchemaError("cannot standardize a constant column")
         mu = self.values.mean(axis=0)
         sd = self.values.std(axis=0)
-        if np.any(sd == 0.0):
-            raise SchemaError("cannot standardize a constant column")
         return Dataset((self.values - mu) / sd, self.column_labels, self.provenance + "|standardized")
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from atebench.discovery import (
     BicScore,
@@ -16,6 +17,7 @@ from atebench.discovery import (
     save_posterior,
     uniform_posterior,
 )
+from atebench.discovery.citest import _ndtri
 from atebench.errors import (
     DegenerateDataError,
     ParameterError,
@@ -120,12 +122,60 @@ def test_fisher_z_rejects_constant_column():
     assert "c0" in str(err.value)
 
 
+def inexact_constant_data(value, n):
+    """A normal column, then a constant one whose mean is not exactly its
+    value, so its standard deviation is tiny but not zero."""
+    values = np.column_stack([np.random.default_rng(n).normal(size=n), np.full(n, value)])
+    return Dataset(values, ["z", "c"], "t")
+
+
+@pytest.mark.parametrize("n", [50, 200, 500])
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+def test_fisher_z_rejects_a_constant_column_with_an_inexact_mean(value, n):
+    with pytest.raises(DegenerateDataError, match="^constant column 'c'$"):
+        FisherZTester(inexact_constant_data(value, n), alpha=0.05)
+
+
+@pytest.mark.parametrize("n", [50, 200, 500])
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+def test_bic_rejects_a_constant_column_with_an_inexact_mean(value, n):
+    with pytest.raises(DegenerateDataError, match="^column 'c' has zero variance$"):
+        BicScore(inexact_constant_data(value, n))
+
+
+def ulp_neighbours(x, k=4):
+    """x and the k floats on either side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return [float(v) for v in out]
+
+
+def test_the_quantile_port_equals_scipy_ndtri_bit_for_bit():
+    rng = np.random.default_rng(19)
+    ps = np.concatenate([
+        rng.random(100_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+    ]).tolist()
+    # both sides of each region boundary: y = exp(-2) switches from the
+    # central rational to the tail, y = exp(-32) (x = 8) between the tails
+    for y in (math.exp(-2.0), math.exp(-32.0)):
+        ps += ulp_neighbours(y) + ulp_neighbours(1.0 - y)
+    ps += [0.5, 1e-300, 5e-324, 0.0, 1.0]
+    assert np.array_equal([_ndtri(p) for p in ps], ndtri(np.array(ps)))
+
+
 def test_fisher_z_threshold_is_the_normal_quantile_bit_for_bit():
     _, data = collider_data(n=50)
-    alphas = np.concatenate([[1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999999],
+    alphas = np.concatenate([[1e-13, 1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999999],
                              np.random.default_rng(0).uniform(0.0, 1.0, size=500)])
     for alpha in alphas.tolist():
-        assert FisherZTester(data, alpha).threshold == float(stats.norm.ppf(1.0 - alpha / 2.0)), alpha
+        threshold = FisherZTester(data, alpha).threshold
+        assert threshold == float(ndtri(1.0 - alpha / 2.0)), alpha
+        assert threshold == float(stats.norm.ppf(1.0 - alpha / 2.0)), alpha
 
 
 def test_fisher_z_rejects_variables_outside_the_data_and_repeated_ones():

@@ -68,6 +68,31 @@ def test_closure_batch_matches_floyd_warshall():
         assert np.array_equal(got[k], reach)
 
 
+def test_closure_batch_equals_closure_one_per_graph():
+    rng = np.random.default_rng(13)
+    for d in range(2, 51):
+        most = min(2 * d, d * (d - 1) // 2)
+        graphs = [random_er_dag(d, int(rng.integers(0, most + 1)), seed=int(rng.integers(1 << 30)))
+                  for _ in range(4)]
+        stack = np.stack([g.adjacency for g in graphs])
+        got = kernels.transitive_closure_batch(stack)
+        assert got.dtype == bool and got.shape == stack.shape
+        for k in range(len(graphs)):
+            assert np.array_equal(got[k], kernels.closure_one(stack[k])), (d, k)
+
+
+def test_closure_batch_of_empty_graphs_and_the_longest_chain():
+    empty = np.zeros((3, 7, 7), dtype=bool)
+    assert not kernels.transitive_closure_batch(empty).any()
+    assert kernels.transitive_closure_batch(np.zeros((0, 5, 5), dtype=bool)).shape == (0, 5, 5)
+    # a 50-node chain, the longest path at the largest d, beside an empty graph
+    chain = np.eye(50, k=1, dtype=bool)
+    got = kernels.transitive_closure_batch(np.stack([chain, np.zeros_like(chain)]))
+    assert np.array_equal(got[0], np.triu(np.ones((50, 50), dtype=bool), k=1))
+    assert np.array_equal(got[0], kernels.closure_one(chain))
+    assert not got[1].any()
+
+
 # --- local BIC score -------------------------------------------------------
 
 

@@ -207,3 +207,13 @@ def test_standardized_rejects_constant_column():
     data = Dataset(np.column_stack([np.ones(5), np.arange(5.0)]), ["a", "b"], "t")
     with pytest.raises(SchemaError):
         data.standardized()
+
+
+@pytest.mark.parametrize("n", [50, 200, 500])
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+def test_standardized_rejects_a_constant_column_with_an_inexact_mean(value, n):
+    # the column's mean is not exactly its value, so its std is not 0
+    values = np.column_stack([np.arange(float(n)), np.full(n, value)])
+    assert values.std(axis=0)[1] > 0.0
+    with pytest.raises(SchemaError, match="^cannot standardize a constant column$"):
+        Dataset(values, ["a", "b"], "t").standardized()
