@@ -191,7 +191,7 @@ def _distinct_dags(dag_bag):
     """(stack, first, weights) of the bag's distinct adjacencies in order of
     first appearance: their (u, d, d) bool stack, the bag index of each one's
     first copy, and each one's summed weight, added in bag order."""
-    stack = np.stack([g.adjacency for g in dag_bag.dags])
+    stack = dag_bag.stack
     m = stack.shape[0]
     first, inv = unique_rows(np.packbits(stack.reshape(m, -1), axis=1))
     order = np.argsort(first)

@@ -8,9 +8,8 @@ import numpy as np
 
 from .. import kernels
 from ..errors import ParameterError
-from ..graphs import Dag
 from ..scm import Dataset
-from .posterior import PosteriorSample, uniform_posterior
+from .posterior import PosteriorSample
 from .score import centered_gram
 
 logger = logging.getLogger(__name__)
@@ -48,7 +47,7 @@ def structure_mcmc(
         raise ParameterError(
             f"no samples kept: steps={steps}, burn_in={burn_in}, thin={thin}"
         )
-    dags = [Dag(data.column_labels, samples[k]) for k in range(samples.shape[0])]
+    kept = samples.shape[0]
     logger.info(
         "structure_mcmc: d=%d n=%d steps=%d accepted=%d (%.1f%%) kept=%d thin=%d",
         data.d,
@@ -56,7 +55,9 @@ def structure_mcmc(
         steps,
         accepted,
         100.0 * accepted / steps,
-        len(dags),
+        kept,
         thin,
     )
-    return uniform_posterior(dags, "mcmc", seed)
+    # every state the chain visits is acyclic, so the samples need no check
+    weights = np.full(kept, 1.0 / kept)
+    return PosteriorSample._of_stack(samples, data.column_labels, weights, "mcmc", seed)

@@ -1,5 +1,11 @@
 """Posterior samples over DAGs and their one on-disk format.
 
+A bag holds its graphs as one read-only ``(m, d, d)`` bool ``stack`` of
+adjacency matrices (entry ``[k, i, j]`` is the edge i -> j of graph k) over
+shared node ``labels``, with one weight per graph.  The ATE sweep, the writer
+and the loader work on the stack; ``.dags`` builds a ``Dag`` per graph each
+time it is read.
+
 Every bag of DAGs is stored as one multi-graph text file: the built-in
 methods' samples, the true equivalence class (``mec.txt``, tag ``true-mec``,
 uniform weights) and externally produced posteriors alike.  The method tag
@@ -23,8 +29,9 @@ import re
 
 import numpy as np
 
-from ..errors import ParameterError, SchemaError, ValidationError
-from ..graphs import Dag, format_edgelist, parse_dag_edgelist
+from ..errors import ParameterError, SchemaError, StructuralError, ValidationError
+from ..graphs import Dag, _check_labels, _node_labels, parse_dag_edgelist
+from ..kernels import transitive_closure_batch
 
 logger = logging.getLogger(__name__)
 
@@ -35,22 +42,36 @@ _METHOD_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 
 
 class PosteriorSample:
-    """A weighted bag of DAGs approximating P(G | D)."""
+    """A weighted bag of DAGs approximating P(G | D): a read-only
+    ``(m, d, d)`` bool ``stack`` over ``labels``, and ``weights``."""
 
-    __slots__ = ("dags", "weights", "method_tag", "seed")
+    __slots__ = ("stack", "labels", "weights", "method_tag", "seed")
 
     def __init__(self, dags, weights, method_tag: str, seed: int):
         dags = list(dags)
         if not dags:
             raise ParameterError("posterior sample must contain at least one DAG")
-        labels = dags[0].labels
         for g in dags:
             if not isinstance(g, Dag):
                 raise ParameterError("posterior entries must be DAGs")
-            if g.labels != labels:
+            if g.labels != dags[0].labels:
                 raise SchemaError("posterior DAGs disagree on node labels")
+        self._fill(np.stack([g.adjacency for g in dags]), dags[0].labels, weights, method_tag, seed)
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray, labels, weights, method_tag: str, seed: int):
+        """The bag of a fresh ``(m, d, d)`` bool stack whose rows the caller
+        has checked to be DAGs; the stack is frozen, not copied."""
+        ps = object.__new__(cls)
+        ps._fill(stack, labels, weights, method_tag, seed)
+        return ps
+
+    def _fill(self, stack, labels, weights, method_tag, seed) -> None:
+        labels = _check_labels(labels)
+        if stack.dtype != bool or stack.shape[1:] != (len(labels), len(labels)):
+            raise ParameterError("stack must be (m, d, d) bool over the labels")
         w = np.asarray(weights, dtype=float).copy()
-        if w.shape != (len(dags),):
+        if w.shape != (stack.shape[0],):
             raise ParameterError("weights length must match DAG count")
         if np.any(w <= 0):
             raise ParameterError("weights must be strictly positive")
@@ -62,18 +83,21 @@ class PosteriorSample:
                 f"method tag {method_tag!r} must match {_METHOD_TAG.pattern}, "
                 "since it names the method's files"
             )
+        stack.setflags(write=False)
         w.setflags(write=False)
-        self.dags = dags
+        self.stack = stack
+        self.labels = labels
         self.weights = w
         self.method_tag = method_tag
         self.seed = int(seed)
 
     @property
-    def labels(self):
-        return self.dags[0].labels
+    def dags(self) -> list[Dag]:
+        """One ``Dag`` per graph, in bag order, built on each access."""
+        return [Dag._of_checked(self.labels, a) for a in self.stack]
 
     def __len__(self) -> int:
-        return len(self.dags)
+        return self.stack.shape[0]
 
     def __repr__(self) -> str:
         return f"PosteriorSample(m={len(self)}, method={self.method_tag!r}, seed={self.seed})"
@@ -101,35 +125,33 @@ def _normalized(weights, source: str) -> np.ndarray:
 
 
 def save_posterior(ps: PosteriorSample, path) -> None:
+    labels = ps.labels
+    nodes = "nodes: " + ",".join(labels) + "\n"
+    k, i, j = np.nonzero(ps.stack)
+    edges = [f"{labels[a]} -> {labels[b]}\n" for a, b in zip(i.tolist(), j.tolist())]
+    bounds = np.searchsorted(k, np.arange(len(ps) + 1)).tolist()
+    parts = [f"posterior method={ps.method_tag} seed={ps.seed}\n"]
+    for g, w in enumerate(ps.weights.tolist()):
+        parts += [f"graph {g} weight {w!r}\n", nodes, *edges[bounds[g]:bounds[g + 1]], "\n"]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"posterior method={ps.method_tag} seed={ps.seed}\n")
-        for k, (g, w) in enumerate(zip(ps.dags, ps.weights)):
-            fh.write(f"graph {k} weight {float(w)!r}\n")
-            fh.write(format_edgelist(g))
-            fh.write("\n")
+        fh.write("".join(parts))
 
 
-def _load_posterior_file(path) -> PosteriorSample:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _scan(lines, path, weights: list[float], blocks: list[list[str]]) -> tuple[str, int]:
+    """(method tag, seed) of a posterior file's lines.  Appends each graph
+    line's weight to ``weights`` and its stripped edge-list lines, when it
+    has any, to ``blocks``.  Raises SchemaError at the first malformed line,
+    with the blocks before it appended (a graph line closes the open one)."""
     method_tag = "external"
     seed = 0
-    dags: list[Dag] = []
-    weights: list[float] = []
-    block: list[str] = []
-
-    def flush():
-        if block:
-            dags.append(parse_dag_edgelist("\n".join(block), source=f"{path}#graph{len(dags)}"))
-            block.clear()
-
     seen_header = False
+    block: list[str] = []
     for ln in lines:
         stripped = ln.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("posterior "):
-            if seen_header or dags or block:
+            if seen_header or blocks or block:
                 raise SchemaError(f"{path}: stray posterior header line")
             seen_header = True
             for part in stripped.split()[1:]:
@@ -147,7 +169,9 @@ def _load_posterior_file(path) -> PosteriorSample:
                     raise SchemaError(f"{path}: unknown posterior header field {key!r}")
             continue
         if stripped.startswith("graph "):
-            flush()
+            if block:
+                blocks.append(block)
+                block = []
             parts = stripped.split()
             if len(parts) != 4 or parts[2] != "weight":
                 raise SchemaError(f"{path}: malformed graph line {stripped!r}")
@@ -163,13 +187,80 @@ def _load_posterior_file(path) -> PosteriorSample:
         if not weights:
             raise SchemaError(f"{path}: edge-list content before any graph line")
         block.append(stripped)
-    flush()
-    if len(dags) != len(weights):
-        raise SchemaError(f"{path}: graph line without an edge list")
-    if not dags:
-        raise ValidationError(f"{path}: posterior file contains no graphs")
+    if block:
+        blocks.append(block)
+    return method_tag, seed
+
+
+def _stack_of(blocks: list[list[str]]):
+    """(stack, labels) of edge-list blocks when every one is a DAG over the
+    first one's labels; None when any is not, or is over other labels."""
+    def labels_of(nodes: str):
+        try:
+            return _node_labels(nodes) if nodes.startswith("nodes:") else None
+        except StructuralError:
+            return None
+
+    head = blocks[0][0] if blocks else ""
+    labels = labels_of(head)
+    if labels is None:
+        return None
+    d = len(labels)
+    index = {lab: k for k, lab in enumerate(labels)}
+    cells: dict[str, int] = {}  # edge line -> its cell i * d + j, or -1 if it is no DAG edge
+
+    def cell(line: str) -> int:
+        a, arrow, b = line.partition("->")
+        i, j = index.get(a.strip()), index.get(b.strip())
+        return i * d + j if arrow and i is not None and j is not None and i != j else -1
+
+    flat = []
+    for k, block in enumerate(blocks):
+        if block[0] != head and labels_of(block[0]) != labels:
+            return None
+        base = k * d * d
+        for line in block[1:]:
+            c = cells.get(line)
+            if c is None:
+                c = cells[line] = cell(line)
+            if c < 0:
+                return None
+            flat.append(base + c)
+    stack = np.zeros((len(blocks), d, d), dtype=bool)
+    stack.reshape(-1)[flat] = True
+    # a cycle, an edge listed both ways included, reaches its own start
+    if transitive_closure_batch(stack).diagonal(axis1=1, axis2=2).any():
+        return None
+    return stack, labels
+
+
+def _load_posterior_file(path) -> PosteriorSample:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    weights: list[float] = []
+    blocks: list[list[str]] = []
     try:
-        return PosteriorSample(dags, _normalized(weights, str(path)), method_tag, seed)
+        method_tag, seed = _scan(lines, path, weights, blocks)
+        failure = None
+    except SchemaError as exc:
+        failure = exc
+    parsed = None if failure is not None else _stack_of(blocks)
+    if parsed is None:
+        # graph by graph in file order: the first bad graph raises its own
+        # error before any later malformed line does
+        dags = [parse_dag_edgelist("\n".join(b), source=f"{path}#graph{k}")
+                for k, b in enumerate(blocks)]
+        if failure is not None:
+            raise failure
+    if len(blocks) != len(weights):
+        raise SchemaError(f"{path}: graph line without an edge list")
+    if not blocks:
+        raise ValidationError(f"{path}: posterior file contains no graphs")
+    weights = _normalized(weights, str(path))
+    try:
+        if parsed is None:
+            return PosteriorSample(dags, weights, method_tag, seed)
+        return PosteriorSample._of_stack(*parsed, weights, method_tag, seed)
     except ParameterError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

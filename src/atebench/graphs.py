@@ -10,6 +10,7 @@ of ``adj[i]`` any edge; Python ints are unbounded, so masks fit any d.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import os
 
@@ -43,12 +44,17 @@ def _rows(a: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[k * width:(k + 1) * width], "little") for k in range(len(packed))]
 
 
+def _packed(rows: list[int], d: int) -> bytes:
+    """Row masks of d bits as bytes, ceil(d / 8) little-endian bytes a row."""
+    width = (d + 7) // 8
+    return b"".join(r.to_bytes(width, "little") for r in rows)
+
+
 def _dense(rows: list[int]) -> np.ndarray:
     """The boolean matrix whose row masks are ``rows``."""
     d = len(rows)
-    width = (d + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(d, width), axis=1, count=d, bitorder="little").view(bool)
+    packed = np.frombuffer(_packed(rows, d), dtype=np.uint8).reshape(d, -1)
+    return np.unpackbits(packed, axis=1, count=d, bitorder="little").view(bool)
 
 
 def _bits(mask: int) -> list[int]:
@@ -121,7 +127,10 @@ def _meek(ch: list[int], pa: list[int], un: list[int], on_conflict: str) -> int:
     and R2 fire in row-major order on the pairs that qualified at the sweep's
     start; R3 and R4 read live orientations (the adjacency never changes),
     and R4 moves to the next ``a`` after a firing.  The order fixes the
-    conflicts, which ``on_conflict="skip"`` counts and ignores.
+    conflicts, which ``on_conflict="skip"`` counts and ignores.  Reading the
+    sweep-start ``un[a]`` in R3, or ``pa[b]`` in R4, gives the same result
+    and conflict count on every PDAG of at most 5 nodes (all 4**10 on 5
+    nodes were checked, under both policies).
     """
     adj = _adjacency(ch, pa, un)
     conflicts = 0
@@ -239,6 +248,20 @@ def _check_labels(labels) -> tuple[str, ...]:
         raise StructuralError("at least one node required")
     if len(set(labels)) != len(labels):
         raise StructuralError("node labels must be unique")
+    # the edge-list format strips every field, reads a line that starts with
+    # "#" as a comment and splits on ",", "->" and "--"; identifiers have none
+    for lab in itertools.filterfalse(str.isidentifier, labels):
+        if (
+            len(lab.splitlines()) != 1
+            or lab != lab.strip()
+            or lab.startswith("#")
+            or any(sep in lab for sep in (",", "->", "--"))
+        ):
+            raise StructuralError(
+                f"node label {lab!r} cannot be written in the edge-list format: a label "
+                "is one line with no surrounding whitespace, no leading '#' and no "
+                "',', '->' or '--'"
+            )
     return labels
 
 
@@ -260,6 +283,15 @@ class Dag:
             raise CyclicGraphError("adjacency matrix contains a directed cycle")
         a.setflags(write=False)
         self.adjacency = a
+
+    @classmethod
+    def _of_checked(cls, labels: tuple[str, ...], adjacency: np.ndarray) -> "Dag":
+        """A Dag over labels and a read-only adjacency that were already
+        checked together, as the rows of a posterior's stack are."""
+        g = object.__new__(cls)
+        g.labels = labels
+        g.adjacency = adjacency
+        return g
 
     @property
     def num_nodes(self) -> int:
@@ -410,14 +442,18 @@ def format_edgelist(g: Dag | Cpdag) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_labels(line: str) -> tuple[str, ...]:
+    """The checked labels of a ``nodes:`` line."""
+    return _check_labels(x.strip() for x in line[len("nodes:"):].split(",") if x.strip())
+
+
 def _parse_edgelist_text(text: str, source: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("nodes:"):
         raise SchemaError(f"{source}: first line must be 'nodes: <labels>'")
-    labels = [x.strip() for x in lines[0][len("nodes:"):].split(",") if x.strip()]
     try:
-        labels = _check_labels(labels)
+        labels = _node_labels(lines[0])
     except StructuralError as exc:
         raise SchemaError(f"{source}: {exc}") from exc
     index = {lab: k for k, lab in enumerate(labels)}

@@ -459,3 +459,15 @@ def test_uniform_posterior_validates_inputs():
     assert np.allclose(ps.weights, 1 / 3)
     with pytest.raises(ParameterError):
         uniform_posterior([], "tag", seed=5)
+
+
+def test_a_bag_is_one_read_only_stack_and_builds_its_dags_on_access():
+    g, h = random_er_dag(5, 6, seed=1), random_er_dag(5, 6, seed=2)
+    ps = uniform_posterior([g, h, g], "tag", seed=0)
+    assert ps.stack.shape == (3, 5, 5) and ps.stack.dtype == bool
+    assert ps.labels == g.labels and len(ps) == 3
+    with pytest.raises(ValueError):
+        ps.stack[0, 0, 1] = True
+    dags = ps.dags
+    assert dags == [g, h, g] and dags is not ps.dags
+    assert not any(dag.adjacency.flags.writeable for dag in dags)

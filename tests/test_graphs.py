@@ -271,3 +271,38 @@ def test_edgelist_parser_rejects_garbage_line():
 def test_dag_parser_rejects_undirected_edge():
     with pytest.raises(SchemaError):
         parse_dag_edgelist("nodes: a,b\na -- b\n")
+
+
+# labels the edge-list format cannot carry: a leading "#" turns an edge line
+# into a comment, "," splits the nodes line, "->" and "--" split an edge line,
+# fields are stripped and every record is one line
+UNWRITABLE_LABELS = ["#x", " x", "x ", "\tx", "a,b", "a->b", "a--b", "", "a\nb"]
+
+
+@pytest.mark.parametrize("label", UNWRITABLE_LABELS)
+def test_graphs_refuse_a_label_the_edge_list_cannot_carry(label):
+    adj = np.zeros((2, 2), dtype=bool)
+    adj[0, 1] = True
+    with pytest.raises(StructuralError, match="cannot be written in the edge-list format"):
+        Dag([label, "y"], adj)
+    with pytest.raises(StructuralError, match="cannot be written in the edge-list format"):
+        Cpdag([label, "y"], adj, np.zeros_like(adj))
+
+
+@pytest.mark.parametrize("label", ["#x", "a->b", "a--b"])
+def test_edgelist_parser_refuses_a_label_the_format_cannot_carry(label, tmp_path):
+    # the labels a nodes line can spell; "#x" used to parse as a graph with
+    # no edges, its edge line read as a comment
+    text = f"nodes: {label},y\n{label} -> y\n"
+    with pytest.raises(SchemaError, match="cannot be written in the edge-list format"):
+        parse_dag_edgelist(text)
+    (tmp_path / "g.txt").write_text(text)
+    with pytest.raises(SchemaError, match="cannot be written in the edge-list format"):
+        load_dag(tmp_path / "g.txt")
+
+
+def test_labels_with_inner_spaces_and_other_marks_still_round_trip():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[2, 1] = True
+    g = Dag(["a b", "x#1", "-y>"], adj)
+    assert parse_dag_edgelist(format_edgelist(g)) == g

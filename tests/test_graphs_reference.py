@@ -1,15 +1,22 @@
 """The int-bitmask PDAG core against the dense reference it replaced."""
 
+import inspect
+import itertools
+import textwrap
+
 import numpy as np
 import pytest
 
 import graphs_reference as ref
+from atebench import graphs
 from atebench.errors import ExtensionError, MecCapacityError, OrientationConflictError
 from atebench.graphs import (
     Dag,
     _dense,
     _extend,
+    _meek,
     _rows,
+    _transpose,
     consistent_extension,
     topological_order,
     v_structures,
@@ -147,3 +154,71 @@ def test_the_mask_core_is_exact_past_64_nodes():
     got = meek_close(directed, undirected, "skip")
     want = ref._meek_close(directed, undirected, "skip")
     assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
+
+
+def _meek_copy(old, new):
+    """``graphs._meek`` with one fragment of its source replaced."""
+    src = textwrap.dedent(inspect.getsource(graphs._meek))
+    assert src.count(old) == 1, old
+    scope = {}
+    exec(src.replace(old, new), dict(vars(graphs)), scope)
+    return scope["_meek"]
+
+
+def _every_pdag(d):
+    """(ch, un) masks of every PDAG on d nodes: each pair absent, directed
+    either way or undirected."""
+    pairs = list(itertools.combinations(range(d), 2))
+    for states in itertools.product(range(4), repeat=len(pairs)):
+        ch, un = [0] * d, [0] * d
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                ch[i] |= 1 << j
+            elif state == 2:
+                ch[j] |= 1 << i
+            elif state == 3:
+                un[i] |= 1 << j
+                un[j] |= 1 << i
+        yield ch, un
+
+
+def test_meek_r3_and_r4_read_live_or_sweep_start_masks_alike_up_to_5_nodes():
+    # R3 may read un[a] and R4 pa[b] live or as they were when the sweep
+    # began: no PDAG on at most 4 nodes (here) or 5 nodes (checked once, all
+    # 4**10 of them) tells the readings apart, under either conflict policy
+    variants = [
+        _meek_copy("for b in _bits(un[a]):\n                cands = un[a] & pa[b]",
+                   "for b in _bits(un0[a]):\n                cands = un0[a] & pa[b]"),
+        _meek_copy("if any(ch[c] & pa[b] for", "if any(ch[c] & pa0[b] for"),
+    ]
+
+    def outcome(meek, ch, un, policy):
+        ch, un = ch[:], un[:]
+        pa = _transpose(ch)
+        try:
+            conflicts = meek(ch, pa, un, policy)
+        except OrientationConflictError as exc:
+            return str(exc)
+        return ch, pa, un, conflicts
+
+    # copies without R3 or without R4: each must differ somewhere, so the
+    # corpus does reach both rules
+    without = [
+        _meek_copy("cands = un[a] & pa[b]", "cands = 0"),
+        _meek_copy("if any(ch[c] & pa[b] for", "if False and any(ch[c] & pa[b] for"),
+    ]
+    raised = conflicts = 0
+    reached = [0, 0]
+    for d in range(2, 5):
+        for ch, un in _every_pdag(d):
+            for policy in ("skip", "raise"):
+                want = outcome(_meek, ch, un, policy)
+                for variant in variants:
+                    assert outcome(variant, ch, un, policy) == want, (d, ch, un, policy)
+                if isinstance(want, str):
+                    raised += 1
+                else:
+                    conflicts += want[3]
+                for k, mutant in enumerate(without):
+                    reached[k] += outcome(mutant, ch, un, policy) != want
+    assert raised and conflicts and all(reached)

@@ -100,3 +100,23 @@ def test_traced_bootstrap_pc_counts_the_tests_of_the_reference_loop(monkeypatch,
     assert layers["pc.fits"] > 0 and layers["pc.fits"] == expected["pc.fits"]
     assert layers["citest.tests"] > 0
     assert layers["citest.tests"] == expected["citest.tests"]
+
+
+def test_a_traced_staged_run_records_every_posterior_and_mec_span(tmp_path):
+    # the tracer times posterior and MEC work only through the pipeline names
+    # it wraps; a call that bypassed them would leave these layers at zero
+    import workloads
+
+    study = workloads.build("pc-staged", 3, tmp_path / "inputs", toy=True)
+    tracer = tracing.Tracer(0)
+    t0 = time.perf_counter()
+    with tracing.installed(tracer):
+        workloads.run(study, tmp_path / "run")
+    layers = tracing.layer_metrics(tracer, time.perf_counter() - t0)
+    names = {s["name"] for s in tracer.spans}
+    for name in ("posterior.save_posterior", "posterior.load_external_posterior",
+                 "mec.enumerate_mec", "mec.save_mec"):
+        assert name in names, name
+    for layer in ("posterior.save_s", "posterior.load_s", "mec.members", "mec.enumerate_s"):
+        assert layers[layer] > 0, layer
+    assert (tmp_path / "run" / "report" / "run_report.csv").is_file()

@@ -70,3 +70,15 @@ def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
     want = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG)[AteQuery(0, 1)]
     assert scope["values"].tobytes() == want.values.tobytes()
     assert scope["weights"].tobytes() == want.weights.tobytes()
+
+
+def test_the_python_api_bag_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = [b for b in re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+                if "enum.stack" in b]
+    scope = {}
+    exec(block, scope)
+    enum = scope["enum"]
+    assert capsys.readouterr().out == f"{len(enum)} {enum.stack.shape}\n"
+    assert scope["first"] == enum.dags[0]
