@@ -274,10 +274,6 @@ def parse_config_values(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    return ExperimentConfig(**parse_config_values(text, source)).validate()
-
-
 def read_config_values(path) -> dict:
     """parse_config_values of a config file."""
     try:

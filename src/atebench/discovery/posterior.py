@@ -150,7 +150,10 @@ def _scan(lines, path, weights: list[float], blocks: list[list[str]]) -> tuple[s
         stripped = ln.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("posterior "):
+        # an edge line may start with a label "graph" or "posterior"; no
+        # header holds "->", since ">" is outside the method-tag alphabet
+        edge = "->" in stripped
+        if not edge and stripped.startswith("posterior "):
             if seen_header or blocks or block:
                 raise SchemaError(f"{path}: stray posterior header line")
             seen_header = True
@@ -168,7 +171,7 @@ def _scan(lines, path, weights: list[float], blocks: list[list[str]]) -> tuple[s
                 else:
                     raise SchemaError(f"{path}: unknown posterior header field {key!r}")
             continue
-        if stripped.startswith("graph "):
+        if not edge and stripped.startswith("graph "):
             if block:
                 blocks.append(block)
                 block = []

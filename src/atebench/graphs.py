@@ -25,7 +25,6 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .kernels import closure_one
 
 logger = logging.getLogger(__name__)
 
@@ -386,11 +385,6 @@ class Cpdag:
         nd = int(self.directed.sum())
         nu = len(self.undirected_edges())
         return f"Cpdag(d={self.num_nodes}, directed={nd}, undirected={nu})"
-
-
-def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
-    """Reachability by paths of length >= 1, via boolean-matrix squaring."""
-    return closure_one(_check_square(adjacency))
 
 
 def v_structures(g: Dag) -> set[tuple[int, int, int]]:

@@ -78,22 +78,10 @@ def _solve(a, b):
 # ---------------------------------------------------------------------------
 
 
-def closure_one(adj):
-    """Reachability by paths of length >= 1 of one (d, d) bool adjacency,
-    via boolean-matrix squaring; always a new array."""
-    out, edges = adj, np.count_nonzero(adj)
-    while True:
-        nxt = out | (out @ out)
-        # nxt contains out, so an equal count means an equal matrix
-        nxt_edges = np.count_nonzero(nxt)
-        if nxt_edges == edges:
-            return nxt
-        out, edges = nxt, nxt_edges
-
-
 def transitive_closure_batch(stack) -> np.ndarray:
-    """(m, d, d) bool adjacency stack -> (m, d, d) bool reachability stack,
-    by squaring the whole stack at once: each product is a float32 matmul
+    """Reachability by paths of length >= 1: a (m, d, d) bool adjacency
+    stack, or one (d, d) adjacency, to a new bool array of the same shape.
+    The whole input is squared at once: each product is a float32 matmul
     whose entries count two-step paths, at most d, so they are exact."""
     out = np.array(stack, dtype=bool)
     edges = np.count_nonzero(out)
@@ -294,7 +282,7 @@ def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms)
     offdiag = ~np.eye(d, dtype=np.bool_)
     masks = [0] * d
     local = [_local_bic(gram, n_rows, k, 0, cache) for k in range(d)]
-    cum = _move_cum(adj, closure_one(adj), offdiag)
+    cum = _move_cum(adj, transitive_closure_batch(adj), offdiag)
     n_moves = int(cum[-1])
     accepted = 0
     rec = 0
@@ -315,7 +303,7 @@ def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms)
             adj[mi, mj] = kind == 0
             if kind == 2:
                 adj[mj, mi] = True
-            cum2 = _move_cum(adj, closure_one(adj), offdiag)
+            cum2 = _move_cum(adj, transitive_closure_batch(adj), offdiag)
             n_moves2 = int(cum2[-1])
             log_alpha = delta + math.log(n_moves) - math.log(n_moves2)
             if math.log(max(u_accept, 1e-300)) < log_alpha:

@@ -1,4 +1,4 @@
-"""CPDAG computation and full enumeration of a DAG's Markov equivalence class.
+"""Full enumeration of a DAG's Markov equivalence class, branching on its CPDAG.
 
 The class is a uniform posterior bag tagged ``true-mec``: its members are the
 rows of one bool ``stack``, and ``members`` builds a ``Dag`` per row when it
@@ -13,11 +13,9 @@ import numpy as np
 from .discovery.posterior import PosteriorSample, save_posterior
 from .errors import MecCapacityError, ParameterError
 from .graphs import (
-    Cpdag,
     Dag,
     _adjacency,
     _complete,
-    _dense,
     _direct,
     _kahn,
     _meek,
@@ -59,17 +57,6 @@ class MecEnumeration(PosteriorSample):
 
     def __repr__(self) -> str:
         return f"MecEnumeration(d={self.source.num_nodes}, members={len(self)})"
-
-
-def cpdag_of(g: Dag) -> Cpdag:
-    """The completed PDAG of g: v-structure edges kept directed, the rest
-    oriented only where the Meek rules compel them.
-
-    Kept without a caller in the package: a documented MEC utility of the
-    public API.
-    """
-    ch, _, un = _complete(_rows(g.adjacency))
-    return Cpdag(g.labels, _dense(ch), _dense(un))
 
 
 def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping, Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ate import AteAtoms, AteQuery, AteSampleSet
+from .ate import AteAtoms, AteQuery
 from .errors import AggregationError, ParameterError, SchemaError
 
 DEFAULT_FILTER_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
@@ -36,66 +35,6 @@ class RegroupConfig:
 
     def __repr__(self) -> str:
         return f"RegroupConfig(rtol={self.rtol}, atol={self.atol})"
-
-
-class ModeSet:
-    """Distinct value groups of a weighted sample, each with its mass.
-
-    Representatives are strictly increasing and masses sum to 1.  The empty
-    ModeSet is the sentinel for "every mode fell below the filter tolerance";
-    metrics on it are undefined.
-    """
-
-    __slots__ = ("representatives", "masses")
-
-    def __init__(self, representatives, masses):
-        r = np.array(representatives, dtype=float)
-        m = np.array(masses, dtype=float)
-        if r.ndim != 1 or r.shape != m.shape:
-            raise ParameterError("representatives and masses must be equal-length vectors")
-        if r.size:
-            if not (r[1:] > r[:-1]).all():
-                raise ParameterError("representatives must be strictly increasing")
-            if (m <= 0).any():
-                raise ParameterError("masses must be strictly positive")
-            if abs(m.sum() - 1.0) > 1e-9:
-                raise ParameterError(f"masses must sum to 1, got {m.sum()!r}")
-        r.setflags(write=False)
-        m.setflags(write=False)
-        self.representatives = r
-        self.masses = m
-
-    @classmethod
-    def _view(cls, representatives, masses) -> "ModeSet":
-        """A set over read-only arrays that were built valid elsewhere."""
-        s = cls.__new__(cls)
-        s.representatives, s.masses = representatives, masses
-        return s
-
-    @property
-    def modes(self) -> list[tuple[float, float]]:
-        return list(zip(self.representatives.tolist(), self.masses.tolist()))
-
-    @property
-    def is_empty(self) -> bool:
-        """Kept for the ``tests/metrics_reference.py`` oracle, which reads it."""
-        return self.representatives.size == 0
-
-    def __len__(self) -> int:
-        return int(self.representatives.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModeSet):
-            return NotImplemented
-        return np.array_equal(self.representatives, other.representatives) and np.array_equal(
-            self.masses, other.masses
-        )
-
-    def __hash__(self):
-        return hash((self.representatives.tobytes(), self.masses.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ModeSet(k={len(self)})"
 
 
 class ModeCounts(NamedTuple):
@@ -134,20 +73,13 @@ class PairReport:
         return f"PairReport({self.query!r}, wd={self.wd:.4g})"
 
 
-class PairModes(NamedTuple):
-    query: AteQuery
-    true_modes: ModeSet
-    learned_modes: ModeSet
-
-
-class ModeTable(Sequence):
+class ModeTable:
     """Every pair's true and learned modes, in flat arrays.
 
     Pair p's true modes are ``representatives[offsets[2p]:offsets[2p + 1]]``
     and its learned modes run on to ``offsets[2p + 2]``; ``masses`` holds
     their masses at the same positions.  Pairs are in (treatment, outcome)
-    order.  As a sequence, the table gives each pair's ``PairModes`` over
-    read-only ``ModeSet`` views of the arrays.
+    order.
     """
 
     __slots__ = ("queries", "representatives", "masses", "offsets")
@@ -162,50 +94,11 @@ class ModeTable(Sequence):
         for a in (self.representatives, self.masses, self.offsets):
             a.setflags(write=False)
 
-    @classmethod
-    def of(cls, pair_modes) -> "ModeTable":
-        """The table of a sequence of PairModes (a table is returned as is)."""
-        if isinstance(pair_modes, ModeTable):
-            return pair_modes
-        sides = [ms for pm in pair_modes for ms in (pm.true_modes, pm.learned_modes)]
-        offsets = np.zeros(len(sides) + 1, dtype=np.int64)
-        np.cumsum([len(ms) for ms in sides], out=offsets[1:])
-        return cls(
-            [pm.query for pm in pair_modes],
-            np.concatenate([ms.representatives for ms in sides] or [np.zeros(0)]),
-            np.concatenate([ms.masses for ms in sides] or [np.zeros(0)]),
-            offsets,
-        )
-
     def __len__(self) -> int:
         return len(self.queries)
 
-    def __getitem__(self, p) -> PairModes:
-        q = self.queries[p]
-        lo, mid, hi = self.offsets[2 * (p % len(self)):][:3]
-        r, m = self.representatives, self.masses
-        return PairModes(q, ModeSet._view(r[lo:mid], m[lo:mid]), ModeSet._view(r[mid:hi], m[mid:hi]))
-
-    def __iter__(self):
-        return (self[p] for p in range(len(self)))
-
     def __repr__(self) -> str:
         return f"ModeTable(pairs={len(self)}, modes={self.representatives.size})"
-
-
-def _weighted(x):
-    if isinstance(x, AteSampleSet):
-        return x.values, x.weights
-    v, w = x
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.ndim != 1 or v.shape != w.shape or v.size == 0:
-        raise ParameterError("weighted samples must be equal-length non-empty vectors")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("sample values must be finite")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ParameterError("weights must be positive and sum to 1")
-    return v, w
 
 
 # ---------------------------------------------------------------------------
@@ -462,69 +355,32 @@ def _rates(counts, filtered: bool = False) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 
-def regroup(values, weights, cfg: RegroupConfig) -> ModeSet:
-    """Group numerically close values of a weighted sample into modes.
-
-    Values are sorted, then greedily merged: a value joins the current group
-    while it is close to the group's anchor (its first, smallest value).
-    Each group's representative is its weighted mean; its mass is the summed
-    weight.
-    """
-    v, w = _weighted((values, weights))
-    rep, mass, _ = _regroup(*_sort_segments(v, w, np.zeros(v.size, dtype=np.int64), 1), cfg)
-    return ModeSet(rep, mass)
-
-
-def wasserstein_1d(x, y) -> float:
-    """First Wasserstein distance between two weighted empirical distributions.
-
-    Operates on the raw samples (no regrouping); each argument is an
-    AteSampleSet or a (values, weights) pair.  Kept as the public raw-sample
-    form of the paper's headline metric, which the acceptance tests pin.
-    """
-    (vx, wx), (vy, wy) = _weighted(x), _weighted(y)
-    segment = np.repeat([0, 1], [vx.size, vy.size])
-    v, w, offsets = _sort_segments(np.concatenate([vx, vy]), np.concatenate([wx, wy]), segment, 2)
-    return float(_wasserstein(v, w, offsets)[0])
-
-
-def _flat(sets, queries):
-    """(values, weights, offsets) of the sets' pairs in the order of queries."""
-    if isinstance(sets, AteAtoms):
-        return sets.atom_values, sets.atom_weights, sets.offsets
-    parts = [_weighted(sets[q]) for q in queries]
-    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([v.size for v, _ in parts], out=offsets[1:])
-    if not parts:
-        return np.zeros(0), np.zeros(0), offsets
-    return np.concatenate([v for v, _ in parts]), np.concatenate([w for _, w in parts]), offsets
-
-
 def evaluate_pair_sets(
-    true_sets: Mapping[AteQuery, AteSampleSet],
-    learned_sets: Mapping[AteQuery, AteSampleSet],
+    true_sets: AteAtoms,
+    learned_sets: AteAtoms,
     cfg: RegroupConfig,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
 ) -> tuple[list[PairReport], ModeTable]:
-    """Stage-3 evaluation of every pair, in (treatment, outcome) order: WD on
-    the weighted values, then mode precision/recall before and after
-    low-mass filtering.  The sets are typically two sweeps' ``AteAtoms``,
-    whose pairs are their atoms; all pairs are computed in one array pass,
-    each with the arithmetic it would get alone."""
+    """Stage-3 evaluation of every pair of two sweeps' ``AteAtoms``, the
+    true class's and a method's, in (treatment, outcome) order: WD on each
+    pair's atoms, then mode precision/recall before and after low-mass
+    filtering.  All pairs are computed in one array pass, each with the
+    arithmetic it would get alone; the modes come back as one ``ModeTable``."""
     tols = _tolerances((0.0, filter_tolerance))
-    if isinstance(true_sets, AteAtoms) and isinstance(learned_sets, AteAtoms):
-        same = len(true_sets) == len(learned_sets) and (
-            true_sets.treatment_value_b, true_sets.reference_value_a
-        ) == (learned_sets.treatment_value_b, learned_sets.reference_value_a)
-    else:
-        same = set(true_sets) == set(learned_sets)
-    if not same:
+    if len(true_sets) != len(learned_sets) or (
+        true_sets.treatment_value_b, true_sets.reference_value_a
+    ) != (learned_sets.treatment_value_b, learned_sets.reference_value_a):
         raise AggregationError("true and learned sweeps cover different pairs")
-    queries = sorted(true_sets, key=lambda q: (q.treatment, q.outcome))
-    (tv, tw, to), (lv, lw, lo) = _flat(true_sets, queries), _flat(learned_sets, queries)
+    queries = list(true_sets)
+    to, lo = true_sets.offsets, learned_sets.offsets
     pair = np.arange(len(queries))
     segment = np.concatenate([2 * np.repeat(pair, np.diff(to)), 2 * np.repeat(pair, np.diff(lo)) + 1])
-    v, w, offsets = _sort_segments(np.concatenate([tv, lv]), np.concatenate([tw, lw]), segment, 2 * pair.size)
+    v, w, offsets = _sort_segments(
+        np.concatenate([true_sets.atom_values, learned_sets.atom_values]),
+        np.concatenate([true_sets.atom_weights, learned_sets.atom_weights]),
+        segment,
+        2 * pair.size,
+    )
     wd = _wasserstein(v, w, offsets).tolist()
     table = ModeTable(queries, *_regroup(v, w, offsets, cfg))
     counts = _match_counts(table, cfg, tols)
@@ -628,18 +484,18 @@ def aggregate(reports_by_seed: dict[int, list[PairReport]], method: str) -> Meth
 
 
 def relaxation_rows(
-    modes_by_seed: dict,
+    modes_by_seed: dict[int, ModeTable],
     grid=DEFAULT_FILTER_GRID,
     cfg: RegroupConfig | None = None,
 ) -> list[dict]:
-    """Precision/recall aggregated at each filtering tolerance of the grid;
-    each seed's modes are a ModeTable or a sequence of PairModes."""
+    """Precision/recall aggregated at each filtering tolerance of the grid,
+    from each seed's ``ModeTable``."""
     cfg = cfg or RegroupConfig()
     grid = tuple(grid)
     tols = _tolerances(grid)
     rates = {}  # rates[seed][k]: per-pair (precisions, recalls) at grid[k]
-    for seed, pair_modes in modes_by_seed.items():
-        counts = _match_counts(ModeTable.of(pair_modes), cfg, tols)
+    for seed, table in modes_by_seed.items():
+        counts = _match_counts(table, cfg, tols)
         rates[seed] = [_rates([c[:, k] for c in counts], filtered=True) for k in range(tols.size)]
     rows = []
     for k, tol in enumerate(grid):
@@ -731,11 +587,10 @@ def write_pair_reports_csv(reports: list[PairReport], labels, path) -> None:
             )
 
 
-def write_modes_csv(pair_modes, labels, true_tag: str, learned_tag: str, path) -> None:
-    """Histogram file: one row per (pair, source, mode), plot-ready; the
-    modes are a ModeTable or a sequence of PairModes."""
+def write_modes_csv(table: ModeTable, labels, true_tag: str, learned_tag: str, path) -> None:
+    """Histogram file of a ``ModeTable``: one row per (pair, source, mode),
+    plot-ready."""
     labels = tuple(labels)
-    table = ModeTable.of(pair_modes)
     reps, masses = table.representatives.tolist(), table.masses.tolist()
     offsets = table.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -853,18 +708,22 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
     segment = 2 * np.searchsorted(pairs, key >> 1) + (key & 1)
     offsets = np.zeros(2 * pairs.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(segment, minlength=2 * pairs.size), out=offsets[1:])
-    # ModeSet's checks on every side at once; the first bad pair is named
+    # each side's representatives strictly increase and its masses are
+    # positive and sum to 1; the first bad side names its pair and first rule
     same = segment[1:] == segment[:-1]
     bad = (np.diff(offsets) > 0) & (np.abs(_segment_sums(masses, offsets) - 1.0) > 1e-9)
     bad[segment[1:][same & ~(values[1:] > values[:-1])]] = True
     bad[segment[masses <= 0]] = True
     if bad.any():
-        p = int(np.argmax(bad)) // 2
-        t, y = divmod(int(pairs[p]), len(labels))
-        try:
-            for s in (2 * p, 2 * p + 1):
-                ModeSet(values[offsets[s]:offsets[s + 1]], masses[offsets[s]:offsets[s + 1]])
-        except ParameterError as exc:
-            raise SchemaError(f"{path}: pair ({labels[t]}, {labels[y]}): {exc}") from exc
+        s = int(np.argmax(bad))
+        t, y = divmod(int(pairs[s // 2]), len(labels))
+        r, m = values[offsets[s]:offsets[s + 1]], masses[offsets[s]:offsets[s + 1]]
+        if not (r[1:] > r[:-1]).all():
+            rule = "representatives must be strictly increasing"
+        elif (m <= 0).any():
+            rule = "masses must be strictly positive"
+        else:
+            rule = f"masses must sum to 1, got {m.sum()!r}"
+        raise SchemaError(f"{path}: pair ({labels[t]}, {labels[y]}): {rule}")
     queries = [AteQuery(*divmod(int(k), len(labels))) for k in pairs.tolist()]
     return ModeTable(queries, values, masses, offsets)

@@ -188,19 +188,6 @@ def save_scm(scm: LinearGaussianScm, path) -> None:
         fh.write("\n")
 
 
-def load_scm(path) -> LinearGaussianScm:
-    """Read an SCM written by ``save_scm``: the reader of the ``scm.json`` artifact."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    graph = Dag(payload["node_labels"], np.asarray(payload["adjacency"], dtype=bool))
-    return LinearGaussianScm(
-        graph,
-        np.asarray(payload["weights"], dtype=float),
-        np.asarray(payload["noise_variances"], dtype=float),
-        np.asarray(payload["intercepts"], dtype=float),
-    )
-
-
 def save_dataset(data: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

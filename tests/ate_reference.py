@@ -17,7 +17,8 @@ import logging
 import numpy as np
 
 from atebench.errors import ParameterError, SampleSizeError, SchemaError
-from atebench.graphs import transitive_closure
+
+from graph_helpers import closure_one
 
 RIDGE = 1e-8
 
@@ -61,7 +62,7 @@ def ate_sweep_kernel(gram, stack, closure) -> np.ndarray:
 
 def descendants_matrix(g) -> np.ndarray:
     """Boolean matrix with entry (i, j) true iff a directed path i ~> j exists in g."""
-    return transitive_closure(g.adjacency)
+    return closure_one(g.adjacency)
 
 
 def analytic_total_effect(scm, treatment: int, outcome: int) -> float:

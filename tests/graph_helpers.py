@@ -1,8 +1,11 @@
-"""Dense-matrix views of the PDAG core in ``atebench.graphs`` that only tests use.
+"""Dense-matrix views of the graph core in ``atebench.graphs`` that only tests use.
 
-The package runs the Meek rules on int row masks (``graphs._meek``) and
-parses CPDAG edge lists only to reject them as DAGs; these helpers give
-tests the matrix and ``Cpdag`` forms.
+The package runs the Meek rules on int row masks (``graphs._meek``),
+computes a CPDAG only inside MEC enumeration and GES, and parses CPDAG edge
+lists only to reject them as DAGs; these helpers give tests the matrix and
+``Cpdag`` forms.  ``cpdag_of`` is the tests' CPDAG oracle, and
+``closure_one`` the bool-matrix closure the MCMC chain used before it
+called ``kernels.transitive_closure_batch`` on its adjacency.
 """
 
 from __future__ import annotations
@@ -10,7 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 from atebench.errors import SchemaError
-from atebench.graphs import Cpdag, _dense, _meek, _parse_edgelist_text, _rows, _transpose
+from atebench.graphs import Cpdag, Dag, _complete, _dense, _meek, _parse_edgelist_text, _rows, _transpose
+
+
+def closure_one(adj):
+    """Reachability by paths of length >= 1 of one (d, d) bool adjacency,
+    via boolean-matrix squaring; always a new array."""
+    out, edges = adj, np.count_nonzero(adj)
+    while True:
+        nxt = out | (out @ out)
+        # nxt contains out, so an equal count means an equal matrix
+        nxt_edges = np.count_nonzero(nxt)
+        if nxt_edges == edges:
+            return nxt
+        out, edges = nxt, nxt_edges
+
+
+def cpdag_of(g: Dag) -> Cpdag:
+    """The completed PDAG of g: v-structure edges kept directed, the rest
+    oriented only where the Meek rules compel them."""
+    ch, _, un = _complete(_rows(g.adjacency))
+    return Cpdag(g.labels, _dense(ch), _dense(un))
 
 
 def meek_close(directed: np.ndarray, undirected: np.ndarray, on_conflict: str = "raise"):

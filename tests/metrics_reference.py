@@ -1,4 +1,5 @@
-"""References for the pair metrics in ``atebench.metrics``.
+"""References for the pair metrics in ``atebench.metrics``, and builders
+for the array pass's types.
 
 Two generations of replaced code, each held equal to its successor:
 
@@ -11,27 +12,176 @@ Two generations of replaced code, each held equal to its successor:
   sorted, regrouped by a search per group, matched at every tolerance from
   one closeness matrix, and its WD taken by ``kernels.weighted_wasserstein``.
 
-Tests require the current code to reproduce both exactly.
+Tests require the current code to reproduce both exactly.  The references
+hold one pair's modes as a ``ModeSet`` and a pair's two sides as
+``PairModes``; ``table_of`` and ``pairs_of`` convert between a list of those
+and the package's ``ModeTable``.  ``atoms_of`` builds the ``AteAtoms`` that
+the package evaluates from per-pair samples, and ``evaluate_one`` runs the
+package's array pass on a single pair.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from atebench.ate import AteAtoms, AteQuery, AteSampleSet
 from atebench.errors import AggregationError, ParameterError
 from atebench.kernels import weighted_wasserstein
 from atebench.metrics import (
     DEFAULT_FILTER_GRID,
     DEFAULT_FILTER_TOLERANCE,
     ModeCounts,
-    ModeSet,
-    PairModes,
+    ModeTable,
     PairReport,
     RegroupConfig,
     _aggregate_metric,
     _tolerances,
-    _weighted,
+    evaluate_pair_sets,
 )
+
+
+class ModeSet:
+    """Distinct value groups of a weighted sample, each with its mass.
+
+    Representatives are strictly increasing and masses sum to 1.  The empty
+    ModeSet is the sentinel for "every mode fell below the filter tolerance";
+    metrics on it are undefined.
+    """
+
+    __slots__ = ("representatives", "masses")
+
+    def __init__(self, representatives, masses):
+        r = np.array(representatives, dtype=float)
+        m = np.array(masses, dtype=float)
+        if r.ndim != 1 or r.shape != m.shape:
+            raise ParameterError("representatives and masses must be equal-length vectors")
+        if r.size:
+            if not (r[1:] > r[:-1]).all():
+                raise ParameterError("representatives must be strictly increasing")
+            if (m <= 0).any():
+                raise ParameterError("masses must be strictly positive")
+            if abs(m.sum() - 1.0) > 1e-9:
+                raise ParameterError(f"masses must sum to 1, got {m.sum()!r}")
+        r.setflags(write=False)
+        m.setflags(write=False)
+        self.representatives = r
+        self.masses = m
+
+    @property
+    def modes(self) -> list[tuple[float, float]]:
+        return list(zip(self.representatives.tolist(), self.masses.tolist()))
+
+    @property
+    def is_empty(self) -> bool:
+        return self.representatives.size == 0
+
+    def __len__(self) -> int:
+        return int(self.representatives.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModeSet):
+            return NotImplemented
+        return np.array_equal(self.representatives, other.representatives) and np.array_equal(
+            self.masses, other.masses
+        )
+
+    def __hash__(self):
+        return hash((self.representatives.tobytes(), self.masses.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"ModeSet(k={len(self)})"
+
+
+class PairModes(NamedTuple):
+    query: AteQuery
+    true_modes: ModeSet
+    learned_modes: ModeSet
+
+
+def table_of(pair_modes) -> ModeTable:
+    """The ModeTable of a sequence of PairModes."""
+    sides = [ms for pm in pair_modes for ms in (pm.true_modes, pm.learned_modes)]
+    offsets = np.zeros(len(sides) + 1, dtype=np.int64)
+    np.cumsum([len(ms) for ms in sides], out=offsets[1:])
+    return ModeTable(
+        [pm.query for pm in pair_modes],
+        np.concatenate([ms.representatives for ms in sides] or [np.zeros(0)]),
+        np.concatenate([ms.masses for ms in sides] or [np.zeros(0)]),
+        offsets,
+    )
+
+
+def pairs_of(table: ModeTable) -> list[PairModes]:
+    """Each pair of a ModeTable as PairModes, in table order."""
+    r, m, o = table.representatives, table.masses, table.offsets.tolist()
+    return [PairModes(q, ModeSet(r[o[2 * p]:o[2 * p + 1]], m[o[2 * p]:o[2 * p + 1]]),
+                      ModeSet(r[o[2 * p + 1]:o[2 * p + 2]], m[o[2 * p + 1]:o[2 * p + 2]]))
+            for p, q in enumerate(table.queries)]
+
+
+def ordered_pairs(d: int) -> list[tuple[int, int]]:
+    """The (t, y) pairs of a d-node sweep, in its (t, y) C-order."""
+    return [(t, y) for t in range(d) for y in range(d) if t != y]
+
+
+def atoms_of(labels, samples, tag: str = "x") -> AteAtoms:
+    """The AteAtoms over labels whose pair (t, y) holds the (values,
+    weights) of samples[(t, y)]; every pair not named holds one 0.0 atom of
+    weight 1."""
+    pairs = ordered_pairs(len(labels))
+    unknown = set(samples) - set(pairs)
+    if unknown:
+        raise KeyError(sorted(unknown))
+    parts = [samples.get(pair, ([0.0], [1.0])) for pair in pairs]
+    values = [np.asarray(v, dtype=float).ravel() for v, _ in parts]
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([v.size for v in values], out=offsets[1:])
+    weights = [np.asarray(w, dtype=float).ravel() for _, w in parts]
+    return AteAtoms(labels, np.concatenate(values or [np.zeros(0)]),
+                    np.concatenate(weights or [np.zeros(0)]), offsets, tag)
+
+
+def pair_report(reports, t: int, y: int) -> PairReport:
+    """The report of pair (t, y) among a seed's pair reports."""
+    (report,) = [r for r in reports if (r.query.treatment, r.query.outcome) == (t, y)]
+    return report
+
+
+def evaluate_one(true, learned, cfg: RegroupConfig | None = None, filter_tolerance=DEFAULT_FILTER_TOLERANCE):
+    """(PairReport, PairModes) of one (values, weights) pair against another,
+    by the package's array pass over pair (X0, X1) of two-node sweeps."""
+    labels = ("X0", "X1")
+    reports, table = evaluate_pair_sets(atoms_of(labels, {(0, 1): true}, "t"),
+                                        atoms_of(labels, {(0, 1): learned}, "l"),
+                                        cfg or RegroupConfig(), filter_tolerance)
+    return pair_report(reports, 0, 1), pairs_of(table)[0]
+
+
+def pass_wd(x, y) -> float:
+    """WD of the array pass between two (values, weights) samples."""
+    return evaluate_one(x, y)[0].wd
+
+
+def pass_modes(values, weights, cfg: RegroupConfig) -> ModeSet:
+    """The modes the array pass finds in one (values, weights) sample."""
+    return evaluate_one((values, weights), (values, weights), cfg)[1].true_modes
+
+
+def _weighted(x):
+    if isinstance(x, AteSampleSet):
+        return x.values, x.weights
+    v, w = x
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.ndim != 1 or v.shape != w.shape or v.size == 0:
+        raise ParameterError("weighted samples must be equal-length non-empty vectors")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("sample values must be finite")
+    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ParameterError("weights must be positive and sum to 1")
+    return v, w
 
 
 def _sorted(v, w):

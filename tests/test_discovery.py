@@ -26,7 +26,6 @@ from atebench.errors import (
     ValidationError,
 )
 from atebench.graphs import Dag
-from atebench.mec import cpdag_of
 from atebench.scm import (
     Dataset,
     LinearGaussianScm,
@@ -36,6 +35,7 @@ from atebench.scm import (
     sample,
 )
 
+from graph_helpers import cpdag_of
 from pc_reference import reference_partial_correlation
 from score_reference import graph_score
 

@@ -20,14 +20,13 @@ from atebench.graphs import (
     save_graph,
     load_dag,
     topological_order,
-    transitive_closure,
     v_structures,
 )
-from atebench.mec import cpdag_of
+from atebench.kernels import transitive_closure_batch
 from atebench.scm import random_er_dag
 
 from conftest import brute_force_dags, oracle_v_structures
-from graph_helpers import apply_meek_rules, parse_cpdag_edgelist
+from graph_helpers import apply_meek_rules, cpdag_of, parse_cpdag_edgelist
 
 
 def labels(d):
@@ -139,7 +138,7 @@ def test_transitive_closure_against_floyd_warshall():
         reach = g.adjacency.copy()
         for k in range(d):
             reach |= np.outer(reach[:, k], reach[k, :])
-        assert np.array_equal(transitive_closure(g.adjacency), reach)
+        assert np.array_equal(transitive_closure_batch(g.adjacency), reach)
 
 
 def test_v_structures_match_definition_oracle():

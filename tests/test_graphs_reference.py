@@ -21,10 +21,10 @@ from atebench.graphs import (
     topological_order,
     v_structures,
 )
-from atebench.mec import cpdag_of, enumerate_mec
+from atebench.mec import enumerate_mec
 from atebench.scm import random_er_dag
 
-from graph_helpers import meek_close
+from graph_helpers import cpdag_of, meek_close
 
 
 def _er_dags(ds, seeds=range(3)):

@@ -13,6 +13,7 @@ from atebench.mec import enumerate_mec
 from atebench.scm import random_er_dag, random_scm, sample
 
 from conftest import random_weighted_sample
+from graph_helpers import closure_one
 import ate_reference
 import score_reference
 from mcmc_reference import _nth_move, _reach, reference_chain
@@ -78,7 +79,9 @@ def test_closure_batch_equals_closure_one_per_graph():
         got = kernels.transitive_closure_batch(stack)
         assert got.dtype == bool and got.shape == stack.shape
         for k in range(len(graphs)):
-            assert np.array_equal(got[k], kernels.closure_one(stack[k])), (d, k)
+            assert np.array_equal(got[k], closure_one(stack[k])), (d, k)
+            # one (d, d) matrix, as the MCMC chain closes it
+            assert np.array_equal(kernels.transitive_closure_batch(stack[k]), got[k]), (d, k)
 
 
 def test_closure_batch_of_empty_graphs_and_the_longest_chain():
@@ -89,7 +92,8 @@ def test_closure_batch_of_empty_graphs_and_the_longest_chain():
     chain = np.eye(50, k=1, dtype=bool)
     got = kernels.transitive_closure_batch(np.stack([chain, np.zeros_like(chain)]))
     assert np.array_equal(got[0], np.triu(np.ones((50, 50), dtype=bool), k=1))
-    assert np.array_equal(got[0], kernels.closure_one(chain))
+    assert np.array_equal(got[0], closure_one(chain))
+    assert np.array_equal(kernels.transitive_closure_batch(chain), got[0])
     assert not got[1].any()
 
 
@@ -371,7 +375,7 @@ def test_vectorised_moves_match_the_loop_enumeration():
     for adj in move_test_graphs():
         d = adj.shape[0]
         reach = _reach(adj)
-        assert np.array_equal(kernels.closure_one(adj), reach)
+        assert np.array_equal(kernels.transitive_closure_batch(adj), reach)
         cum = kernels._move_cum(adj, reach, ~np.eye(d, dtype=bool))
         n_moves = _nth_move(adj, reach, -1)[0]
         assert cum[-1] == n_moves

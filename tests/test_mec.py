@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from atebench.discovery import load_external_posterior
 from atebench.errors import MecCapacityError
 from atebench.graphs import Dag
-from atebench.mec import TRUE_MEC_TAG, cpdag_of, enumerate_mec, save_mec
+from atebench.mec import TRUE_MEC_TAG, enumerate_mec, save_mec
 from atebench.scm import random_er_dag
 
 from conftest import oracle_mec_classes, oracle_mec_key
+from graph_helpers import cpdag_of
 
 
 def labels(d):

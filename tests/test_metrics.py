@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from atebench.ate import AteQuery, AteSampleSet
+from atebench.ate import AteAtoms, AteQuery, AteSampleSet
 from atebench.errors import AggregationError, ParameterError, SchemaError
 from atebench.metrics import (
     ModeCounts,
-    ModeSet,
-    PairModes,
     PairReport,
     RegroupConfig,
     RunReport,
@@ -17,16 +15,16 @@ from atebench.metrics import (
     evaluate_pair_sets,
     read_modes_csv,
     read_pair_reports_csv,
-    regroup,
     relaxation_rows,
-    wasserstein_1d,
     write_modes_csv,
     write_pair_reports_csv,
     write_run_report_csv,
 )
 
 from conftest import random_weighted_sample
-from metrics_reference import filter_low_mass
+from metrics_reference import ModeSet, PairModes, atoms_of, filter_low_mass, pairs_of, table_of
+from metrics_reference import pass_modes as regroup
+from metrics_reference import pass_wd as wasserstein_1d
 from metrics_reference import one_pass_evaluate_pair as evaluate_pair
 from metrics_reference import one_pass_mode_precision_recall as mode_precision_recall
 
@@ -245,19 +243,22 @@ def test_evaluate_pair_mismatched_queries_raise():
 
 
 def test_evaluate_pair_sets_requires_same_pairs():
-    a = {AteQuery(0, 1): sample_set([0.0], q=AteQuery(0, 1))}
-    b = {AteQuery(1, 0): sample_set([0.0], q=AteQuery(1, 0))}
+    a = atoms_of(("X0", "X1"), {})
+    b = atoms_of(("X0", "X1", "X2"), {})
     with pytest.raises(AggregationError):
         evaluate_pair_sets(a, b, RegroupConfig())
+    other_contrast = AteAtoms(a.labels, a.atom_values, a.atom_weights, a.offsets, "x", treatment_value_b=2.0)
+    with pytest.raises(AggregationError):
+        evaluate_pair_sets(a, other_contrast, RegroupConfig())
 
 
 def test_evaluate_pair_sets_orders_by_pair():
-    qs = [AteQuery(1, 0), AteQuery(0, 1)]
-    sets = {q: sample_set([float(q.treatment)], q=q) for q in qs}
+    sets = atoms_of(("X0", "X1"), {(1, 0): ([1.0], [1.0]), (0, 1): ([0.0], [1.0])})
     reports, modes = evaluate_pair_sets(sets, sets, RegroupConfig())
     got = [(r.query.treatment, r.query.outcome) for r in reports]
     assert got == [(0, 1), (1, 0)]
-    assert [(m.query.treatment, m.query.outcome) for m in modes] == got
+    assert [(q.treatment, q.outcome) for q in modes.queries] == got
+    assert modes.representatives.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # --- aggregation -----------------------------------------------------------
@@ -313,7 +314,7 @@ def test_relaxation_rows_track_the_filtering_grid():
     true = ModeSet([0.0, 1.0], [0.5, 0.5])
     learned = ModeSet([0.0, 1.0, 9.0], [0.495, 0.495, 0.01])
     pm = PairModes(AteQuery(0, 1), true, learned)
-    rows = relaxation_rows({0: [pm]}, grid=(0.0, 0.05))
+    rows = relaxation_rows({0: table_of([pm])}, grid=(0.0, 0.05))
     assert rows[0]["tolerance"] == 0.0
     assert rows[0]["precision_mean"] == pytest.approx(2 / 3)
     assert rows[1]["tolerance"] == 0.05
@@ -328,9 +329,9 @@ def test_relaxation_marks_filtered_out_pairs_excluded():
         ModeSet([0.0, 1.0], [0.97, 0.03]),
         ModeSet([0.0, 1.0], [0.03, 0.97]),
     )
-    rows = relaxation_rows({0: [pm, skinny]}, grid=(0.5,))
+    rows = relaxation_rows({0: table_of([pm, skinny])}, grid=(0.5,))
     assert rows[0]["excluded_pairs"] == 0
-    rows = relaxation_rows({0: [skinny]}, grid=(0.98,))
+    rows = relaxation_rows({0: table_of([skinny])}, grid=(0.98,))
     assert rows[0]["excluded_pairs"] == 1
     assert rows[0]["precision_mean"] is None
 
@@ -364,19 +365,20 @@ def test_modes_csv_round_trip(tmp_path):
         ModeSet([0.5], [1.0]),
     )
     path = tmp_path / "modes.csv"
-    write_modes_csv([pm], labels, "true-mec", "m", path)
+    write_modes_csv(table_of([pm]), labels, "true-mec", "m", path)
     back = read_modes_csv(path, labels, "true-mec", "m")
     assert len(back) == 1
-    assert back[0].query == pm.query
-    assert back[0].true_modes == pm.true_modes
-    assert back[0].learned_modes == pm.learned_modes
+    (got,) = pairs_of(back)
+    assert got.query == pm.query
+    assert got.true_modes == pm.true_modes
+    assert got.learned_modes == pm.learned_modes
 
 
 def test_modes_csv_rejects_a_foreign_source_tag(tmp_path):
     labels = ("X0", "X1")
     pm = PairModes(AteQuery(0, 1), ModeSet([0.0], [1.0]), ModeSet([0.5], [1.0]))
     path = tmp_path / "modes.csv"
-    write_modes_csv([pm], labels, "true-mec", "m1", path)
+    write_modes_csv(table_of([pm]), labels, "true-mec", "m1", path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("X0,X1,m2,0.5,1.0\n")
     with pytest.raises(SchemaError) as err:
@@ -398,6 +400,17 @@ def test_modes_csv_names_the_file_and_pair_of_a_bad_mode_set(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
     assert str(err.value) == f"{path}: pair (X1, X0): representatives must be strictly increasing"
+
+
+def test_modes_csv_names_the_file_and_pair_of_a_nonpositive_mass(tmp_path):
+    path = tmp_path / "modes.csv"
+    header = "treatment,outcome,source_tag,mode_value,mass\n"
+    good = "X0,X1,true-mec,0.0,1.0\nX0,X1,m,0.5,1.0\nX1,X0,true-mec,0.0,1.0\n"
+    for low, high in (("0.0", "1.0"), ("-0.5", "1.5")):
+        path.write_text(header + good + f"X1,X0,m,0.5,{low}\nX1,X0,m,1.5,{high}\n")
+        with pytest.raises(SchemaError) as err:
+            read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+        assert str(err.value) == f"{path}: pair (X1, X0): masses must be strictly positive"
 
 
 def test_pair_reports_csv_names_the_line_of_a_self_pair(tmp_path):

@@ -6,13 +6,12 @@ import tracemalloc
 import numpy as np
 
 import metrics_reference as ref
-from atebench.ate import AteAtoms, AteQuery, AteSampleSet
+from atebench.ate import AteAtoms
 from atebench.metrics import (
     ModeTable,
     RegroupConfig,
     evaluate_pair_sets,
     read_modes_csv,
-    regroup,
     relaxation_rows,
     write_modes_csv,
 )
@@ -61,26 +60,24 @@ def _corpus(rng):
         yield tuple(sides)
 
 
-def _sample_sets(seed):
-    true_sets, learned_sets = {}, {}
-    for p, (t, l) in enumerate(_corpus(np.random.default_rng(seed))):
-        q = AteQuery(p, p + 1)
-        true_sets[q] = AteSampleSet(q, *t, "t")
-        learned_sets[q] = AteSampleSet(q, *l, "l")
-    return true_sets, learned_sets
-
-
-def _atoms(sets, d, tag):
-    """The sets as the AteAtoms of a d-node sweep, cycling over their pairs."""
-    pairs = list(sets.values())
-    parts = [pairs[p % len(pairs)] for p in range(d * (d - 1))]
-    offsets = np.concatenate([[0], np.cumsum([len(s) for s in parts])])
-    return AteAtoms([f"X{i}" for i in range(d)], np.concatenate([s.values for s in parts]),
-                    np.concatenate([s.weights for s in parts]), offsets, tag)
+def _sample_sets(seed, d=8):
+    """The corpus as the true and learned AteAtoms of a d-node sweep, cycling
+    over its pairs."""
+    corpus = list(_corpus(np.random.default_rng(seed)))
+    pairs = ref.ordered_pairs(d)
+    labels = [f"X{i}" for i in range(d)]
+    return tuple(ref.atoms_of(labels, {q: corpus[p % len(corpus)][side] for p, q in enumerate(pairs)}, tag)
+                 for side, tag in ((0, "t"), (1, "l")))
 
 
 def _same_bits(a, b):
     return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _assert_same_table(table, want):
+    assert table.queries == want.queries
+    for name in ("representatives", "masses", "offsets"):
+        assert _same_bits(getattr(table, name), getattr(want, name)), name
 
 
 def _assert_identical(got, want):
@@ -92,19 +89,14 @@ def _assert_identical(got, want):
             assert type(getattr(r, field)) is type(getattr(w, field)), field
         assert repr(r.wd) == repr(w.wd)
         assert r.mode_counts == w.mode_counts
-    for m, w in zip(modes, ref_modes):
-        assert m.query == w.query
-        for side in ("true_modes", "learned_modes"):
-            a, b = getattr(m, side), getattr(w, side)
-            assert _same_bits(a.representatives, b.representatives)
-            assert _same_bits(a.masses, b.masses)
+    _assert_same_table(modes, ref.table_of(ref_modes))
 
 
 def test_the_corpus_reaches_each_edge():
     # the defensive merge: two anchor groups, one mode
     ms = ref.regroup_sorted(np.array([_X, _Y, _Z]), np.array([4 / 29, 15 / 29, 10 / 29]), MERGE_CFG)
     assert _Z - _X > MERGE_CFG.atol and len(ms) == 1
-    assert regroup(MERGE_VALUES, MERGE_WEIGHTS, MERGE_CFG) == ms
+    assert ref.pass_modes(MERGE_VALUES, MERGE_WEIGHTS, MERGE_CFG) == ms
     # the mass on the grid: 2 of 10 uniform atoms weigh 0.2 exactly
     true_pair = list(_corpus(np.random.default_rng(0)))[6][0]
     assert ref.regroup_sorted(*map(np.sort, true_pair), RegroupConfig()).masses[1] == 0.2
@@ -122,8 +114,7 @@ def test_evaluation_equals_the_per_pair_reference_bit_for_bit():
 
 
 def test_evaluation_of_sweep_atoms_equals_the_per_pair_reference():
-    true_sets, learned_sets = _sample_sets(7)
-    true_atoms, learned_atoms = _atoms(true_sets, 9, "true-mec"), _atoms(learned_sets, 9, "m")
+    true_atoms, learned_atoms = _sample_sets(7, d=9)
     got = evaluate_pair_sets(true_atoms, learned_atoms, RegroupConfig(), 0.2)
     assert len(got[0]) == 72
     _assert_identical(got, ref.one_pass_evaluate_pair_sets(true_atoms, learned_atoms, RegroupConfig(), 0.2))
@@ -138,18 +129,17 @@ def test_relaxation_rows_equal_the_per_pair_reference(tmp_path):
         _, lists[seed] = ref.one_pass_evaluate_pair_sets(true_sets, learned_sets, cfg)
     want = ref.one_pass_relaxation_rows(lists, GRID, cfg)
     assert relaxation_rows(tables, GRID, cfg) == want
-    assert relaxation_rows(lists, GRID, cfg) == want
+    assert relaxation_rows({s: ref.table_of(modes) for s, modes in lists.items()}, GRID, cfg) == want
     assert relaxation_rows({0: tables[0]}, GRID, cfg) == ref.one_pass_relaxation_rows({0: lists[0]}, GRID, cfg)
     # and through the modes file, as the report stage reads them
-    labels = [f"X{i}" for i in range(len(tables[0]) + 1)]
+    labels = [f"X{i}" for i in range(8)]
     back = {}
     for seed, table in tables.items():
         path = tmp_path / f"modes{seed}.csv"
         write_modes_csv(table, labels, "t", "l", path)
         back[seed] = read_modes_csv(path, labels, "t", "l")
         assert isinstance(back[seed], ModeTable)
-        for name in ("representatives", "masses", "offsets"):
-            assert _same_bits(getattr(back[seed], name), getattr(table, name))
+        _assert_same_table(back[seed], table)
     assert relaxation_rows(back, GRID, cfg) == want
 
 
@@ -179,5 +169,5 @@ def test_one_wide_pair_evaluates_in_memory_linear_in_its_atoms():
     finally:
         tracemalloc.stop()
     assert len(reports) == d * (d - 1) and len(rows) == 6
-    assert len(modes[17].true_modes) == len(modes[17].learned_modes) == wide
+    assert np.diff(modes.offsets)[34:36].tolist() == [wide, wide]
     assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"

@@ -10,16 +10,14 @@ from atebench.errors import ParameterError
 from atebench.metrics import (
     DEFAULT_FILTER_GRID,
     ModeCounts,
-    ModeSet,
-    ModeTable,
-    PairModes,
     RegroupConfig,
     _match_counts,
     _rates,
     evaluate_pair_sets,
-    regroup,
     relaxation_rows,
 )
+from metrics_reference import ModeSet, PairModes
+from metrics_reference import pass_modes as regroup
 
 CONFIGS = (RegroupConfig(), RegroupConfig(rtol=1e-3, atol=1e-2), RegroupConfig(rtol=0.0, atol=1.0))
 # 0 keeps every mode; 0.5 and 0.99 make most pairs lose a whole side
@@ -28,15 +26,13 @@ GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.99)
 
 def evaluate_pair(true_set, learned_set, cfg, filter_tolerance):
     """The array pass on a single pair."""
-    reports, modes = evaluate_pair_sets(
-        {true_set.query: true_set}, {learned_set.query: learned_set}, cfg, filter_tolerance
-    )
-    return reports[0], modes[0]
+    return ref.evaluate_one((true_set.values, true_set.weights), (learned_set.values, learned_set.weights),
+                            cfg, filter_tolerance)
 
 
 def mode_precision_recall(true_modes, learned_modes, cfg):
     """The array matcher on a single pair, without filtering."""
-    table = ModeTable.of([PairModes(AteQuery(0, 1), true_modes, learned_modes)])
+    table = ref.table_of([PairModes(AteQuery(0, 1), true_modes, learned_modes)])
     counts = _match_counts(table, cfg, np.zeros(1))
     (precision,), (recall,) = _rates([c[:, 0] for c in counts])
     return precision, recall, ModeCounts(*(int(c[0, 0]) for c in counts))
@@ -155,25 +151,30 @@ def test_relaxation_rows_match_the_reference(grid):
     for cfg in CONFIGS:
         pairs = [PairModes(AteQuery(0, 1), tm, lm) for c, tm, lm in _pair_corpus(11) if c is cfg]
         for by_seed in ({0: pairs}, {0: pairs[::3], 2: pairs[1::3], 1: pairs[2::3]}):
-            assert relaxation_rows(by_seed, grid, cfg) == ref.relaxation_rows(by_seed, grid, cfg)
+            tables = {seed: ref.table_of(p) for seed, p in by_seed.items()}
+            assert relaxation_rows(tables, grid, cfg) == ref.relaxation_rows(by_seed, grid, cfg)
 
 
 def test_relaxation_rows_of_evaluated_pairs_match_the_reference():
     cfg = RegroupConfig()
-    by_seed = {}
+    labels = [f"X{i}" for i in range(8)]  # 56 pairs hold the corpus's 45
+    tables = {}
     for seed in range(3):
-        true_sets, learned_sets = {}, {}
-        for q, (_, t, l) in enumerate(_sample_corpus(20 + seed)):
-            query = AteQuery(q, q + 1)
-            true_sets[query] = AteSampleSet(query, t.values, t.weights, "t")
-            learned_sets[query] = AteSampleSet(query, l.values, l.weights, "l")
-        _, by_seed[seed] = evaluate_pair_sets(true_sets, learned_sets, cfg)
-    assert relaxation_rows(by_seed, GRID, cfg) == ref.relaxation_rows(by_seed, GRID, cfg)
+        samples = list(_sample_corpus(20 + seed))
+        corpus = list(zip(ref.ordered_pairs(len(labels)), samples))
+        assert len(corpus) == len(samples)
+        true_atoms, learned_atoms = (
+            ref.atoms_of(labels, {q: (s[side].values, s[side].weights) for q, s in corpus}, tag)
+            for side, tag in ((1, "t"), (2, "l"))
+        )
+        _, tables[seed] = evaluate_pair_sets(true_atoms, learned_atoms, cfg)
+    by_seed = {seed: ref.pairs_of(table) for seed, table in tables.items()}
+    assert relaxation_rows(tables, GRID, cfg) == ref.relaxation_rows(by_seed, GRID, cfg)
 
 
 def test_relaxation_rows_validate_the_grid_without_pairs():
     with pytest.raises(ParameterError):
-        relaxation_rows({0: []}, grid=(1.5,))
+        relaxation_rows({0: ref.table_of([])}, grid=(1.5,))
     with pytest.raises(ParameterError):
         relaxation_rows({}, grid=(0.0, -0.1))
 

@@ -220,6 +220,21 @@ def test_a_label_with_a_leading_hash_no_longer_loses_its_edges(tmp_path):
         load_posterior_file(path)
 
 
+@pytest.mark.parametrize("label", ["graph", "posterior", "graph x", "posterior y"])
+def test_a_label_that_starts_like_a_header_round_trips(tmp_path, label):
+    # edge lines such as "graph -> y" and "posterior y -> y" start with a
+    # header word; they must still read as edges
+    labels = (label, "y", "z")
+    stack = np.zeros((3, 3, 3), dtype=bool)
+    stack[0, 0, 1] = stack[1, 1, 0] = stack[2, 0, 2] = stack[2, 1, 2] = True
+    ps = posterior.PosteriorSample([Dag(labels, a) for a in stack], [0.25, 0.25, 0.5], "ext", 5)
+    path = tmp_path / "p.txt"
+    save_posterior(ps, path)
+    got = _outcome(load_external_posterior, path)
+    assert got == (stack.shape, stack.tobytes(), labels, ps.weights.tobytes(), "ext", 5)
+    assert _outcome(load_posterior_file, path) == got
+
+
 def test_the_writer_formats_each_graph_as_the_edge_list_writer_does(tmp_path):
     from atebench.graphs import format_edgelist
 
