@@ -38,10 +38,6 @@ class AteQuery:
         self.treatment_value_b = float(treatment_value_b)
         self.reference_value_a = float(reference_value_a)
 
-    @property
-    def contrast(self) -> float:
-        return self.treatment_value_b - self.reference_value_a
-
     def _key(self):
         return (self.treatment, self.outcome, self.treatment_value_b, self.reference_value_a)
 

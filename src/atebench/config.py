@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ class ExperimentConfig:
     num_seeds: int = 1
     master_seed: int = 0
     posterior_size: int = 100
-    methods: tuple = ("bootstrap-pc",)
+    methods: tuple[str, ...] = ("bootstrap-pc",)
     er_expected_edges: int | None = None
     weight_low: float = 0.5
     weight_high: float = 2.0
@@ -40,7 +41,7 @@ class ExperimentConfig:
     mcmc_thin: int | None = None
     regroup_rtol: float = 1e-5
     regroup_atol: float = 1e-8
-    filter_grid: tuple = DEFAULT_FILTER_GRID
+    filter_grid: tuple[float, ...] = DEFAULT_FILTER_GRID
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE
     treatment_value_a: float = 0.0
     treatment_value_b: float = 1.0
@@ -59,6 +60,9 @@ class ExperimentConfig:
         def fail(key, why):
             raise ConfigError(f"config key {key!r}: {why}")
 
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                fail(key, f"must be finite, got {getattr(self, key)}")
         if self.mode not in ("synthetic", "real"):
             fail("mode", f"must be 'synthetic' or 'real', got {self.mode!r}")
         if not 2 <= self.d <= 50:
@@ -219,38 +223,19 @@ def _parse_opt_str(key, raw):
     return None if raw.lower() == "none" else raw
 
 
-_PARSERS = {
-    "mode": _parse_str,
-    "d": _parse_int,
-    "n": _parse_int,
-    "num_seeds": _parse_int,
-    "master_seed": _parse_int,
-    "posterior_size": _parse_int,
-    "methods": _parse_methods,
-    "er_expected_edges": _parse_opt_int,
-    "weight_low": _parse_float,
-    "weight_high": _parse_float,
-    "ci_alpha": _parse_float,
-    "max_condition_size": _parse_opt_int,
-    "mcmc_steps": _parse_int,
-    "mcmc_burn_in": _parse_int,
-    "mcmc_thin": _parse_opt_int,
-    "regroup_rtol": _parse_float,
-    "regroup_atol": _parse_float,
-    "filter_grid": _parse_float_list,
-    "filter_tolerance": _parse_float,
-    "treatment_value_a": _parse_float,
-    "treatment_value_b": _parse_float,
-    "mec_cap": _parse_int,
-    "workers": _parse_int,
-    "output_root": _parse_opt_str,
-    "dataset_path": _parse_opt_str,
-    "graph_path": _parse_opt_str,
-    "posterior_path": _parse_opt_str,
-    "standardize": _parse_bool,
+# each key's parser, by its field's annotation
+_PARSER_OF_TYPE = {
+    "str": _parse_str,
+    "str | None": _parse_opt_str,
+    "int": _parse_int,
+    "int | None": _parse_opt_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": _parse_methods,
+    "tuple[float, ...]": _parse_float_list,
 }
-
-assert set(_PARSERS) == set(_FIELDS)
+_PARSERS = {f.name: _PARSER_OF_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
+_FLOAT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float")
 
 
 def parse_config_values(text: str, source: str = "<config>") -> dict:

@@ -310,10 +310,6 @@ class Dag:
         rows, cols = np.nonzero(self.adjacency)
         return list(zip(rows.tolist(), cols.tolist()))
 
-    def skeleton(self) -> np.ndarray:
-        """Symmetric boolean adjacency with orientation dropped."""
-        return self.adjacency | self.adjacency.T
-
     def topological_order(self) -> list[int]:
         return topological_order(self.adjacency)
 
@@ -360,10 +356,6 @@ class Cpdag:
     @property
     def num_nodes(self) -> int:
         return len(self.labels)
-
-    def adjacent(self) -> np.ndarray:
-        """Symmetric boolean matrix: true iff any edge joins the pair."""
-        return self.directed | self.directed.T | self.undirected
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         rows, cols = np.nonzero(np.triu(self.undirected))

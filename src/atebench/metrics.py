@@ -1,5 +1,12 @@
 """Distribution-level evaluation: regrouping, Wasserstein distance, mode
-precision/recall, low-mass filtering, and aggregation across pairs and seeds."""
+precision/recall, low-mass filtering, and aggregation across pairs and seeds.
+
+A seed's pairs are scored in one array pass.  Its scores are a ``PairTable``
+and its modes a ``ModeTable``, both keyed by one (P, 2) array of (treatment,
+outcome) node indices; NaN marks an undefined rate.  The same tables are
+written to and read back from ``pairs/`` and ``modes/``, and aggregated over
+pairs and seeds as arrays.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ate import AteAtoms, AteQuery
+from .ate import AteAtoms
 from .errors import AggregationError, ParameterError, SchemaError
 
 DEFAULT_FILTER_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
@@ -22,6 +29,8 @@ class RegroupConfig:
     __slots__ = ("rtol", "atol")
 
     def __init__(self, rtol: float = 1e-5, atol: float = 1e-8):
+        if not (math.isfinite(rtol) and math.isfinite(atol)):
+            raise ParameterError("tolerances must be finite")
         if rtol < 0 or atol < 0:
             raise ParameterError("tolerances must be >= 0")
         if rtol == 0 and atol == 0:
@@ -37,65 +46,68 @@ class RegroupConfig:
         return f"RegroupConfig(rtol={self.rtol}, atol={self.atol})"
 
 
-class ModeCounts(NamedTuple):
-    n_true: int
-    n_learned: int
-    tp: int
-    fp: int
-    fn: int
+def _pair_index(pairs) -> np.ndarray:
+    """Pairs as a read-only (P, 2) int64 array of (treatment, outcome) rows."""
+    a = np.array(pairs, dtype=np.int64)
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ParameterError("pairs must be (treatment, outcome) rows")
+    a.setflags(write=False)
+    return a
 
 
-class PairReport:
-    """Per-pair metrics; None marks an undefined metric (excluded, counted)."""
+class PairTable:
+    """Every pair's scores, one row per pair of ``pairs``, in read-only
+    arrays: ``wd``; ``rates``, the precision, recall, filtered precision
+    and filtered recall, NaN where a rate is undefined; and ``counts``, the
+    true modes, learned modes, tp, fp and fn before filtering."""
 
-    __slots__ = (
-        "query",
-        "wd",
-        "precision",
-        "recall",
-        "filtered_precision",
-        "filtered_recall",
-        "mode_counts",
-    )
+    __slots__ = ("pairs", "wd", "rates", "counts")
 
-    def __init__(self, query, wd, precision, recall, filtered_precision, filtered_recall, mode_counts):
-        if wd < 0:
+    def __init__(self, pairs, wd, rates, counts):
+        self.pairs = _pair_index(pairs)
+        self.wd = np.array(wd, dtype=float)
+        self.rates = np.array(rates, dtype=float)
+        self.counts = np.array(counts, dtype=np.int64)
+        n = len(self.pairs)
+        if (self.wd.shape, self.rates.shape, self.counts.shape) != ((n,), (n, 4), (n, 5)):
+            raise ParameterError("pair scores must hold one row per pair")
+        if (self.wd < 0).any():
             raise ParameterError("wd must be nonnegative")
-        self.query = query
-        self.wd = float(wd)
-        self.precision = precision
-        self.recall = recall
-        self.filtered_precision = filtered_precision
-        self.filtered_recall = filtered_recall
-        self.mode_counts = mode_counts
+        for a in (self.wd, self.rates, self.counts):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
     def __repr__(self) -> str:
-        return f"PairReport({self.query!r}, wd={self.wd:.4g})"
+        return f"PairTable(pairs={len(self)})"
 
 
 class ModeTable:
     """Every pair's true and learned modes, in flat arrays.
 
-    Pair p's true modes are ``representatives[offsets[2p]:offsets[2p + 1]]``
-    and its learned modes run on to ``offsets[2p + 2]``; ``masses`` holds
-    their masses at the same positions.  Pairs are in (treatment, outcome)
-    order.
+    Pair p is ``pairs[p]``.  Its true modes are
+    ``representatives[offsets[2p]:offsets[2p + 1]]`` and its learned modes
+    run on to ``offsets[2p + 2]``; ``masses`` holds their masses at the same
+    positions.
     """
 
-    __slots__ = ("queries", "representatives", "masses", "offsets")
+    __slots__ = ("pairs", "representatives", "masses", "offsets")
 
-    def __init__(self, queries, representatives, masses, offsets):
-        self.queries = tuple(queries)
+    def __init__(self, pairs, representatives, masses, offsets):
+        self.pairs = _pair_index(pairs)
         self.representatives = np.array(representatives, dtype=float)
         self.masses = np.array(masses, dtype=float)
         self.offsets = np.array(offsets, dtype=np.int64)
-        if self.offsets.shape != (2 * len(self.queries) + 1,):
+        if self.offsets.shape != (2 * len(self.pairs) + 1,):
             raise ParameterError("mode offsets must bound two sides per pair")
         for a in (self.representatives, self.masses, self.offsets):
             a.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.pairs)
 
     def __repr__(self) -> str:
         return f"ModeTable(pairs={len(self)}, modes={self.representatives.size})"
@@ -315,12 +327,13 @@ def _tolerances(tolerances) -> np.ndarray:
     return tols
 
 
-def _match_counts(table: ModeTable, cfg: RegroupConfig, tols) -> list[np.ndarray]:
+def _match_counts(table: ModeTable, cfg: RegroupConfig, tols) -> np.ndarray:
     """Mode-match counts of every pair after low-mass filtering at each
-    (validated) tolerance: ModeCounts' five fields as (pairs, tolerances)
-    integer arrays.  Filtering keeps the modes of raw mass >= tol, so a kept
-    true mode is found when its heaviest close learned mode is kept, and a
-    kept learned mode is spurious when its heaviest close true mode is not."""
+    (validated) tolerance: a (5, pairs, tolerances) integer array of the
+    true modes, learned modes, tp, fp and fn.  Filtering keeps the modes of
+    raw mass >= tol, so a kept true mode is found when its heaviest close
+    learned mode is kept, and a kept learned mode is spurious when its
+    heaviest close true mode is not."""
     offsets = table.offsets
     kept = table.masses[:, None] >= tols
     matched = kept & (_heaviest_close(table, cfg)[:, None] >= tols)
@@ -332,21 +345,20 @@ def _match_counts(table: ModeTable, cfg: RegroupConfig, tols) -> list[np.ndarray
 
     kept, matched = per_side(kept), per_side(matched)
     n_true, n_learned, tp = kept[0::2], kept[1::2], matched[0::2]
-    return [n_true, n_learned, tp, n_learned - matched[1::2], n_true - tp]
+    return np.stack([n_true, n_learned, tp, n_learned - matched[1::2], n_true - tp])
 
 
-def _rates(counts, filtered: bool = False) -> tuple[list, list]:
-    """Each pair's (precision, recall) from ModeCounts' five fields as
-    arrays; None where undefined, and after filtering also where a side kept
-    no mode."""
+def _rates(counts, filtered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(precision, recall) arrays from the five count arrays of
+    ``_match_counts``; NaN where undefined, and after filtering also where a
+    side kept no mode."""
     n_true, n_learned, tp, fp, fn = counts
     out = []
     for den in (tp + fp, tp + fn):
         ok = den > 0
         if filtered:
             ok &= (n_true > 0) & (n_learned > 0)
-        rate = (tp / np.where(ok, den, 1)).tolist()
-        out.append([x if k else None for x, k in zip(rate, ok.tolist())])
+        out.append(np.where(ok, tp / np.where(ok, den, 1), np.nan))
     return out[0], out[1]
 
 
@@ -360,20 +372,21 @@ def evaluate_pair_sets(
     learned_sets: AteAtoms,
     cfg: RegroupConfig,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
-) -> tuple[list[PairReport], ModeTable]:
+) -> tuple[PairTable, ModeTable]:
     """Stage-3 evaluation of every pair of two sweeps' ``AteAtoms``, the
     true class's and a method's, in (treatment, outcome) order: WD on each
     pair's atoms, then mode precision/recall before and after low-mass
     filtering.  All pairs are computed in one array pass, each with the
-    arithmetic it would get alone; the modes come back as one ``ModeTable``."""
+    arithmetic it would get alone; the scores come back as one ``PairTable``
+    and the modes as one ``ModeTable``."""
     tols = _tolerances((0.0, filter_tolerance))
     if len(true_sets) != len(learned_sets) or (
         true_sets.treatment_value_b, true_sets.reference_value_a
     ) != (learned_sets.treatment_value_b, learned_sets.reference_value_a):
         raise AggregationError("true and learned sweeps cover different pairs")
-    queries = list(true_sets)
+    pairs = np.argwhere(~np.eye(len(true_sets.labels), dtype=bool))
     to, lo = true_sets.offsets, learned_sets.offsets
-    pair = np.arange(len(queries))
+    pair = np.arange(len(pairs))
     segment = np.concatenate([2 * np.repeat(pair, np.diff(to)), 2 * np.repeat(pair, np.diff(lo)) + 1])
     v, w, offsets = _sort_segments(
         np.concatenate([true_sets.atom_values, learned_sets.atom_values]),
@@ -381,13 +394,11 @@ def evaluate_pair_sets(
         segment,
         2 * pair.size,
     )
-    wd = _wasserstein(v, w, offsets).tolist()
-    table = ModeTable(queries, *_regroup(v, w, offsets, cfg))
+    table = ModeTable(pairs, *_regroup(v, w, offsets, cfg))
     counts = _match_counts(table, cfg, tols)
-    rates = _rates([c[:, 0] for c in counts]) + _rates([c[:, 1] for c in counts], filtered=True)
-    mode_counts = [ModeCounts(*row) for row in zip(*(c[:, 0].tolist() for c in counts))]
-    reports = [PairReport(q, *row) for q, *row in zip(queries, wd, *rates, mode_counts)]
-    return reports, table
+    rates = _rates(counts[..., 0]) + _rates(counts[..., 1], filtered=True)
+    scores = PairTable(pairs, _wasserstein(v, w, offsets), np.stack(rates, axis=1), counts[..., 0].T)
+    return scores, table
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +432,26 @@ class RunReport:
 
 
 def _aggregate_metric(values_by_seed: dict) -> tuple[Optional[float], Optional[float], int]:
-    """(mean, spread, excluded_count) of a per-pair metric.
+    """(mean, spread, excluded_count) of a per-pair metric, given as one
+    array per seed.
 
     Multi-seed: mean of per-seed means +- standard error over seeds.  Single
-    seed: mean over pairs +- standard deviation over pairs.  None entries are
+    seed: mean over pairs +- standard deviation over pairs.  NaN entries are
     excluded and counted.
     """
     excluded = 0
     per_seed = {}
     for seed, vals in values_by_seed.items():
-        defined = [v for v in vals if v is not None]
-        excluded += len(vals) - len(defined)
-        if defined:
+        defined = vals[~np.isnan(vals)]
+        excluded += vals.size - defined.size
+        if defined.size:
             per_seed[seed] = defined
     if not per_seed:
         return None, None, excluded
     if len(values_by_seed) == 1:
         vals = next(iter(per_seed.values()))
         mean = float(np.mean(vals))
-        spread = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        spread = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         return mean, spread, excluded
     means = [float(np.mean(per_seed[s])) for s in sorted(per_seed)]
     mean = float(np.mean(means))
@@ -447,28 +459,28 @@ def _aggregate_metric(values_by_seed: dict) -> tuple[Optional[float], Optional[f
     return mean, spread, excluded
 
 
-def aggregate(reports_by_seed: dict[int, list[PairReport]], method: str) -> MethodSummary:
-    """Aggregate one method's pair reports: pair means within each seed, then
+def aggregate(tables_by_seed: dict[int, PairTable], method: str) -> MethodSummary:
+    """Aggregate one method's pair scores: pair means within each seed, then
     mean and standard error across seeds (single seed: sd across pairs)."""
-    if not reports_by_seed:
+    if not tables_by_seed:
         raise AggregationError("no seeds to aggregate")
     pair_keys = None
-    for seed, reports in reports_by_seed.items():
-        keys = sorted((r.query.treatment, r.query.outcome) for r in reports)
+    for seed, table in tables_by_seed.items():
+        keys = table.pairs[np.lexsort(table.pairs.T[::-1])]
         if pair_keys is None:
             pair_keys = keys
-        elif keys != pair_keys:
+        elif not np.array_equal(keys, pair_keys):
             raise AggregationError(f"seed {seed} covers a different pair set")
-    if not pair_keys:
+    if not len(pair_keys):
         raise AggregationError("empty pair reports")
 
-    def metric(get):
-        return {seed: [get(r) for r in reports] for seed, reports in reports_by_seed.items()}
+    def metric(column):
+        return _aggregate_metric({seed: column(table) for seed, table in tables_by_seed.items()})
 
     excluded = {}
-    wd_mean, wd_se, excluded["wd"] = _aggregate_metric(metric(lambda r: r.wd))
-    p_mean, p_se, excluded["precision"] = _aggregate_metric(metric(lambda r: r.precision))
-    r_mean, r_se, excluded["recall"] = _aggregate_metric(metric(lambda r: r.recall))
+    wd_mean, wd_se, excluded["wd"] = metric(lambda t: t.wd)
+    p_mean, p_se, excluded["precision"] = metric(lambda t: t.rates[:, 0])
+    r_mean, r_se, excluded["recall"] = metric(lambda t: t.rates[:, 1])
     return MethodSummary(
         method=method,
         wd_mean=wd_mean,
@@ -477,7 +489,7 @@ def aggregate(reports_by_seed: dict[int, list[PairReport]], method: str) -> Meth
         precision_se=p_se,
         recall_mean=r_mean,
         recall_se=r_se,
-        num_seeds=len(reports_by_seed),
+        num_seeds=len(tables_by_seed),
         num_pairs=len(pair_keys),
         excluded=excluded,
     )
@@ -493,14 +505,12 @@ def relaxation_rows(
     cfg = cfg or RegroupConfig()
     grid = tuple(grid)
     tols = _tolerances(grid)
-    rates = {}  # rates[seed][k]: per-pair (precisions, recalls) at grid[k]
-    for seed, table in modes_by_seed.items():
-        counts = _match_counts(table, cfg, tols)
-        rates[seed] = [_rates([c[:, k] for c in counts], filtered=True) for k in range(tols.size)]
+    # rates[seed]: (precisions, recalls), a pair per row and a tolerance per column
+    rates = {seed: _rates(_match_counts(table, cfg, tols), filtered=True) for seed, table in modes_by_seed.items()}
     rows = []
     for k, tol in enumerate(grid):
-        p_mean, p_se, p_excl = _aggregate_metric({s: r[k][0] for s, r in rates.items()})
-        r_mean, r_se, r_excl = _aggregate_metric({s: r[k][1] for s, r in rates.items()})
+        p_mean, p_se, p_excl = _aggregate_metric({s: p[:, k] for s, (p, _) in rates.items()})
+        r_mean, r_se, r_excl = _aggregate_metric({s: r[:, k] for s, (_, r) in rates.items()})
         rows.append(dict(tolerance=tol, precision_mean=p_mean, precision_se=p_se, recall_mean=r_mean,
                          recall_se=r_se, excluded_pairs=max(p_excl, r_excl)))
     return rows
@@ -535,93 +545,48 @@ PAIR_REPORT_HEADER = [
     "fn",
 ]
 
+MODES_CSV_HEADER = ["treatment", "outcome", "source_tag", "mode_value", "mass"]
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+RELAXATION_HEADER = ["tolerance", "precision_mean", "precision_se", "recall_mean", "recall_se", "excluded_pairs"]
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of the header row, then the rows: ``csv`` writes a float
+    by its repr and None as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_run_report_csv(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_REPORT_HEADER)
-        for s in report.summaries:
-            writer.writerow(
-                [
-                    s.method,
-                    _fmt(s.wd_mean),
-                    _fmt(s.wd_se),
-                    _fmt(s.precision_mean),
-                    _fmt(s.precision_se),
-                    _fmt(s.recall_mean),
-                    _fmt(s.recall_se),
-                ]
-            )
+    _write_csv(path, RUN_REPORT_HEADER, ([getattr(s, k) for k in RUN_REPORT_HEADER] for s in report.summaries))
 
 
-def write_pair_reports_csv(reports: list[PairReport], labels, path) -> None:
+def write_pair_reports_csv(table: PairTable, labels, path) -> None:
     labels = tuple(labels)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PAIR_REPORT_HEADER)
-        for r in reports:
-            c = r.mode_counts
-            writer.writerow(
-                [
-                    labels[r.query.treatment],
-                    labels[r.query.outcome],
-                    _fmt(r.wd),
-                    _fmt(r.precision),
-                    _fmt(r.recall),
-                    _fmt(r.filtered_precision),
-                    _fmt(r.filtered_recall),
-                    c.n_true,
-                    c.n_learned,
-                    c.tp,
-                    c.fp,
-                    c.fn,
-                ]
-            )
+    # an undefined (NaN) rate is an empty cell
+    rates = np.where(np.isnan(table.rates), None, table.rates).tolist()
+    rows = ([labels[t], labels[y], wd, *r, *counts] for (t, y), wd, r, counts in zip(
+        table.pairs.tolist(), table.wd.tolist(), rates, table.counts.tolist()))
+    _write_csv(path, PAIR_REPORT_HEADER, rows)
 
 
 def write_modes_csv(table: ModeTable, labels, true_tag: str, learned_tag: str, path) -> None:
     """Histogram file of a ``ModeTable``: one row per (pair, source, mode),
     plot-ready."""
     labels = tuple(labels)
-    reps, masses = table.representatives.tolist(), table.masses.tolist()
-    offsets = table.offsets.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MODES_CSV_HEADER)
-        for p, q in enumerate(table.queries):
-            t_lab = labels[q.treatment]
-            y_lab = labels[q.outcome]
-            for s, tag in ((2 * p, true_tag), (2 * p + 1, learned_tag)):
-                writer.writerows(
-                    [t_lab, y_lab, tag, repr(reps[i]), repr(masses[i])] for i in range(offsets[s], offsets[s + 1])
-                )
+    reps, masses, offsets = (a.tolist() for a in (table.representatives, table.masses, table.offsets))
+    rows = ([labels[t], labels[y], tag, reps[i], masses[i]]
+            for p, (t, y) in enumerate(table.pairs.tolist())
+            for s, tag in ((2 * p, true_tag), (2 * p + 1, learned_tag))
+            for i in range(offsets[s], offsets[s + 1]))
+    _write_csv(path, MODES_CSV_HEADER, rows)
 
 
 def write_relaxation_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tolerance", "precision_mean", "precision_se", "recall_mean", "recall_se", "excluded_pairs"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(float(row["tolerance"])),
-                    _fmt(row["precision_mean"]),
-                    _fmt(row["precision_se"]),
-                    _fmt(row["recall_mean"]),
-                    _fmt(row["recall_se"]),
-                    row["excluded_pairs"],
-                ]
-            )
+    _write_csv(path, RELAXATION_HEADER,
+               ([float(row["tolerance"])] + [row[k] for k in RELAXATION_HEADER[1:]] for row in rows))
 
 
 def _csv_rows(path, expected_header) -> list[tuple[int, list]]:
@@ -646,38 +611,31 @@ def _row_pair(path, lineno, index, t_lab, y_lab) -> tuple[int, int]:
     return index[t_lab], index[y_lab]
 
 
-def read_pair_reports_csv(path, labels) -> list[PairReport]:
-    """Inverse of write_pair_reports_csv; repr-formatted floats round-trip."""
+def _finite(cell: str) -> float:
+    """A finite float cell; ValueError otherwise."""
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite {cell!r}")
+    return x
+
+
+def read_pair_reports_csv(path, labels) -> PairTable:
+    """Inverse of write_pair_reports_csv; repr-formatted floats round-trip
+    and empty rate cells read as NaN."""
     labels = tuple(labels)
     index = {lab: k for k, lab in enumerate(labels)}
-
-    def opt(cell):
-        return None if cell == "" else float(cell)
-
-    reports = []
+    pairs, scores, counts = [], [], []
     for lineno, row in _csv_rows(path, PAIR_REPORT_HEADER):
         if len(row) != len(PAIR_REPORT_HEADER):
             raise SchemaError(f"{path}:{lineno}: expected {len(PAIR_REPORT_HEADER)} columns")
-        t, y = _row_pair(path, lineno, index, row[0], row[1])
+        pairs.append(_row_pair(path, lineno, index, row[0], row[1]))
         try:
-            counts = ModeCounts(*(int(c) for c in row[7:12]))
-            reports.append(
-                PairReport(
-                    AteQuery(t, y),
-                    float(row[2]),
-                    opt(row[3]),
-                    opt(row[4]),
-                    opt(row[5]),
-                    opt(row[6]),
-                    counts,
-                )
-            )
+            scores.append([_finite(row[2])] + [_finite(c) if c else math.nan for c in row[3:7]])
+            counts.append([int(c) for c in row[7:12]])
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
-    return reports
-
-
-MODES_CSV_HEADER = ["treatment", "outcome", "source_tag", "mode_value", "mass"]
+    scores = np.reshape(scores, (-1, 5))
+    return PairTable(pairs, scores[:, 0], scores[:, 1:], np.reshape(counts, (-1, 5)))
 
 
 def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
@@ -695,8 +653,8 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
         if tag not in sides:
             raise SchemaError(f"{path}:{lineno}: unexpected source tag {tag!r}")
         try:
-            values.append(float(value))
-            masses.append(float(mass))
+            values.append(_finite(value))
+            masses.append(_finite(mass))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
         keys.append((t * len(labels) + y) * 2 + sides[tag])
@@ -725,5 +683,4 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
         else:
             rule = f"masses must sum to 1, got {m.sum()!r}"
         raise SchemaError(f"{path}: pair ({labels[t]}, {labels[y]}): {rule}")
-    queries = [AteQuery(*divmod(int(k), len(labels))) for k in pairs.tolist()]
-    return ModeTable(queries, values, masses, offsets)
+    return ModeTable(np.column_stack(np.divmod(pairs, len(labels))), values, masses, offsets)

@@ -381,8 +381,8 @@ def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
         artifact(f"ates/{method}.npz", lambda p: save_ate_samples(samples, labels, p, digest))
     elif stage.startswith("evaluate:"):
         method = stage.split(":", 1)[1]
-        reports, modes, labels, tag = payload
-        text_artifact(f"pairs/{method}.csv", lambda p: write_pair_reports_csv(reports, labels, p))
+        scores, modes, labels, tag = payload
+        text_artifact(f"pairs/{method}.csv", lambda p: write_pair_reports_csv(scores, labels, p))
         text_artifact(
             f"modes/{method}.csv",
             lambda p: write_modes_csv(modes, labels, TRUE_MEC_TAG, tag, p),
@@ -555,7 +555,7 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
     summaries = []
     report_dir = root / "report"
     for method in methods:
-        reports_by_seed = {}
+        tables_by_seed = {}
         modes_by_seed = {}
         for i, sd in evaluated:
             if labels is None:
@@ -564,11 +564,11 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
             modes_path = sd / "modes" / f"{method}.csv"
             _require_digest(pair_path, digest)
             _require_digest(modes_path, digest)
-            reports_by_seed[i] = read_pair_reports_csv(pair_path, labels)
+            tables_by_seed[i] = read_pair_reports_csv(pair_path, labels)
             modes_by_seed[i] = read_modes_csv(modes_path, labels, TRUE_MEC_TAG, method)
-        if not reports_by_seed:
+        if not tables_by_seed:
             raise AggregationError(f"no completed evaluations for method {method!r}")
-        summaries.append(aggregate(reports_by_seed, method))
+        summaries.append(aggregate(tables_by_seed, method))
         rows = relaxation_rows(modes_by_seed, cfg.filter_grid, rcfg)
         relax_path = report_dir / f"relaxation_{method}.csv"
         write_relaxation_csv(rows, relax_path)

@@ -83,6 +83,11 @@ def backdoor_adjustment_set(g, q) -> set[int]:
     return g.parents(q.treatment)
 
 
+def contrast(q) -> float:
+    """The intervention contrast b - a of an AteQuery."""
+    return q.treatment_value_b - q.reference_value_a
+
+
 def estimate_ate(g, data, q) -> float:
     """Linear-regression backdoor estimate of the query's ATE under graph g.
 
@@ -113,7 +118,7 @@ def estimate_ate(g, data, q) -> float:
             "rank-deficient design for treatment=%d adjustment=%s; ridge fallback", t, z
         )
         coef = np.linalg.solve(a + lam * np.eye(len(idx)), b)
-    return float(coef[0]) * q.contrast
+    return float(coef[0]) * contrast(q)
 
 
 def solve_failing_on(idx):

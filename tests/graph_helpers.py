@@ -16,6 +16,16 @@ from atebench.errors import SchemaError
 from atebench.graphs import Cpdag, Dag, _complete, _dense, _meek, _parse_edgelist_text, _rows, _transpose
 
 
+def skeleton(g: Dag) -> np.ndarray:
+    """Symmetric boolean adjacency of a DAG with orientation dropped."""
+    return g.adjacency | g.adjacency.T
+
+
+def adjacent(p: Cpdag) -> np.ndarray:
+    """Symmetric boolean matrix of a CPDAG: true iff any edge joins the pair."""
+    return p.directed | p.directed.T | p.undirected
+
+
 def closure_one(adj):
     """Reachability by paths of length >= 1 of one (d, d) bool adjacency,
     via boolean-matrix squaring; always a new array."""

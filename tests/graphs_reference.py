@@ -22,6 +22,8 @@ from atebench.errors import (
 from atebench.graphs import Cpdag, Dag, _check_square
 from atebench.mec import DEFAULT_MEC_CAP
 
+from graph_helpers import skeleton
+
 
 class MecEnumeration:
     """The enumeration result as it was: the source DAG, its CPDAG, the
@@ -204,7 +206,7 @@ def cpdag_of(g: Dag) -> Cpdag:
     for i, k, j in v_structures(g):
         directed[i, k] = True
         directed[j, k] = True
-    undirected = g.skeleton() & ~(directed | directed.T)
+    undirected = skeleton(g) & ~(directed | directed.T)
     D, U, _ = _meek_close(directed, undirected, on_conflict="raise")
     return Cpdag(g.labels, D, U)
 

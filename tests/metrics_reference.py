@@ -13,16 +13,21 @@ Two generations of replaced code, each held equal to its successor:
   one closeness matrix, and its WD taken by ``kernels.weighted_wasserstein``.
 
 Tests require the current code to reproduce both exactly.  The references
-hold one pair's modes as a ``ModeSet`` and a pair's two sides as
-``PairModes``; ``table_of`` and ``pairs_of`` convert between a list of those
-and the package's ``ModeTable``.  ``atoms_of`` builds the ``AteAtoms`` that
-the package evaluates from per-pair samples, and ``evaluate_one`` runs the
-package's array pass on a single pair.
+hold one pair's modes as a ``ModeSet``, a pair's two sides as ``PairModes``,
+and one pair's scores as a ``PairReport`` with its ``ModeCounts``, None
+marking an undefined rate; they aggregate lists by ``aggregate_metric``, as
+the package did before it held its scores in arrays.  ``table_of`` and
+``pairs_of`` convert between PairModes and the package's ``ModeTable``, and
+``pair_table_of`` and ``reports_of`` between PairReports and its
+``PairTable``.  ``atoms_of`` builds the ``AteAtoms`` that the package
+evaluates from per-pair samples, ``evaluate_one`` runs the package's array
+pass on a single pair, and ``pass_precision_recall`` its mode matcher.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,14 +37,101 @@ from atebench.kernels import weighted_wasserstein
 from atebench.metrics import (
     DEFAULT_FILTER_GRID,
     DEFAULT_FILTER_TOLERANCE,
-    ModeCounts,
     ModeTable,
-    PairReport,
+    PairTable,
     RegroupConfig,
-    _aggregate_metric,
+    _match_counts,
+    _rates,
     _tolerances,
     evaluate_pair_sets,
 )
+
+
+class ModeCounts(NamedTuple):
+    n_true: int
+    n_learned: int
+    tp: int
+    fp: int
+    fn: int
+
+
+class PairReport:
+    """Per-pair metrics; None marks an undefined metric (excluded, counted)."""
+
+    __slots__ = (
+        "query",
+        "wd",
+        "precision",
+        "recall",
+        "filtered_precision",
+        "filtered_recall",
+        "mode_counts",
+    )
+
+    def __init__(self, query, wd, precision, recall, filtered_precision, filtered_recall, mode_counts):
+        if wd < 0:
+            raise ParameterError("wd must be nonnegative")
+        self.query = query
+        self.wd = float(wd)
+        self.precision = precision
+        self.recall = recall
+        self.filtered_precision = filtered_precision
+        self.filtered_recall = filtered_recall
+        self.mode_counts = mode_counts
+
+    def __repr__(self) -> str:
+        return f"PairReport({self.query!r}, wd={self.wd:.4g})"
+
+
+def _none_if_nan(x):
+    return None if math.isnan(x) else x
+
+
+def pair_table_of(reports) -> PairTable:
+    """The PairTable of a sequence of PairReports."""
+    return PairTable(
+        [(r.query.treatment, r.query.outcome) for r in reports],
+        [r.wd for r in reports],
+        np.array([[math.nan if x is None else x
+                   for x in (r.precision, r.recall, r.filtered_precision, r.filtered_recall)]
+                  for r in reports], dtype=float).reshape(-1, 4),
+        np.array([r.mode_counts for r in reports], dtype=np.int64).reshape(-1, 5),
+    )
+
+
+def reports_of(table: PairTable) -> list[PairReport]:
+    """Each row of a PairTable as a PairReport, in table order."""
+    return [PairReport(AteQuery(t, y), wd, *map(_none_if_nan, rates), ModeCounts(*counts))
+            for (t, y), wd, rates, counts in zip(table.pairs.tolist(), table.wd.tolist(),
+                                                 table.rates.tolist(), table.counts.tolist())]
+
+
+def aggregate_metric(values_by_seed: dict) -> tuple[Optional[float], Optional[float], int]:
+    """(mean, spread, excluded_count) of a per-pair metric, given as one list
+    per seed.
+
+    Multi-seed: mean of per-seed means +- standard error over seeds.  Single
+    seed: mean over pairs +- standard deviation over pairs.  None entries are
+    excluded and counted.
+    """
+    excluded = 0
+    per_seed = {}
+    for seed, vals in values_by_seed.items():
+        defined = [v for v in vals if v is not None]
+        excluded += len(vals) - len(defined)
+        if defined:
+            per_seed[seed] = defined
+    if not per_seed:
+        return None, None, excluded
+    if len(values_by_seed) == 1:
+        vals = next(iter(per_seed.values()))
+        mean = float(np.mean(vals))
+        spread = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        return mean, spread, excluded
+    means = [float(np.mean(per_seed[s])) for s in sorted(per_seed)]
+    mean = float(np.mean(means))
+    spread = float(np.std(means, ddof=1) / math.sqrt(len(means))) if len(means) > 1 else 0.0
+    return mean, spread, excluded
 
 
 class ModeSet:
@@ -106,7 +198,7 @@ def table_of(pair_modes) -> ModeTable:
     offsets = np.zeros(len(sides) + 1, dtype=np.int64)
     np.cumsum([len(ms) for ms in sides], out=offsets[1:])
     return ModeTable(
-        [pm.query for pm in pair_modes],
+        [(pm.query.treatment, pm.query.outcome) for pm in pair_modes],
         np.concatenate([ms.representatives for ms in sides] or [np.zeros(0)]),
         np.concatenate([ms.masses for ms in sides] or [np.zeros(0)]),
         offsets,
@@ -116,9 +208,9 @@ def table_of(pair_modes) -> ModeTable:
 def pairs_of(table: ModeTable) -> list[PairModes]:
     """Each pair of a ModeTable as PairModes, in table order."""
     r, m, o = table.representatives, table.masses, table.offsets.tolist()
-    return [PairModes(q, ModeSet(r[o[2 * p]:o[2 * p + 1]], m[o[2 * p]:o[2 * p + 1]]),
+    return [PairModes(AteQuery(t, y), ModeSet(r[o[2 * p]:o[2 * p + 1]], m[o[2 * p]:o[2 * p + 1]]),
                       ModeSet(r[o[2 * p + 1]:o[2 * p + 2]], m[o[2 * p + 1]:o[2 * p + 2]]))
-            for p, q in enumerate(table.queries)]
+            for p, (t, y) in enumerate(table.pairs.tolist())]
 
 
 def ordered_pairs(d: int) -> list[tuple[int, int]]:
@@ -153,10 +245,20 @@ def evaluate_one(true, learned, cfg: RegroupConfig | None = None, filter_toleran
     """(PairReport, PairModes) of one (values, weights) pair against another,
     by the package's array pass over pair (X0, X1) of two-node sweeps."""
     labels = ("X0", "X1")
-    reports, table = evaluate_pair_sets(atoms_of(labels, {(0, 1): true}, "t"),
-                                        atoms_of(labels, {(0, 1): learned}, "l"),
-                                        cfg or RegroupConfig(), filter_tolerance)
-    return pair_report(reports, 0, 1), pairs_of(table)[0]
+    scores, table = evaluate_pair_sets(atoms_of(labels, {(0, 1): true}, "t"),
+                                       atoms_of(labels, {(0, 1): learned}, "l"),
+                                       cfg or RegroupConfig(), filter_tolerance)
+    return pair_report(reports_of(scores), 0, 1), pairs_of(table)[0]
+
+
+def pass_precision_recall(true_modes: ModeSet, learned_modes: ModeSet, cfg: RegroupConfig, tolerance=None):
+    """(precision, recall, ModeCounts) of one pair of ModeSets by the
+    package's array matcher: as they are, or after low-mass filtering at
+    tolerance.  None marks an undefined rate."""
+    table = table_of([PairModes(AteQuery(0, 1), true_modes, learned_modes)])
+    counts = _match_counts(table, cfg, _tolerances([tolerance or 0.0]))[..., 0]
+    precision, recall = (_none_if_nan(float(x[0])) for x in _rates(counts, filtered=tolerance is not None))
+    return precision, recall, ModeCounts(*counts[:, 0].tolist())
 
 
 def pass_wd(x, y) -> float:
@@ -291,8 +393,8 @@ def relaxation_rows(modes_by_seed, grid=DEFAULT_FILTER_GRID, cfg: RegroupConfig 
                 recs.append(r)
             prec_by_seed[seed] = precs
             rec_by_seed[seed] = recs
-        p_mean, p_se, p_excl = _aggregate_metric(prec_by_seed)
-        r_mean, r_se, r_excl = _aggregate_metric(rec_by_seed)
+        p_mean, p_se, p_excl = aggregate_metric(prec_by_seed)
+        r_mean, r_se, r_excl = aggregate_metric(rec_by_seed)
         rows.append(
             {
                 "tolerance": tol,
@@ -420,8 +522,8 @@ def one_pass_relaxation_rows(modes_by_seed, grid=DEFAULT_FILTER_GRID, cfg: Regro
         by_seed[seed] = [[rates(c, filtered=True) for c in by_tol] for by_tol in counts]
     rows = []
     for k, tol in enumerate(grid):
-        p_mean, p_se, p_excl = _aggregate_metric({s: [r[k][0] for r in prs] for s, prs in by_seed.items()})
-        r_mean, r_se, r_excl = _aggregate_metric({s: [r[k][1] for r in prs] for s, prs in by_seed.items()})
+        p_mean, p_se, p_excl = aggregate_metric({s: [r[k][0] for r in prs] for s, prs in by_seed.items()})
+        r_mean, r_se, r_excl = aggregate_metric({s: [r[k][1] for r in prs] for s, prs in by_seed.items()})
         rows.append(dict(tolerance=tol, precision_mean=p_mean, precision_se=p_se, recall_mean=r_mean,
                          recall_se=r_se, excluded_pairs=max(p_excl, r_excl)))
     return rows

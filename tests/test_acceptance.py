@@ -28,7 +28,7 @@ from atebench.scm import (
 
 from ate_reference import analytic_total_effect, estimate_ate
 from conftest import brute_force_dags, oracle_mec_classes
-from metrics_reference import atoms_of, pair_report, pass_modes, pass_wd
+from metrics_reference import atoms_of, pair_report, pass_modes, pass_wd, reports_of
 from score_reference import graph_score
 
 
@@ -121,13 +121,13 @@ def test_a03_true_mec_posterior_is_exact(tmp_path):
     )
     run_real(cfg)
     (pairs_csv,) = sorted((tmp_path / "out" / "seeds").glob("*/pairs/oracle-mec.csv"))
-    reports = read_pair_reports_csv(pairs_csv, g.labels)
-    worst_wd = max(r.wd for r in reports)
-    exact = all(r.precision == 1.0 and r.recall == 1.0 for r in reports)
+    scores = read_pair_reports_csv(pairs_csv, g.labels)
+    worst_wd = float(scores.wd.max())
+    exact = bool((scores.rates[:, :2] == 1.0).all())
     _verdict(
         "A3",
-        len(reports) == 20 and worst_wd <= 1e-12 and exact,
-        f"all {len(reports)} pairs: max wd = {worst_wd:.2e} <= 1e-12, "
+        len(scores) == 20 and worst_wd <= 1e-12 and exact,
+        f"all {len(scores)} pairs: max wd = {worst_wd:.2e} <= 1e-12, "
         f"precision = recall = 1",
     )
 
@@ -174,8 +174,8 @@ def test_a05_filtering_effect():
     labels = ("X0", "X1")
     true_set = atoms_of(labels, {(0, 1): ([0.0, 2.0], [0.5, 0.5])}, "truth")
     learned = atoms_of(labels, {(0, 1): ([0.0, 2.0, 9.0], [0.495, 0.495, 0.01])}, "learned")
-    reports, _ = evaluate_pair_sets(true_set, learned, RegroupConfig(), filter_tolerance=0.05)
-    rep = pair_report(reports, 0, 1)
+    scores, _ = evaluate_pair_sets(true_set, learned, RegroupConfig(), filter_tolerance=0.05)
+    rep = pair_report(reports_of(scores), 0, 1)
     ok = (
         rep.precision == 2 / 3
         and rep.filtered_precision == 1.0
@@ -278,13 +278,11 @@ def test_a08_recall_dominates_precision_for_ges(trend_runs):
     labels = default_labels(TREND["d"])
     total = defined = ok = 0
     for f in sorted((root20 / "seeds").glob("*/pairs/bootstrap-ges.csv")):
-        for rep in read_pair_reports_csv(f, labels):
-            total += 1
-            if rep.precision is None or rep.recall is None:
-                continue
-            defined += 1
-            if rep.recall >= rep.precision:
-                ok += 1
+        rates = read_pair_reports_csv(f, labels).rates
+        precision, recall = rates[~np.isnan(rates[:, :2]).any(axis=1), :2].T
+        total += len(rates)
+        defined += len(recall)
+        ok += int((recall >= precision).sum())
     frac = ok / defined
     _verdict(
         "A8",

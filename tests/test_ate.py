@@ -41,7 +41,7 @@ def test_query_validation():
     with pytest.raises(ParameterError):
         AteQuery(1, 1)
     q = AteQuery(0, 2, treatment_value_b=2.0, reference_value_a=-1.0)
-    assert q.contrast == 3.0
+    assert ate_reference.contrast(q) == 3.0
 
 
 def test_adjustment_set_is_treatment_parents():

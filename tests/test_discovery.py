@@ -35,7 +35,7 @@ from atebench.scm import (
     sample,
 )
 
-from graph_helpers import cpdag_of
+from graph_helpers import adjacent, cpdag_of
 from pc_reference import reference_partial_correlation
 from score_reference import graph_score
 
@@ -266,7 +266,7 @@ def test_pc_honors_max_condition_size():
     est = pc(data, CiTestConfig(alpha=0.05, max_condition_size=0))
     # order-0 tests cannot separate 0 and 1 through the collider path, so
     # the skeleton keeps at least the two true edges
-    assert est.adjacent()[0, 2] and est.adjacent()[1, 2]
+    assert adjacent(est)[0, 2] and adjacent(est)[1, 2]
 
 
 def test_pc_alpha_sensitivity_runs():

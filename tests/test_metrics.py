@@ -7,8 +7,8 @@ from scipy import stats
 from atebench.ate import AteAtoms, AteQuery, AteSampleSet
 from atebench.errors import AggregationError, ParameterError, SchemaError
 from atebench.metrics import (
-    ModeCounts,
-    PairReport,
+    PAIR_REPORT_HEADER,
+    PairTable,
     RegroupConfig,
     RunReport,
     aggregate,
@@ -22,11 +22,25 @@ from atebench.metrics import (
 )
 
 from conftest import random_weighted_sample
-from metrics_reference import ModeSet, PairModes, atoms_of, filter_low_mass, pairs_of, table_of
+from metrics_reference import (
+    ModeCounts,
+    ModeSet,
+    PairModes,
+    atoms_of,
+    evaluate_one,
+    pairs_of,
+    pass_precision_recall,
+    reports_of,
+    table_of,
+)
+from metrics_reference import filter_low_mass as reference_filter_low_mass
+from metrics_reference import one_pass_evaluate_pair as reference_evaluate_pair
+from metrics_reference import one_pass_mode_precision_recall as reference_precision_recall
 from metrics_reference import pass_modes as regroup
 from metrics_reference import pass_wd as wasserstein_1d
-from metrics_reference import one_pass_evaluate_pair as evaluate_pair
-from metrics_reference import one_pass_mode_precision_recall as mode_precision_recall
+
+# the package's array matcher on one pair, and the per-pair reference
+MODE_PRECISION_RECALL = (pass_precision_recall, reference_precision_recall)
 
 
 def sample_set(values, weights=None, tag="t", q=None):
@@ -138,39 +152,43 @@ def test_regroup_config_validation():
 def test_precision_recall_exact_match():
     cfg = RegroupConfig()
     ms = ModeSet([0.0, 1.0], [0.5, 0.5])
-    p, r, counts = mode_precision_recall(ms, ms, cfg)
-    assert p == 1.0 and r == 1.0
-    assert counts == ModeCounts(2, 2, 2, 0, 0)
+    for mode_precision_recall in MODE_PRECISION_RECALL:
+        p, r, counts = mode_precision_recall(ms, ms, cfg)
+        assert p == 1.0 and r == 1.0
+        assert counts == ModeCounts(2, 2, 2, 0, 0)
 
 
 def test_precision_recall_spurious_learned_mode():
     cfg = RegroupConfig()
     true = ModeSet([0.0, 1.0], [0.5, 0.5])
     learned = ModeSet([0.0, 1.0, 7.0], [0.4, 0.4, 0.2])
-    p, r, counts = mode_precision_recall(true, learned, cfg)
-    assert p == pytest.approx(2 / 3)
-    assert r == 1.0
-    assert counts == ModeCounts(2, 3, 2, 1, 0)
+    for mode_precision_recall in MODE_PRECISION_RECALL:
+        p, r, counts = mode_precision_recall(true, learned, cfg)
+        assert p == pytest.approx(2 / 3)
+        assert r == 1.0
+        assert counts == ModeCounts(2, 3, 2, 1, 0)
 
 
 def test_precision_recall_missed_true_mode():
     cfg = RegroupConfig()
     true = ModeSet([0.0, 1.0, 2.0], [0.4, 0.3, 0.3])
     learned = ModeSet([1.0], [1.0])
-    p, r, counts = mode_precision_recall(true, learned, cfg)
-    assert p == 1.0
-    assert r == pytest.approx(1 / 3)
-    assert counts.fn == 2
+    for mode_precision_recall in MODE_PRECISION_RECALL:
+        p, r, counts = mode_precision_recall(true, learned, cfg)
+        assert p == 1.0
+        assert r == pytest.approx(1 / 3)
+        assert counts.fn == 2
 
 
 def test_precision_recall_empty_sides_are_undefined():
     cfg = RegroupConfig()
     empty = ModeSet([], [])
     full = ModeSet([1.0], [1.0])
-    p, r, _ = mode_precision_recall(empty, full, cfg)
-    assert p == 0.0 and r is None
-    p, r, _ = mode_precision_recall(full, empty, cfg)
-    assert p is None and r == 0.0
+    for mode_precision_recall in MODE_PRECISION_RECALL:
+        p, r, _ = mode_precision_recall(empty, full, cfg)
+        assert p == 0.0 and r is None
+        p, r, _ = mode_precision_recall(full, empty, cfg)
+        assert p is None and r == 0.0
 
 
 def test_precision_recall_uses_reference_side_tolerances():
@@ -179,39 +197,54 @@ def test_precision_recall_uses_reference_side_tolerances():
     cfg = RegroupConfig(rtol=2.0, atol=0.0)
     true = ModeSet([0.0], [1.0])
     learned = ModeSet([0.2], [1.0])
-    p, r, counts = mode_precision_recall(true, learned, cfg)
-    # recall references the learned value: |0 - 0.2| <= 2 * 0.2, found;
-    # the learned mode references the true value: |0.2 - 0| > 2 * 0, so it
-    # still counts as spurious and dilutes precision to tp / (tp + fp)
-    assert r == 1.0
-    assert counts == ModeCounts(1, 1, 1, 1, 0)
-    assert p == 0.5
+    for mode_precision_recall in MODE_PRECISION_RECALL:
+        p, r, counts = mode_precision_recall(true, learned, cfg)
+        # recall references the learned value: |0 - 0.2| <= 2 * 0.2, found;
+        # the learned mode references the true value: |0.2 - 0| > 2 * 0, so it
+        # still counts as spurious and dilutes precision to tp / (tp + fp)
+        assert r == 1.0
+        assert counts == ModeCounts(1, 1, 1, 1, 0)
+        assert p == 0.5
 
 
 # --- low-mass filtering ----------------------------------------------------
+# The package filters by counting the modes of mass >= tolerance; only the
+# reference builds the renormalized filtered ModeSet.
 
 
 def test_filter_drops_and_renormalizes():
     ms = ModeSet([0.0, 1.0, 2.0], [0.9, 0.06, 0.04])
-    out = filter_low_mass(ms, 0.05)
+    out = reference_filter_low_mass(ms, 0.05)
     assert out.modes == [(0.0, pytest.approx(0.9 / 0.96)), (1.0, pytest.approx(0.06 / 0.96))]
+    p, r, counts = pass_precision_recall(ms, ms, RegroupConfig(), tolerance=0.05)
+    assert counts == ModeCounts(2, 2, 2, 0, 0)
+    assert p == r == 1.0
 
 
 def test_filter_all_below_gives_empty_sentinel():
     ms = ModeSet([0.0, 1.0], [0.5, 0.5])
-    out = filter_low_mass(ms, 0.9)
+    out = reference_filter_low_mass(ms, 0.9)
     assert out.is_empty
+    p, r, counts = pass_precision_recall(ms, ms, RegroupConfig(), tolerance=0.9)
+    assert counts == ModeCounts(0, 0, 0, 0, 0)
+    assert p is None and r is None
 
 
 def test_filter_zero_tolerance_is_identity():
     ms = ModeSet([0.0, 1.0], [0.5, 0.5])
-    assert filter_low_mass(ms, 0.0) == ms
+    assert reference_filter_low_mass(ms, 0.0) == ms
+    other = ModeSet([1.0, 3.0], [0.25, 0.75])
+    assert pass_precision_recall(ms, other, RegroupConfig(), tolerance=0.0) == pass_precision_recall(
+        ms, other, RegroupConfig()
+    )
 
 
 def test_filter_validates_tolerance():
     ms = ModeSet([0.0], [1.0])
     with pytest.raises(ParameterError):
-        filter_low_mass(ms, 1.0)
+        reference_filter_low_mass(ms, 1.0)
+    with pytest.raises(ParameterError):
+        pass_precision_recall(ms, ms, RegroupConfig(), tolerance=1.0)
 
 
 # --- pair evaluation -------------------------------------------------------
@@ -219,27 +252,37 @@ def test_filter_validates_tolerance():
 
 def test_evaluate_pair_identical_sets():
     ss = sample_set([0.5, 1.5, 0.5], [0.25, 0.5, 0.25])
-    report, pm = evaluate_pair(ss, ss, RegroupConfig())
-    assert report.wd <= 1e-12
-    assert report.precision == 1.0 and report.recall == 1.0
-    assert report.filtered_precision == 1.0 and report.filtered_recall == 1.0
-    assert pm.true_modes == pm.learned_modes
+    for report, pm in (reference_evaluate_pair(ss, ss, RegroupConfig()),
+                       evaluate_one((ss.values, ss.weights), (ss.values, ss.weights))):
+        assert report.wd <= 1e-12
+        assert report.precision == 1.0 and report.recall == 1.0
+        assert report.filtered_precision == 1.0 and report.filtered_recall == 1.0
+        assert pm.true_modes == pm.learned_modes
 
 
 def test_evaluate_pair_filtering_rescues_precision():
     true = sample_set([0.0, 1.0], [0.5, 0.5])
     learned = sample_set([0.0, 1.0, 9.0], [0.495, 0.495, 0.01])
-    report, _ = evaluate_pair(true, learned, RegroupConfig(), filter_tolerance=0.05)
-    assert report.precision == pytest.approx(2 / 3)
-    assert report.filtered_precision == 1.0
-    assert report.recall == 1.0 and report.filtered_recall == 1.0
+    for report in (reference_evaluate_pair(true, learned, RegroupConfig(), filter_tolerance=0.05)[0],
+                   evaluate_one((true.values, true.weights), (learned.values, learned.weights),
+                                filter_tolerance=0.05)[0]):
+        assert report.precision == pytest.approx(2 / 3)
+        assert report.filtered_precision == 1.0
+        assert report.recall == 1.0 and report.filtered_recall == 1.0
 
 
 def test_evaluate_pair_mismatched_queries_raise():
+    # the reference checks the queries of two sample sets; the package
+    # checks that two sweeps answer the same contrast
     a = sample_set([0.0], q=AteQuery(0, 1))
     b = sample_set([0.0], q=AteQuery(1, 0))
     with pytest.raises(ParameterError):
-        evaluate_pair(a, b, RegroupConfig())
+        reference_evaluate_pair(a, b, RegroupConfig())
+    sweep = atoms_of(("X0", "X1"), {})
+    other = AteAtoms(sweep.labels, sweep.atom_values, sweep.atom_weights, sweep.offsets, "l",
+                     reference_value_a=0.5)
+    with pytest.raises(AggregationError):
+        evaluate_pair_sets(sweep, other, RegroupConfig())
 
 
 def test_evaluate_pair_sets_requires_same_pairs():
@@ -254,23 +297,24 @@ def test_evaluate_pair_sets_requires_same_pairs():
 
 def test_evaluate_pair_sets_orders_by_pair():
     sets = atoms_of(("X0", "X1"), {(1, 0): ([1.0], [1.0]), (0, 1): ([0.0], [1.0])})
-    reports, modes = evaluate_pair_sets(sets, sets, RegroupConfig())
-    got = [(r.query.treatment, r.query.outcome) for r in reports]
-    assert got == [(0, 1), (1, 0)]
-    assert [(q.treatment, q.outcome) for q in modes.queries] == got
+    scores, modes = evaluate_pair_sets(sets, sets, RegroupConfig())
+    assert scores.pairs.tolist() == [[0, 1], [1, 0]]
+    assert modes.pairs.tolist() == scores.pairs.tolist()
     assert modes.representatives.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # --- aggregation -----------------------------------------------------------
 
 
-def report_of(t, y, wd, p, r):
-    return PairReport(AteQuery(t, y), wd, p, r, p, r, ModeCounts(1, 1, 1, 0, 0))
+def table_of_scores(*rows):
+    """A PairTable of (t, y, wd, precision, recall) rows, NaN for None; the
+    filtered rates repeat the plain ones."""
+    rates = [[np.nan if x is None else x for x in (p, r, p, r)] for _, _, _, p, r in rows]
+    return PairTable([row[:2] for row in rows], [row[2] for row in rows], rates, [[1, 1, 1, 0, 0]] * len(rows))
 
 
 def test_single_seed_aggregation_uses_pair_spread():
-    reports = [report_of(0, 1, 0.2, 1.0, 0.5), report_of(1, 0, 0.4, 0.5, 1.0)]
-    s = aggregate({0: reports}, "m")
+    s = aggregate({0: table_of_scores((0, 1, 0.2, 1.0, 0.5), (1, 0, 0.4, 0.5, 1.0))}, "m")
     assert s.wd_mean == pytest.approx(0.3)
     assert s.wd_se == pytest.approx(np.std([0.2, 0.4], ddof=1))
     assert s.precision_mean == pytest.approx(0.75)
@@ -279,8 +323,8 @@ def test_single_seed_aggregation_uses_pair_spread():
 
 def test_multi_seed_aggregation_uses_standard_error_of_seed_means():
     by_seed = {
-        0: [report_of(0, 1, 0.2, 1.0, 1.0), report_of(1, 0, 0.4, 1.0, 1.0)],
-        1: [report_of(0, 1, 0.6, 0.0, 1.0), report_of(1, 0, 0.8, 0.0, 1.0)],
+        0: table_of_scores((0, 1, 0.2, 1.0, 1.0), (1, 0, 0.4, 1.0, 1.0)),
+        1: table_of_scores((1, 0, 0.8, 0.0, 1.0), (0, 1, 0.6, 0.0, 1.0)),
     }
     s = aggregate(by_seed, "m")
     means = [0.3, 0.7]
@@ -290,8 +334,7 @@ def test_multi_seed_aggregation_uses_standard_error_of_seed_means():
 
 
 def test_aggregation_excludes_none_metrics_and_counts_them():
-    reports = [report_of(0, 1, 0.2, None, 1.0), report_of(1, 0, 0.4, 0.5, 1.0)]
-    s = aggregate({0: reports}, "m")
+    s = aggregate({0: table_of_scores((0, 1, 0.2, None, 1.0), (1, 0, 0.4, 0.5, 1.0))}, "m")
     assert s.precision_mean == pytest.approx(0.5)
     assert s.excluded["precision"] == 1
     assert s.excluded["wd"] == 0
@@ -299,7 +342,7 @@ def test_aggregation_excludes_none_metrics_and_counts_them():
 
 def test_aggregation_rejects_mismatched_pair_sets():
     with pytest.raises(AggregationError):
-        aggregate({0: [report_of(0, 1, 0.1, 1, 1)], 1: [report_of(1, 0, 0.1, 1, 1)]}, "m")
+        aggregate({0: table_of_scores((0, 1, 0.1, 1, 1)), 1: table_of_scores((1, 0, 0.1, 1, 1))}, "m")
 
 
 def test_run_report_requires_rows():
@@ -341,20 +384,18 @@ def test_relaxation_marks_filtered_out_pairs_excluded():
 
 def test_pair_reports_csv_round_trip(tmp_path):
     labels = ("X0", "X1")
-    reports = [
-        PairReport(AteQuery(0, 1), 0.25, 2 / 3, 1.0, None, None, ModeCounts(2, 3, 2, 1, 0)),
-        PairReport(AteQuery(1, 0), 0.0, 1.0, 1.0, 1.0, 1.0, ModeCounts(1, 1, 1, 0, 0)),
-    ]
+    table = PairTable([(0, 1), (1, 0)], [0.25, 0.0], [[2 / 3, 1.0, np.nan, np.nan], [1.0] * 4],
+                      [[2, 3, 2, 1, 0], [1, 1, 1, 0, 0]])
     path = tmp_path / "pairs.csv"
-    write_pair_reports_csv(reports, labels, path)
+    write_pair_reports_csv(table, labels, path)
+    assert path.read_text().splitlines()[1] == "X0,X1,0.25,0.6666666666666666,1.0,,,2,3,2,1,0"
     back = read_pair_reports_csv(path, labels)
     assert len(back) == 2
-    for a, b in zip(reports, back):
-        assert a.query == b.query
-        assert b.wd == a.wd
-        assert b.precision == pytest.approx(a.precision)
-        assert b.filtered_precision == a.filtered_precision
-        assert b.mode_counts == a.mode_counts
+    for name in PairTable.__slots__:
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+    a, b = reports_of(table)
+    assert (a.query, a.filtered_precision, a.mode_counts) == (AteQuery(0, 1), None, ModeCounts(2, 3, 2, 1, 0))
+    assert (b.query, b.filtered_precision) == (AteQuery(1, 0), 1.0)
 
 
 def test_modes_csv_round_trip(tmp_path):
@@ -415,15 +456,33 @@ def test_modes_csv_names_the_file_and_pair_of_a_nonpositive_mass(tmp_path):
 
 def test_pair_reports_csv_names_the_line_of_a_self_pair(tmp_path):
     labels = ("X0", "X1")
-    report = PairReport(AteQuery(0, 1), 0.25, 1.0, 1.0, None, None, ModeCounts(1, 1, 1, 0, 0))
+    table = PairTable([(0, 1)] * 2, [0.25] * 2, [[1.0, 1.0, np.nan, np.nan]] * 2, [[1, 1, 1, 0, 0]] * 2)
     path = tmp_path / "pairs.csv"
-    write_pair_reports_csv([report, report], labels, path)
+    write_pair_reports_csv(table, labels, path)
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1].replace("X0,X1,", "X1,X1,", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError) as err:
         read_pair_reports_csv(path, labels)
     assert str(err.value) == f"{path}:{len(lines)}: treatment and outcome must differ"
+
+
+def test_report_files_refuse_non_finite_cells(tmp_path):
+    # an empty cell is the one mark of an undefined rate
+    labels = ("X0", "X1")
+    path = tmp_path / "pairs.csv"
+    header = ",".join(PAIR_REPORT_HEADER) + "\n"
+    for row in ("X0,X1,nan,1.0,1.0,,,1,1,1,0,0", "X0,X1,0.5,inf,1.0,,,1,1,1,0,0", "X0,X1,0.5,1.0,1.0,nan,,1,1,1,0,0"):
+        path.write_text(header + "X1,X0,0.5,1.0,1.0,1.0,1.0,1,1,1,0,0\n" + row + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_pair_reports_csv(path, labels)
+        assert str(err.value) == f"{path}:3: malformed numeric field"
+    path = tmp_path / "modes.csv"
+    for row in ("X0,X1,m,inf,1.0", "X0,X1,m,0.5,nan"):
+        path.write_text("treatment,outcome,source_tag,mode_value,mass\nX0,X1,true-mec,0.0,1.0\n" + row + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_modes_csv(path, labels, "true-mec", "m")
+        assert str(err.value) == f"{path}:3: malformed numeric field"
 
 
 def test_modes_csv_names_the_line_of_a_self_pair(tmp_path):
@@ -436,7 +495,7 @@ def test_modes_csv_names_the_line_of_a_self_pair(tmp_path):
 
 
 def test_run_report_csv_has_one_row_per_method(tmp_path):
-    s = aggregate({0: [report_of(0, 1, 0.1, 1.0, 0.5)]}, "m1")
+    s = aggregate({0: table_of_scores((0, 1, 0.1, 1.0, 0.5))}, "m1")
     path = tmp_path / "report.csv"
     write_run_report_csv(RunReport([s, s._replace(method="m2")]), path)
     rows = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]

@@ -6,15 +6,21 @@ import tracemalloc
 import numpy as np
 
 import metrics_reference as ref
-from atebench.ate import AteAtoms
+from atebench.ate import AteAtoms, sweep
+from atebench.discovery import uniform_posterior
+from atebench.mec import enumerate_mec
 from atebench.metrics import (
     ModeTable,
+    PairTable,
     RegroupConfig,
     evaluate_pair_sets,
     read_modes_csv,
+    read_pair_reports_csv,
     relaxation_rows,
     write_modes_csv,
+    write_pair_reports_csv,
 )
+from atebench.scm import random_er_dag, random_scm, sample
 
 # 0.2 is the mass of 2 equal atoms out of 10; 0.5 and 0.99 empty most sides
 GRID = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 0.99)
@@ -71,24 +77,21 @@ def _sample_sets(seed, d=8):
 
 
 def _same_bits(a, b):
-    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+    """Equal shapes, dtypes and bytes: NaN where the other has NaN."""
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
 
 
 def _assert_same_table(table, want):
-    assert table.queries == want.queries
-    for name in ("representatives", "masses", "offsets"):
+    """Two PairTables, or two ModeTables, hold the same bits."""
+    assert type(table) is type(want)
+    for name in type(table).__slots__:
         assert _same_bits(getattr(table, name), getattr(want, name)), name
 
 
 def _assert_identical(got, want):
-    (reports, modes), (ref_reports, ref_modes) = got, want
-    assert len(reports) == len(ref_reports) == len(modes) == len(ref_modes)
-    for r, w in zip(reports, ref_reports):
-        for field in ("query", "wd", "precision", "recall", "filtered_precision", "filtered_recall"):
-            assert getattr(r, field) == getattr(w, field), field
-            assert type(getattr(r, field)) is type(getattr(w, field)), field
-        assert repr(r.wd) == repr(w.wd)
-        assert r.mode_counts == w.mode_counts
+    (scores, modes), (ref_reports, ref_modes) = got, want
+    assert len(scores) == len(ref_reports) == len(modes) == len(ref_modes)
+    _assert_same_table(scores, ref.pair_table_of(ref_reports))
     _assert_same_table(modes, ref.table_of(ref_modes))
 
 
@@ -153,21 +156,42 @@ def test_one_wide_pair_evaluates_in_memory_linear_in_its_atoms():
     lengths[17] = wide
     offsets = np.concatenate([[0], np.cumsum(lengths)])
 
-    def sweep(tag):
+    def atoms(tag):
         v = rng.normal(size=offsets[-1])
         v[offsets[17]:offsets[18]] = rng.permutation(wide)
         w = np.ones(offsets[-1])
         w[offsets[17]:offsets[18]] = 1.0 / wide
         return AteAtoms([f"X{i}" for i in range(d)], v, w, offsets, tag)
 
-    true_atoms, learned_atoms = sweep("true-mec"), sweep("m")
+    true_atoms, learned_atoms = atoms("true-mec"), atoms("m")
     tracemalloc.start()
     try:
-        reports, modes = evaluate_pair_sets(true_atoms, learned_atoms, RegroupConfig())
+        scores, modes = evaluate_pair_sets(true_atoms, learned_atoms, RegroupConfig())
         rows = relaxation_rows({0: modes})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(reports) == d * (d - 1) and len(rows) == 6
+    assert len(scores) == d * (d - 1) and len(rows) == 6
     assert np.diff(modes.offsets)[34:36].tolist() == [wide, wide]
     assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_tables_survive_their_files_at_a_contrast_with_undefined_cells(tmp_path):
+    # a 1.7 contrast, and a filter tolerance that leaves some pairs without
+    # a kept mode on one side, so their filtered rates are undefined
+    g = random_er_dag(5, 5, seed=4)
+    data = sample(random_scm(g, seed=4), 60, seed=4)
+    bag = uniform_posterior([random_er_dag(5, 5, seed=s) for s in range(7)], "m", seed=0)
+    true_atoms = sweep(enumerate_mec(g), data, treatment_value_b=1.7)
+    scores, modes = evaluate_pair_sets(true_atoms, sweep(bag, data, treatment_value_b=1.7),
+                                       RegroupConfig(), filter_tolerance=0.6)
+    undefined = np.isnan(scores.rates)
+    assert undefined[:, 2:].any() and not undefined.all()
+    labels = true_atoms.labels
+    write_pair_reports_csv(scores, labels, tmp_path / "pairs.csv")
+    write_modes_csv(modes, labels, "true-mec", "m", tmp_path / "modes.csv")
+    back = read_pair_reports_csv(tmp_path / "pairs.csv", labels)
+    assert isinstance(back, PairTable)
+    _assert_same_table(back, scores)
+    assert np.array_equal(np.isnan(back.rates), undefined)
+    _assert_same_table(read_modes_csv(tmp_path / "modes.csv", labels, "true-mec", "m"), modes)

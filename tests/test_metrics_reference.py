@@ -7,17 +7,10 @@ import pytest
 import metrics_reference as ref
 from atebench.ate import AteQuery, AteSampleSet
 from atebench.errors import ParameterError
-from atebench.metrics import (
-    DEFAULT_FILTER_GRID,
-    ModeCounts,
-    RegroupConfig,
-    _match_counts,
-    _rates,
-    evaluate_pair_sets,
-    relaxation_rows,
-)
+from atebench.metrics import DEFAULT_FILTER_GRID, RegroupConfig, evaluate_pair_sets, relaxation_rows
 from metrics_reference import ModeSet, PairModes
 from metrics_reference import pass_modes as regroup
+from metrics_reference import pass_precision_recall as mode_precision_recall
 
 CONFIGS = (RegroupConfig(), RegroupConfig(rtol=1e-3, atol=1e-2), RegroupConfig(rtol=0.0, atol=1.0))
 # 0 keeps every mode; 0.5 and 0.99 make most pairs lose a whole side
@@ -28,14 +21,6 @@ def evaluate_pair(true_set, learned_set, cfg, filter_tolerance):
     """The array pass on a single pair."""
     return ref.evaluate_one((true_set.values, true_set.weights), (learned_set.values, learned_set.weights),
                             cfg, filter_tolerance)
-
-
-def mode_precision_recall(true_modes, learned_modes, cfg):
-    """The array matcher on a single pair, without filtering."""
-    table = ref.table_of([PairModes(AteQuery(0, 1), true_modes, learned_modes)])
-    counts = _match_counts(table, cfg, np.zeros(1))
-    (precision,), (recall,) = _rates([c[:, 0] for c in counts])
-    return precision, recall, ModeCounts(*(int(c[0, 0]) for c in counts))
 
 
 def _reach(x, cfg):
