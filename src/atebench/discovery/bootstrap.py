@@ -51,11 +51,7 @@ def bootstrap(
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, attempt))
             rng = np.random.default_rng(ss)
             rows = rng.integers(0, n, size=n)
-            boot = Dataset(
-                data.values[rows],
-                data.column_labels,
-                f"{data.provenance}|bootstrap:replicate={k},attempt={attempt}",
-            )
+            boot = Dataset(data.values[rows], data.column_labels)
             try:
                 estimate = fit(boot)
                 member = consistent_extension(estimate, seed=int(ss.generate_state(1)[0]))

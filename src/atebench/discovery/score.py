@@ -30,15 +30,6 @@ class BicScore:
         self._rows = self.gram.tolist()
         self._cache = {}
 
-    def local(self, node: int, parents) -> float:
-        mask = 0
-        for p in parents:
-            p = int(p)
-            if not 0 <= p < self.d:
-                raise ParameterError(f"parent {p} outside 0..{self.d - 1}")
-            mask |= 1 << p
-        return self.local_mask(node, mask)
-
     def local_mask(self, node: int, mask: int) -> float:
         """Local score of `node` given the parent set whose bits `mask` sets."""
         node = int(node)

@@ -20,7 +20,6 @@ from .errors import (
     CyclicGraphError,
     ExtensionError,
     OrientationConflictError,
-    ParameterError,
     SchemaError,
     StructuralError,
     ValidationError,
@@ -299,12 +298,6 @@ class Dag:
     @property
     def num_edges(self) -> int:
         return int(self.adjacency.sum())
-
-    def parents(self, node: int) -> set[int]:
-        """Indices i with an edge i -> node."""
-        if not 0 <= node < self.num_nodes:
-            raise ParameterError(f"node index {node} out of range for d={self.num_nodes}")
-        return set(np.flatnonzero(self.adjacency[:, node]).tolist())
 
     def edges(self) -> list[tuple[int, int]]:
         rows, cols = np.nonzero(self.adjacency)

@@ -314,8 +314,7 @@ def _heaviest_close(table: ModeTable, cfg: RegroupConfig) -> np.ndarray:
         cells = np.arange(row_start[-1] + wid[-1])
         mode = np.repeat(rows, wid)
         partner = np.repeat(first[rows] - row_start, wid) + cells
-        ref = r[partner]
-        close = np.abs(r[mode] - ref) <= cfg.atol + cfg.rtol * np.abs(ref)
+        close = cfg.close(r[mode], r[partner])
         out[rows] = np.maximum.reduceat(np.where(close, m[partner], -1.0), row_start)
     return out
 

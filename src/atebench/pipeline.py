@@ -3,12 +3,13 @@
 Layout under output_root:
 
     run_config.txt            frozen copy of the config, digest-stamped
-    run_manifest.json         stage markers, timings, diagnostics, version
-    run.log                   line-delimited orchestrator log
+    run_manifest.json         methods, per-seed status, report files, version
+    run.log                   line-delimited log of the run
     seeds/seed_NNN/           per-seed artifacts (graph, data, MEC, sweeps, ...)
     seeds/seed_NNN/manifest.json
-                              config_digest; stages, each with its files and
-                              seconds; failed, the stage and error of a failure
+                              seed_index; config_digest; stages, each with its
+                              files and seconds; failed, the stage and error
+                              of a failure
     report/                   aggregated CSVs
 
 Every bag of DAGs is written in the one posterior multi-graph format of
@@ -16,11 +17,16 @@ Every bag of DAGs is written in the one posterior multi-graph format of
 ``posteriors/<method>.txt`` and the true equivalence class as ``mec.txt``
 (tag ``true-mec``, uniform weights).
 
-Seeds may execute in parallel worker processes, but every file is written by
-the orchestrating process, in a deterministic format, so a run's artifact
-bytes do not depend on the worker count.  The aggregation stage re-reads the
-per-seed CSVs from disk rather than reusing in-memory results, which makes
-the final report byte-identical across worker counts and resume points.
+Each seed writes its own files, in the process that computes it (a worker
+process when ``workers > 1``), in a deterministic format, so a run's artifact
+bytes do not depend on the worker count.  A stage's files are written as soon
+as its computation returns, and only then is the stage entered in the seed's
+manifest; the manifest file is written once per command, when the seed stops,
+so an interrupted command keeps the stages it finished.  The orchestrating
+process writes ``run_config.txt``, ``run_manifest.json``, ``run.log`` and
+``report/``.  The aggregation stage re-reads the per-seed CSVs from disk
+rather than reusing in-memory results, which makes the final report
+byte-identical across worker counts and resume points.
 
 A seed that fails keeps the stages it completed before the failing one.  When
 a stage's own computation raises an ``AteBenchError``, the seed manifest
@@ -35,7 +41,6 @@ its failure, recorded or not, is then also raised to the caller.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -153,8 +158,7 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-seed computation (runs in worker processes; touches no files except
-# reading back artifacts of stages completed in an earlier run)
+# per-seed computation and its files (runs in worker processes)
 # ---------------------------------------------------------------------------
 
 
@@ -163,23 +167,12 @@ def _align_to_graph(data: Dataset, truth: Dag) -> Dataset:
         if data.column_labels == truth.labels:
             return data
         order = [data.column_labels.index(lab) for lab in truth.labels]
-        return Dataset(data.values[:, order], truth.labels, data.provenance)
+        return Dataset(data.values[:, order], truth.labels)
     missing = sorted(set(truth.labels) - set(data.column_labels))
     if missing:
         raise SchemaError(f"dataset is missing graph column(s): {', '.join(missing)}")
     extra = sorted(set(data.column_labels) - set(truth.labels))
     raise SchemaError(f"dataset has column(s) absent from the graph: {', '.join(extra)}")
-
-
-@dataclasses.dataclass
-class _SeedProgress:
-    """What one seed's computation got done: (stage name, payload) pairs in
-    write order, their seconds, and the stage whose own computation raised an
-    AteBenchError, as {"stage", "error"}."""
-
-    stages: list = dataclasses.field(default_factory=list)
-    timings: dict = dataclasses.field(default_factory=dict)
-    failed: dict | None = None
 
 
 def _error_text(exc: BaseException) -> str:
@@ -191,24 +184,51 @@ def _stage_cut(stage: str) -> int:
     return _STAGE_CUTS[stage.split(":", 1)[0]]
 
 
-def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
-                  done: frozenset, cut: int, posterior, progress: _SeedProgress) -> None:
-    """Compute this seed's missing stages into `progress`, reusing completed
-    artifacts; an error propagates once `progress` holds what came before it.
-    A parsed external `posterior` is the seed's only method.
-    """
-    sd = Path(seed_dir)
+def _flush_seed_result(manifest: dict, stage: str, write, seconds: float) -> None:
+    """Write one computed stage's files, then enter the stage, with its
+    files and the seconds its computation took, in the in-memory manifest."""
+    manifest["stages"][stage] = {"files": write(), "seconds": round(seconds, 6)}
 
-    def timed(name, fn):
+
+def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: dict,
+                  cut: int, posterior) -> None:
+    """Compute and write this seed's missing stages, reusing completed
+    artifacts, and enter each in `manifest`; a stage whose own computation
+    raises an AteBenchError is recorded there under ``failed``.  A parsed
+    external `posterior` is the seed's only method.
+    """
+    digest = manifest["config_digest"]
+    done = manifest["stages"]
+
+    def timed(name, compute, write):
         t0 = time.perf_counter()
         try:
-            payload = fn()
+            result = compute()
         except AteBenchError as exc:
-            progress.failed = {"stage": name, "error": _error_text(exc)}
+            manifest["failed"] = {"stage": name, "error": _error_text(exc)}
             raise
-        progress.timings[name] = time.perf_counter() - t0
-        progress.stages.append((name, payload))
-        return payload
+        _flush_seed_result(manifest, name, lambda: write(result), time.perf_counter() - t0)
+        logger.info("seed %d: stage %s done (%d files)", seed_index, name,
+                    len(done[name]["files"]))
+        return result
+
+    def saved(rel, save, stamp=_stamp_text):
+        path = sd / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save(path)
+        if stamp is not None:
+            stamp(path, digest)
+        return rel
+
+    def write_base(base):
+        g, m, d0 = base
+        files = [saved("truth_graph.txt", lambda p: save_graph(g, p))]
+        if m is not None:
+            files.append(saved("scm.json", lambda p: save_scm(m, p), _stamp_json))
+        return files + [saved("data.csv", lambda p: save_dataset(d0, p))]
+
+    def write_ates(rel, samples):
+        return saved(rel, lambda p: save_ate_samples(samples, labels, p, digest), None)
 
     # stage: generate (synthetic) or ingest (real); artifact names shared
     if "generate" in done:
@@ -233,38 +253,31 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
                 )
                 d0 = sample(m, cfg.n, _stream_seed(cfg.master_seed, seed_index, _STREAM_DATA))
             return g, m, d0.standardized() if cfg.standardize else d0
-        truth, _, data = timed("generate", build_base)
+        truth, _, data = timed("generate", build_base, write_base)
     labels = truth.labels
 
-    if posterior is not None:
-        if posterior.labels != labels:
-            raise SchemaError("external posterior node labels do not match the ground-truth graph")
-        plan = [(posterior.method_tag, lambda: posterior)]
-    else:
-        plan = []
-        for name in cfg.methods:
-            if name == "bootstrap-pc":
-                plan.append((name, lambda n=name: bootstrap(
-                    data, "pc", cfg.posterior_size, _method_seed(cfg.master_seed, seed_index, n),
-                    ci=CiTestConfig(cfg.ci_alpha, cfg.max_condition_size),
-                )))
-            elif name == "bootstrap-ges":
-                plan.append((name, lambda n=name: bootstrap(
-                    data, "ges", cfg.posterior_size, _method_seed(cfg.master_seed, seed_index, n),
-                )))
-            else:
-                thin = cfg.mcmc_thin
-                if thin is None:
-                    thin = max((cfg.mcmc_steps - cfg.mcmc_burn_in) // cfg.posterior_size, 1)
-                plan.append((name, lambda n=name, t=thin: structure_mcmc(
-                    data, cfg.mcmc_steps, cfg.mcmc_burn_in, t,
-                    _method_seed(cfg.master_seed, seed_index, n),
-                )))
+    if posterior is not None and posterior.labels != labels:
+        raise SchemaError("external posterior node labels do not match the ground-truth graph")
+    methods = [posterior.method_tag] if posterior is not None else cfg.methods
+
+    def discover(method):
+        if posterior is not None:
+            return posterior
+        seed = _method_seed(cfg.master_seed, seed_index, method)
+        if method == "bootstrap-pc":
+            ci = CiTestConfig(cfg.ci_alpha, cfg.max_condition_size)
+            return bootstrap(data, "pc", cfg.posterior_size, seed, ci=ci)
+        if method == "bootstrap-ges":
+            return bootstrap(data, "ges", cfg.posterior_size, seed)
+        thin = cfg.mcmc_thin
+        if thin is None:
+            thin = max((cfg.mcmc_steps - cfg.mcmc_burn_in) // cfg.posterior_size, 1)
+        return structure_mcmc(data, cfg.mcmc_steps, cfg.mcmc_burn_in, thin, seed)
 
     b, a = cfg.treatment_value_b, cfg.treatment_value_a
     needs = {
         m: (cut >= 2 and f"ates:{m}" not in done, cut >= 3 and f"evaluate:{m}" not in done)
-        for m, _ in plan
+        for m in methods
     }
     true_ates = None
     if cut >= 2:
@@ -272,37 +285,43 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, seed_dir: str,
             def build_truth():
                 enum = enumerate_mec(truth, cap=cfg.mec_cap)
                 return enum, sweep(enum, data, treatment_value_b=b, reference_value_a=a)
-            _, true_ates = timed("truth", build_truth)
+            _, true_ates = timed("truth", build_truth, lambda r: [
+                saved("mec.txt", lambda p: save_mec(r[0], p)),
+                write_ates("ates/true-mec.npz", r[1]),
+            ])
         elif any(need_eval for _, need_eval in needs.values()):
             true_ates = load_ate_samples(sd / "ates" / "true-mec.npz", labels, TRUE_MEC_TAG, b, a)
 
     rcfg = RegroupConfig(cfg.regroup_rtol, cfg.regroup_atol)
-    for method, fit in plan:
+    for method in methods:
         if cut < 1:
             break
         need_ates, need_eval = needs[method]
         d_stage = f"discover:{method}"
         if d_stage not in done:
-            ps = timed(d_stage, fit)
+            ps = timed(d_stage, lambda: discover(method), lambda r: [
+                saved(f"posteriors/{method}.txt", lambda p: save_posterior(r, p)),
+            ])
         elif need_ates:
             ps = load_external_posterior(str(sd / "posteriors" / f"{method}.txt"))
-        else:
-            ps = None
         if need_ates:
-            learned = timed(f"ates:{method}", lambda p=ps: (
-                sweep(p, data, treatment_value_b=b, reference_value_a=a), labels
-            ))[0]
+            learned = timed(
+                f"ates:{method}",
+                lambda: sweep(ps, data, treatment_value_b=b, reference_value_a=a),
+                lambda r: [write_ates(f"ates/{method}.npz", r)],
+            )
         elif need_eval:
             learned = load_ate_samples(sd / "ates" / f"{method}.npz", labels, method, b, a)
         if need_eval:
-            timed(f"evaluate:{method}", lambda la=learned, mth=method: evaluate_pair_sets(
-                true_ates, la, rcfg, cfg.filter_tolerance
-            ) + (labels, mth))
-
-
-def _seed_result(seed_index: int, progress: _SeedProgress, error, reused=False) -> dict:
-    return {"seed": seed_index, "stages": progress.stages, "timings": progress.timings,
-            "error": error, "failed": progress.failed, "reused": reused}
+            timed(
+                f"evaluate:{method}",
+                lambda: evaluate_pair_sets(true_ates, learned, rcfg, cfg.filter_tolerance),
+                lambda r: [
+                    saved(f"pairs/{method}.csv", lambda p: write_pair_reports_csv(r[0], labels, p)),
+                    saved(f"modes/{method}.csv",
+                          lambda p: write_modes_csv(r[1], labels, TRUE_MEC_TAG, method, p)),
+                ],
+            )
 
 
 def _recorded_error(text: str) -> AteBenchError:
@@ -314,102 +333,47 @@ def _recorded_error(text: str) -> AteBenchError:
 
 
 def _seed_attempt(task):
-    """One seed's result, for flushing, and the exception that stopped it.
+    """One seed's {status, error} and the exception that stopped it.
 
     A failure recorded under the current digest at a stage this command's
     cut reaches is returned as it stands, and nothing is computed for the
-    seed.  Otherwise the stages completed before a failure are returned for
-    flushing, and the failure is recorded only if a stage's own computation
-    raised an AteBenchError; a failed artifact read or any other exception
-    is retried by the next command.
+    seed.  Otherwise the stages completed before a failure keep their files,
+    and the failure is recorded only if a stage's own computation raised an
+    AteBenchError; a failed artifact read or any other exception is retried
+    by the next command.  However the seed stops, its manifest is written
+    once, on the way out.
     """
-    cfg, seed_index, seed_dir, done, cut, posterior, recorded = task
-    if recorded is not None and _stage_cut(recorded["stage"]) <= cut:
-        return (_seed_result(seed_index, _SeedProgress(failed=recorded), recorded["error"],
-                             reused=True), _recorded_error(recorded["error"]))
-    progress = _SeedProgress()
+    cfg, seed_index, sd, cut, posterior, digest = task
+    sd.mkdir(parents=True, exist_ok=True)
+    path = sd / "manifest.json"
+    manifest = _read_json(path) or {"seed_index": seed_index, "stages": {}}
+    if manifest.get("config_digest") != digest:
+        manifest.pop("failed", None)
+    manifest["config_digest"] = digest
+    recorded = manifest.get("failed")
     try:
-        _seed_compute(cfg, seed_index, seed_dir, done, cut, posterior, progress)
+        if recorded is not None and _stage_cut(recorded["stage"]) <= cut:
+            logger.info("seed %d: reusing the failure recorded at stage %s",
+                        seed_index, recorded["stage"])
+            return ({"status": "failed", "error": recorded["error"]},
+                    _recorded_error(recorded["error"]))
+        _seed_compute(cfg, seed_index, sd, manifest, cut, posterior)
     except Exception as exc:
-        return _seed_result(seed_index, progress, _error_text(exc)), exc
-    return _seed_result(seed_index, progress, None), None
+        return {"status": "failed", "error": _error_text(exc)}, exc
+    finally:
+        _write_json(path, manifest)
+    return {"status": "ok", "error": None}, None
 
 
 def _seed_worker(task):
-    """Pool entry point: per-seed failures become diagnostics, not crashes."""
+    """Pool entry point: a seed's status only, since a recorded error is
+    built without its constructor and may not pickle."""
     return _seed_attempt(task)[0]
 
 
 # ---------------------------------------------------------------------------
-# orchestrator: all writes happen here
+# orchestrator: run config, run manifest, log and report
 # ---------------------------------------------------------------------------
-
-
-def _write_stage(seed_dir: Path, stage: str, payload, digest: str) -> list[str]:
-    files = []
-
-    def artifact(rel, writer):
-        path = seed_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        writer(path)
-        files.append(rel)
-        return path
-
-    def text_artifact(rel, writer):
-        _stamp_text(artifact(rel, writer), digest)
-
-    if stage == "generate":
-        truth, scm_obj, data = payload
-        text_artifact("truth_graph.txt", lambda p: save_graph(truth, p))
-        if scm_obj is not None:
-            path = seed_dir / "scm.json"
-            save_scm(scm_obj, path)
-            _stamp_json(path, digest)
-            files.append("scm.json")
-        text_artifact("data.csv", lambda p: save_dataset(data, p))
-    elif stage == "truth":
-        enum, true_ates = payload
-        text_artifact("mec.txt", lambda p: save_mec(enum, p))
-        labels = enum.source.labels
-        artifact("ates/true-mec.npz", lambda p: save_ate_samples(true_ates, labels, p, digest))
-    elif stage.startswith("discover:"):
-        method = stage.split(":", 1)[1]
-        text_artifact(f"posteriors/{method}.txt", lambda p: save_posterior(payload, p))
-    elif stage.startswith("ates:"):
-        method = stage.split(":", 1)[1]
-        samples, labels = payload
-        artifact(f"ates/{method}.npz", lambda p: save_ate_samples(samples, labels, p, digest))
-    elif stage.startswith("evaluate:"):
-        method = stage.split(":", 1)[1]
-        scores, modes, labels, tag = payload
-        text_artifact(f"pairs/{method}.csv", lambda p: write_pair_reports_csv(scores, labels, p))
-        text_artifact(
-            f"modes/{method}.csv",
-            lambda p: write_modes_csv(modes, labels, TRUE_MEC_TAG, tag, p),
-        )
-    else:
-        raise AssertionError(f"unknown stage {stage}")
-    return files
-
-
-def _flush_seed_result(seed_dir: Path, result: dict) -> None:
-    man_path = seed_dir / "manifest.json"
-    manifest = _read_json(man_path) or {"seed_index": result["seed"], "stages": {}}
-    if manifest.get("config_digest") != result["digest"]:
-        manifest.pop("failed", None)
-    manifest["config_digest"] = result["digest"]
-    if result["failed"] is not None:
-        manifest["failed"] = result["failed"]
-    if not result["stages"]:
-        _write_json(man_path, manifest)
-    for stage, payload in result["stages"]:
-        files = _write_stage(seed_dir, stage, payload, result["digest"])
-        manifest["stages"][stage] = {
-            "files": files,
-            "seconds": round(result["timings"].get(stage, 0.0), 6),
-        }
-        _write_json(man_path, manifest)
-        logger.info("seed %d: stage %s done (%d files)", result["seed"], stage, len(files))
 
 
 def _prepare_root(cfg: ExperimentConfig, digest: str) -> Path:
@@ -483,45 +447,27 @@ def _detach_run_log(attached) -> None:
 
 def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, digest: str,
                    posterior) -> dict:
-    cut = _CUTS[command]
     methods = [posterior.method_tag] if posterior is not None else list(cfg.methods)
-    dirs = _seed_dirs(cfg, root)
-    tasks = []
-    for i, sd in enumerate(dirs):
-        sd.mkdir(parents=True, exist_ok=True)
-        manifest = _read_json(sd / "manifest.json") or {"stages": {}}
-        recorded = manifest.get("failed") if manifest.get("config_digest") == digest else None
-        tasks.append((cfg, i, str(sd), frozenset(manifest["stages"]), cut, posterior, recorded))
-    seed_status = {}
-
-    def handle(result, sd):
-        result["digest"] = digest
-        _flush_seed_result(sd, result)
-        if result["error"] is None:
-            seed_status[result["seed"]] = {"status": "ok", "error": None}
-        else:
-            seed_status[result["seed"]] = {"status": "failed", "error": result["error"]}
-            if result["reused"]:
-                logger.info("seed %d: reusing the failure recorded at stage %s",
-                            result["seed"], result["failed"]["stage"])
-            logger.error("seed %d failed: %s", result["seed"], result["error"])
-
+    tasks = [(cfg, i, sd, _CUTS[command], posterior, digest)
+             for i, sd in enumerate(_seed_dirs(cfg, root))]
     raised = None
     if cfg.workers > 1 and cfg.num_seeds > 1:
         # imported here: multiprocessing is a sizeable part of a cold start
         # that a single-worker command never uses
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.num_seeds)) as pool:
-            futures = {pool.submit(_seed_worker, t): t[1] for t in tasks}
-            for fut in as_completed(futures):
-                i = futures[fut]
-                handle(fut.result(), dirs[i])
+            statuses = list(pool.map(_seed_worker, tasks))
     else:
+        statuses = []
         for t in tasks:
-            result, exc = _seed_attempt(t)
-            handle(result, dirs[t[1]])
+            status, exc = _seed_attempt(t)
+            statuses.append(status)
             raised = raised or exc
+    seed_status = dict(enumerate(statuses))
+    for i, status in seed_status.items():
+        if status["error"] is not None:
+            logger.error("seed %d failed: %s", i, status["error"])
     _update_run_manifest(root, cfg, digest, methods, seed_status)
     if cfg.mode == "real" and raised is not None:
         # the one real-data seed is the whole run: once its stages and its
@@ -560,12 +506,17 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
         for i, sd in evaluated:
             if labels is None:
                 labels = load_dag(sd / "truth_graph.txt").labels
+                every_pair = np.argwhere(~np.eye(len(labels), dtype=bool))
             pair_path = sd / "pairs" / f"{method}.csv"
             modes_path = sd / "modes" / f"{method}.csv"
             _require_digest(pair_path, digest)
             _require_digest(modes_path, digest)
             tables_by_seed[i] = read_pair_reports_csv(pair_path, labels)
             modes_by_seed[i] = read_modes_csv(modes_path, labels, TRUE_MEC_TAG, method)
+            for path, table in ((pair_path, tables_by_seed[i]), (modes_path, modes_by_seed[i])):
+                if not np.array_equal(table.pairs, every_pair):
+                    raise AggregationError(f"{path}: {len(table)} pairs, not each of the "
+                                           f"{len(every_pair)} ordered pairs once in (t, y) order")
         if not tables_by_seed:
             raise AggregationError(f"no completed evaluations for method {method!r}")
         summaries.append(aggregate(tables_by_seed, method))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -49,11 +48,11 @@ class LinearGaussianScm:
 
 
 class Dataset:
-    """An n x d observation matrix with column labels and a provenance tag."""
+    """An n x d observation matrix with column labels."""
 
-    __slots__ = ("values", "column_labels", "provenance")
+    __slots__ = ("values", "column_labels")
 
-    def __init__(self, values, column_labels, provenance: str):
+    def __init__(self, values, column_labels):
         x = np.asarray(values, dtype=float).copy()
         if x.ndim != 2 or x.shape[0] < 1:
             raise StructuralError("dataset must be a non-empty 2-D matrix")
@@ -65,7 +64,6 @@ class Dataset:
         x.setflags(write=False)
         self.values = x
         self.column_labels = labels
-        self.provenance = provenance
 
     @property
     def n(self) -> int:
@@ -83,15 +81,15 @@ class Dataset:
         return self.column_labels[int(np.argmax(const))] if const.any() else None
 
     def standardized(self) -> "Dataset":
-        """Column-wise z-scoring; provenance records the transform."""
+        """Column-wise z-scoring."""
         if self.constant_column() is not None:
             raise SchemaError("cannot standardize a constant column")
         mu = self.values.mean(axis=0)
         sd = self.values.std(axis=0)
-        return Dataset((self.values - mu) / sd, self.column_labels, self.provenance + "|standardized")
+        return Dataset((self.values - mu) / sd, self.column_labels)
 
     def __repr__(self) -> str:
-        return f"Dataset(n={self.n}, d={self.d}, provenance={self.provenance!r})"
+        return f"Dataset(n={self.n}, d={self.d})"
 
 
 def default_labels(d: int) -> list[str]:
@@ -167,7 +165,7 @@ def sample(scm: LinearGaussianScm, n: int, seed: int) -> Dataset:
     d = scm.graph.num_nodes
     noise = rng.standard_normal((n, d)) * np.sqrt(scm.noise_variances)
     values = _propagate(scm, noise)
-    return Dataset(values, scm.graph.labels, provenance=f"synthetic:seed={seed},n={n}")
+    return Dataset(values, scm.graph.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,6 @@ def save_dataset(data: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     if not os.path.isfile(path):
         raise ValidationError(f"{path}: no such dataset file")
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = None
@@ -222,4 +218,4 @@ def load_dataset(path) -> Dataset:
     values = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(values)):
         raise SchemaError(f"{path}: non-finite values in dataset")
-    return Dataset(values, header, provenance=f"file:sha256:{digest}")
+    return Dataset(values, header)

@@ -18,7 +18,7 @@ import numpy as np
 
 from atebench.errors import ParameterError, SampleSizeError, SchemaError
 
-from graph_helpers import closure_one
+from graph_helpers import closure_one, parents
 
 RIDGE = 1e-8
 
@@ -80,7 +80,7 @@ def analytic_total_effect(scm, treatment: int, outcome: int) -> float:
 
 def backdoor_adjustment_set(g, q) -> set[int]:
     """Parents of the treatment: a valid backdoor set in any latent-free DAG."""
-    return g.parents(q.treatment)
+    return parents(g, q.treatment)
 
 
 def contrast(q) -> float:

@@ -21,6 +21,7 @@ from atebench.errors import ExtensionError
 from atebench.graphs import Cpdag, Dag
 
 from graphs_reference import _extend_pdag, cpdag_of
+from score_reference import local
 
 
 def _clique(adj: np.ndarray, nodes) -> bool:
@@ -91,7 +92,7 @@ def _forward_candidates(D, U, score: BicScore):
             for size in range(len(t_pool) + 1):
                 for t in combinations(t_pool, size):
                     base = na | set(t) | pa
-                    delta = score.local(y, base | {x}) - score.local(y, base)
+                    delta = local(score, y, base | {x}) - local(score, y, base)
                     if delta > _EPS:
                         out.append((delta, x, y, t, na))
     out.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
@@ -111,7 +112,7 @@ def _backward_candidates(D, U, score: BicScore):
             for size in range(len(na) + 1):
                 for h in combinations(sorted(na), size):
                     base = (na - set(h)) | pa
-                    delta = score.local(y, base) - score.local(y, base | {x})
+                    delta = local(score, y, base) - local(score, y, base | {x})
                     if delta > _EPS:
                         out.append((delta, x, y, h, na))
     out.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))

@@ -12,8 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from atebench.errors import SchemaError
+from atebench.errors import ParameterError, SchemaError
 from atebench.graphs import Cpdag, Dag, _complete, _dense, _meek, _parse_edgelist_text, _rows, _transpose
+
+
+def parents(g: Dag, node: int) -> set[int]:
+    """Indices i with an edge i -> node."""
+    if not 0 <= node < g.num_nodes:
+        raise ParameterError(f"node index {node} out of range for d={g.num_nodes}")
+    return set(np.flatnonzero(g.adjacency[:, node]).tolist())
 
 
 def skeleton(g: Dag) -> np.ndarray:

@@ -5,8 +5,9 @@ This is the score as it was written for numba: per-element indexing into
 elimination that the score calls with one column.  Tests require the list
 version in ``atebench.kernels`` to return the same bits.
 
-``graph_score`` sums a ``BicScore``'s local scores over a whole adjacency
-matrix, for tests that rank complete graphs.
+``local`` scores a node given a parent list through ``BicScore.local_mask``,
+and ``graph_score`` sums those local scores over a whole adjacency matrix,
+for tests that rank complete graphs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from atebench.errors import ParameterError
 
 RIDGE = 1e-8
 
@@ -118,7 +121,18 @@ def _local_bic(gram, n_rows, node, mask, cache):
     return score
 
 
+def local(score, node: int, parents) -> float:
+    """A ``BicScore``'s local score of `node` given a list of parent indices."""
+    mask = 0
+    for p in parents:
+        p = int(p)
+        if not 0 <= p < score.d:
+            raise ParameterError(f"parent {p} outside 0..{score.d - 1}")
+        mask |= 1 << p
+    return score.local_mask(node, mask)
+
+
 def graph_score(score, adjacency) -> float:
-    """Decomposable BIC of a whole graph: the sum of ``score.local`` over its nodes."""
+    """Decomposable BIC of a whole graph: the sum of ``local`` over its nodes."""
     a = np.asarray(adjacency, dtype=bool)
-    return sum(score.local(k, np.flatnonzero(a[:, k]).tolist()) for k in range(a.shape[0]))
+    return sum(local(score, k, np.flatnonzero(a[:, k]).tolist()) for k in range(a.shape[0]))

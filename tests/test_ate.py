@@ -23,6 +23,7 @@ from atebench.scm import (
 
 import ate_reference
 from ate_reference import backdoor_adjustment_set, estimate_ate
+from graph_helpers import parents
 
 
 def build_scm(d, weighted_edges):
@@ -47,7 +48,7 @@ def test_query_validation():
 def test_adjustment_set_is_treatment_parents():
     g = random_er_dag(6, 8, seed=0)
     q = AteQuery(2, 4)
-    assert backdoor_adjustment_set(g, q) == g.parents(2)
+    assert backdoor_adjustment_set(g, q) == parents(g, 2)
 
 
 def test_non_descendant_effect_is_exactly_zero():
@@ -88,7 +89,7 @@ def test_confounder_adjustment_removes_bias():
 
 def test_estimate_needs_enough_rows_for_the_adjustment_set():
     scm = build_scm(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    data_small = Dataset(sample(scm, 3, seed=4).values, default_labels(4), "t")
+    data_small = Dataset(sample(scm, 3, seed=4).values, default_labels(4))
     # treatment 2 has two parents: |Z| + 2 = 4 > 3 rows
     with pytest.raises(SampleSizeError):
         estimate_ate(scm.graph, data_small, AteQuery(2, 3))
@@ -97,7 +98,7 @@ def test_estimate_needs_enough_rows_for_the_adjustment_set():
 def test_estimate_rejects_label_mismatch():
     scm = build_scm(2, [(0, 1, 1.0)])
     data = sample(scm, 20, seed=5)
-    wrong = Dataset(data.values, ["a", "b"], "t")
+    wrong = Dataset(data.values, ["a", "b"])
     with pytest.raises(SchemaError):
         estimate_ate(scm.graph, wrong, AteQuery(0, 1))
 

@@ -35,9 +35,9 @@ from atebench.scm import (
     sample,
 )
 
-from graph_helpers import adjacent, cpdag_of
+from graph_helpers import adjacent, cpdag_of, parents
 from pc_reference import reference_partial_correlation
-from score_reference import graph_score
+from score_reference import graph_score, local
 
 
 def build_scm(d, weighted_edges):
@@ -118,7 +118,7 @@ def test_fisher_z_sample_size_guard():
 def test_fisher_z_rejects_constant_column():
     values = np.column_stack([np.ones(30), np.random.default_rng(0).normal(size=30)])
     with pytest.raises(DegenerateDataError) as err:
-        FisherZTester(Dataset(values, ["c0", "c1"], "t"), alpha=0.05)
+        FisherZTester(Dataset(values, ["c0", "c1"]), alpha=0.05)
     assert "c0" in str(err.value)
 
 
@@ -126,7 +126,7 @@ def inexact_constant_data(value, n):
     """A normal column, then a constant one whose mean is not exactly its
     value, so its standard deviation is tiny but not zero."""
     values = np.column_stack([np.random.default_rng(n).normal(size=n), np.full(n, value)])
-    return Dataset(values, ["z", "c"], "t")
+    return Dataset(values, ["z", "c"])
 
 
 @pytest.mark.parametrize("n", [50, 200, 500])
@@ -195,7 +195,7 @@ def test_fisher_z_stacked_kernel_equals_the_single_test_bit_for_bit():
     values = data.values.copy()
     # a near copy makes some submatrices ill-conditioned
     values[:, 3] = values[:, 1] + 1e-4 * rng.normal(size=60)
-    tester = FisherZTester(Dataset(values, data.column_labels, "t"), alpha=0.05)
+    tester = FisherZTester(Dataset(values, data.column_labels), alpha=0.05)
     for k in range(7):
         idx = np.array([rng.choice(d, size=k + 2, replace=False) for _ in range(300)])
         pairs, conds = idx[:, :2], np.sort(idx[:, 2:], axis=1)
@@ -216,7 +216,7 @@ def test_fisher_z_decide_many_equals_decide_entry_by_entry():
     # to it; |r| = 1, infinities and NaN are dependence in both
     rng = np.random.default_rng(3)
     for n in (8, 500):
-        tester = FisherZTester(Dataset(rng.normal(size=(n, 3)), default_labels(3), "t"), 0.05)
+        tester = FisherZTester(Dataset(rng.normal(size=(n, 3)), default_labels(3)), 0.05)
         for k in range(5):
             edge = math.tanh(tester.threshold / math.sqrt(n - k - 3))
             near, up, down = [edge], edge, edge
@@ -250,7 +250,7 @@ def test_pc_on_independent_noise_returns_empty_graph():
     # strict alpha keeps the expected false-edge count of the 6 pair tests
     # far below one
     rng = np.random.default_rng(4)
-    data = Dataset(rng.normal(size=(3000, 4)), default_labels(4), "noise")
+    data = Dataset(rng.normal(size=(3000, 4)), default_labels(4))
     est = pc(data, CiTestConfig(alpha=0.001))
     assert not est.directed.any() and not est.undirected.any()
 
@@ -293,26 +293,26 @@ def test_bic_local_decomposition_sums_to_graph_score():
     g = random_er_dag(5, 6, seed=9)
     data = sample(random_scm(g, seed=9), 300, seed=9)
     score = BicScore(data)
-    total = sum(score.local(v, sorted(g.parents(v))) for v in range(5))
+    total = sum(local(score, v, sorted(parents(g, v))) for v in range(5))
     assert graph_score(score, g.adjacency) == pytest.approx(total, rel=1e-12)
 
 
 def test_bic_local_rejects_nodes_and_parents_outside_the_graph():
     g = random_er_dag(5, 6, seed=9)
     score = BicScore(sample(random_scm(g, seed=9), 100, seed=9))
-    for node, parents in ((0, [99]), (0, [5]), (0, [-1]), (5, []), (-1, [2]), (2, [2])):
+    for node, pa in ((0, [99]), (0, [5]), (0, [-1]), (5, []), (-1, [2]), (2, [2])):
         with pytest.raises(ParameterError):
-            score.local(node, parents)
+            local(score, node, pa)
     for node, mask in ((0, 1 << 5), (0, -1), (5, 0), (1, 0b10)):
         with pytest.raises(ParameterError):
             score.local_mask(node, mask)
-    assert score.local_mask(0, 0b110) == score.local(0, [2, 1])
+    assert score.local_mask(0, 0b110) == local(score, 0, [2, 1])
 
 
 def test_bic_rejects_degenerate_input():
     values = np.column_stack([np.ones(30), np.arange(30.0)])
     with pytest.raises(DegenerateDataError) as err:
-        BicScore(Dataset(values, ["z", "w"], "t"))
+        BicScore(Dataset(values, ["z", "w"]))
     assert "z" in str(err.value)
 
 
@@ -338,14 +338,14 @@ def test_ges_recovers_chain_as_undirected():
 
 def test_ges_on_independent_noise_returns_empty_graph():
     rng = np.random.default_rng(13)
-    data = Dataset(rng.normal(size=(3000, 4)), default_labels(4), "noise")
+    data = Dataset(rng.normal(size=(3000, 4)), default_labels(4))
     est = ges(data)
     assert not est.directed.any() and not est.undirected.any()
 
 
 def test_ges_needs_enough_rows():
     rng = np.random.default_rng(14)
-    data = Dataset(rng.normal(size=(4, 3)), default_labels(3), "t")
+    data = Dataset(rng.normal(size=(4, 3)), default_labels(3))
     with pytest.raises(SampleSizeError):
         ges(data)
 
@@ -395,7 +395,7 @@ def test_bootstrap_rejects_unknown_method():
 
 def test_bootstrap_propagates_sample_size_error():
     rng = np.random.default_rng(20)
-    data = Dataset(rng.normal(size=(4, 3)), default_labels(3), "t")
+    data = Dataset(rng.normal(size=(4, 3)), default_labels(3))
     with pytest.raises(SampleSizeError):
         bootstrap(data, method="ges", num_replicates=4, seed=0)
 

@@ -36,7 +36,7 @@ def _corpus(d):
             yield f"d={d} e={edges} n={n}", data
             rows = np.random.default_rng(n * d + edges).integers(0, n, size=n)
             yield f"d={d} e={edges} n={n} resample", Dataset(
-                data.values[rows], data.column_labels, "resample"
+                data.values[rows], data.column_labels
             )
 
 

@@ -26,7 +26,7 @@ from atebench.kernels import transitive_closure_batch
 from atebench.scm import random_er_dag
 
 from conftest import brute_force_dags, oracle_v_structures
-from graph_helpers import apply_meek_rules, cpdag_of, parse_cpdag_edgelist, skeleton
+from graph_helpers import apply_meek_rules, cpdag_of, parents, parse_cpdag_edgelist, skeleton
 
 
 def labels(d):
@@ -149,8 +149,8 @@ def test_v_structures_match_definition_oracle():
 
 def test_parents_and_edges():
     g = dag(3, [(0, 2), (1, 2)])
-    assert g.parents(2) == {0, 1}
-    assert g.parents(0) == set()
+    assert parents(g, 2) == {0, 1}
+    assert parents(g, 0) == set()
     assert set(g.edges()) == {(0, 2), (1, 2)}
     assert np.array_equal(skeleton(g), skeleton(g).T)
 

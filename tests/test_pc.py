@@ -34,7 +34,7 @@ def _corpus(d):
             for k in range(2):
                 rows = rng.integers(0, n, size=n)
                 yield f"d={d} e={edges} n={n} resample {k}", Dataset(
-                    data.values[rows], data.column_labels, "resample"
+                    data.values[rows], data.column_labels
                 )
 
 
@@ -173,7 +173,7 @@ def _with_corr(corr):
     """A tester pair (stacked, reference) over a hand-set correlation matrix."""
     corr = np.array(corr, dtype=float)
     d = corr.shape[0]
-    data = Dataset(np.random.default_rng(0).normal(size=(100, d)), default_labels(d), "t")
+    data = Dataset(np.random.default_rng(0).normal(size=(100, d)), default_labels(d))
     testers = FisherZTester(data, 0.05), ReferenceFisherZ(data, 0.05)
     for t in testers:
         t.corr = corr.copy()
@@ -264,7 +264,7 @@ def test_a_negative_precision_product_raises_a_typed_error_where_the_reference_f
     d = int(rng.integers(6, 16))
     n = d + int(rng.integers(2, 6))
     data = sample(random_scm(random_er_dag(d, 2 * d, seed=188), seed=188), n, seed=188)
-    data = Dataset(data.values[rng.integers(0, n, size=n)], data.column_labels, "resample")
+    data = Dataset(data.values[rng.integers(0, n, size=n)], data.column_labels)
     cfg = CiTestConfig(alpha=0.5)
     reference = ReferenceFisherZ(data, 0.5)
     calls = []
@@ -317,7 +317,7 @@ def test_bootstrap_redraws_singular_resamples_as_before(monkeypatch, caplog):
     values = data.values.copy()
     values[:, 5] = values[:, 4]
     values[0, 5] += 1.0
-    data = Dataset(values, data.column_labels, "copied column")
+    data = Dataset(values, data.column_labels)
 
     def run():
         caplog.clear()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 
 import numpy as np
@@ -45,21 +46,24 @@ def tiny_cfg(root, **kw):
 
 
 def tree_hashes(root):
-    """Hashes of every data-bearing artifact.
+    """Hashes of every artifact but the log and the echoed config, which
+    record wall-clock times and the volatile workers value.
 
-    The log, the run/seed manifests, and the echoed config are excluded:
-    they record wall-clock timings and the volatile workers value.  Every bag
-    of DAGs is in: the methods' posteriors and the true class's mec.txt, all
-    in the one multi-graph posterior format.
+    The run and seed manifests are in, with each stage's wall-clock
+    `seconds` masked.  Every bag of DAGs is in: the methods' posteriors and
+    the true class's mec.txt, all in the one multi-graph posterior format.
     """
     out = {}
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
-            if name in ("run.log", "manifest.json") or rel in ("run_config.txt", "run_manifest.json"):
+            if name == "run.log" or rel == "run_config.txt":
                 continue
-            out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            data = open(path, "rb").read()
+            if name.endswith("manifest.json"):
+                data = re.sub(rb'"seconds": [-+.0-9eE]+', b'"seconds": null', data)
+            out[rel] = hashlib.sha256(data).hexdigest()
     return out
 
 
@@ -443,6 +447,92 @@ def test_a_failure_recorded_under_another_digest_is_ignored_and_dropped(tmp_path
     assert "failed" not in seed_manifest(tmp_path / "stale", 0)
 
 
+# --- where each seed's files are written ------------------------------------
+
+
+def test_an_interrupted_command_keeps_the_stages_it_finished(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(pipeline, "bootstrap", interrupted)
+    cfg = tiny_cfg(tmp_path / "stopped", num_seeds=1)
+    with pytest.raises(KeyboardInterrupt):
+        run_synthetic(cfg)
+    sd = tmp_path / "stopped" / "seeds" / "seed_000"
+    doc = seed_manifest(tmp_path / "stopped", 0)
+    assert {stage: entry["files"] for stage, entry in doc["stages"].items()} == {
+        "generate": ["truth_graph.txt", "scm.json", "data.csv"],
+        "truth": ["mec.txt", "ates/true-mec.npz"],
+    }
+    assert "failed" not in doc
+    for entry in doc["stages"].values():
+        for rel in entry["files"]:
+            assert (sd / rel).is_file(), rel
+    # the rerun takes generate and truth from disk and computes the rest
+    monkeypatch.undo()
+    enumerated = []
+    real_enumerate = pipeline.enumerate_mec
+
+    def counted(*args, **kwargs):
+        enumerated.append(args[0])
+        return real_enumerate(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "enumerate_mec", counted)
+    run_synthetic(cfg)
+    assert enumerated == []
+    assert "evaluate:bootstrap-pc" in seed_manifest(tmp_path / "stopped", 0)["stages"]
+
+
+def test_a_run_writes_each_seed_manifest_once(tmp_path, monkeypatch):
+    writes = []
+    real_write = pipeline._write_json
+
+    def counted(path, payload):
+        writes.append(os.path.relpath(path, tmp_path / "once"))
+        return real_write(path, payload)
+    monkeypatch.setattr(pipeline, "_write_json", counted)
+    run_synthetic(tiny_cfg(tmp_path / "once"))
+    seeds = [w for w in writes if w.startswith("seeds")]
+    assert sorted(seeds) == [os.path.join("seeds", f"seed_{k:03d}", "manifest.json")
+                             for k in range(2)]
+
+
+# --- partial per-seed files ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_method_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_methods")
+    cfg = tiny_cfg(root, num_seeds=1, methods=("bootstrap-pc", "mcmc"),
+                   mcmc_steps=400, mcmc_burn_in=100)
+    run_synthetic(cfg)
+    return cfg, root
+
+
+def test_report_refuses_a_pairs_file_that_lacks_pairs(two_method_run, tmp_path):
+    cfg, root = two_method_run
+    shutil.copytree(root, tmp_path / "cut")
+    cfg = cfg.with_overrides(output_root=str(tmp_path / "cut"))
+    path = tmp_path / "cut" / "seeds" / "seed_000" / "pairs" / "bootstrap-pc.csv"
+    # the digest line, the header and 3 of the 12 pair rows
+    path.write_text("".join(read_text(path).splitlines(keepends=True)[:5]))
+    with pytest.raises(AggregationError) as err:
+        run_pipeline(cfg, "report")
+    assert str(err.value).startswith(f"{path}: 3 pairs, not each of the 12 ordered pairs")
+
+
+def test_report_refuses_a_modes_file_that_lacks_a_pair(two_method_run, tmp_path):
+    cfg, root = two_method_run
+    shutil.copytree(root, tmp_path / "cut")
+    cfg = cfg.with_overrides(output_root=str(tmp_path / "cut"))
+    path = tmp_path / "cut" / "seeds" / "seed_000" / "modes" / "bootstrap-pc.csv"
+    lines = read_text(path).splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("x1,x2,")]
+    assert len(kept) < len(lines)
+    path.write_text("".join(kept))
+    with pytest.raises(AggregationError) as err:
+        run_pipeline(cfg, "report")
+    assert str(err.value).startswith(f"{path}: 11 pairs, not each of the 12 ordered pairs")
+
+
 def test_a_fixed_weight_magnitude_generates(tmp_path):
     cfg = tiny_cfg(tmp_path / "fixed", weight_low=1.0, weight_high=1.0)
     status = run_pipeline(cfg, "generate")
@@ -493,7 +583,7 @@ def test_real_mode_reorders_columns_to_graph_order(real_inputs, tmp_path):
     g, data, inputs = real_inputs
     perm = [2, 0, 3, 1]
     shuffled = Dataset(
-        data.values[:, perm], [data.column_labels[k] for k in perm], "shuffled"
+        data.values[:, perm], [data.column_labels[k] for k in perm]
     )
     save_dataset(shuffled, tmp_path / "shuffled.csv")
     cfg = ExperimentConfig(
@@ -510,7 +600,7 @@ def test_real_mode_reorders_columns_to_graph_order(real_inputs, tmp_path):
 
 def test_real_mode_names_the_mismatched_column(real_inputs, tmp_path):
     g, data, inputs = real_inputs
-    renamed = Dataset(data.values, g.labels[:3] + ("Q9",), "renamed")
+    renamed = Dataset(data.values, g.labels[:3] + ("Q9",))
     save_dataset(renamed, tmp_path / "renamed.csv")
     cfg = ExperimentConfig(
         mode="real",
@@ -528,7 +618,6 @@ def test_real_mode_names_extra_columns(real_inputs, tmp_path):
     wide = Dataset(
         np.column_stack([data.values, data.values[:, 0]]),
         g.labels + ("Q9",),
-        "wide",
     )
     save_dataset(wide, tmp_path / "wide.csv")
     cfg = ExperimentConfig(
@@ -571,7 +660,7 @@ def test_real_mode_refuses_a_dataset_edited_in_place(real_inputs, tmp_path):
         output_root=str(tmp_path / "real_edited"),
     )
     run_real(cfg)
-    edited = Dataset(data.values[::-1] * 2.0, data.column_labels, "edited")
+    edited = Dataset(data.values[::-1] * 2.0, data.column_labels)
     save_dataset(edited, tmp_path / "data.csv")
     with pytest.raises(ConfigError) as err:
         run_real(cfg)
