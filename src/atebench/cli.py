@@ -20,7 +20,7 @@ _KEY_HELP = {
     "master_seed": "root seed for every stream",
     "posterior_size": "DAG samples kept per posterior",
     "methods": "comma-separated: bootstrap-pc, bootstrap-ges, mcmc",
-    "er_expected_edges": "expected edge count of sampled truth graphs (default d)",
+    "er_expected_edges": "expected edge count of sampled truth graphs (default d; at most d(d-1)/2)",
     "weight_low": "minimum |edge weight|",
     "weight_high": "maximum |edge weight|",
     "ci_alpha": "Fisher-z test level for PC",

@@ -82,6 +82,9 @@ class ExperimentConfig:
             fail("methods", "duplicate method")
         if self.er_expected_edges is not None and self.er_expected_edges < 0:
             fail("er_expected_edges", "must be >= 0")
+        if self.mode == "synthetic" and self.er_edges() > self.d * (self.d - 1) // 2:
+            fail("er_expected_edges", f"must be at most the {self.d * (self.d - 1) // 2} possible "
+                 f"edges at d={self.d} (it defaults to d), got {self.er_edges()}")
         if not 0 < self.weight_low <= self.weight_high:
             fail("weight_low", f"need 0 < weight_low <= weight_high, got ({self.weight_low}, {self.weight_high})")
         if not 0 < self.ci_alpha < 1:

@@ -8,7 +8,9 @@ time it is read.
 
 Every bag of DAGs is stored as one multi-graph text file: the built-in
 methods' samples, the true equivalence class (``mec.txt``, tag ``true-mec``,
-uniform weights) and externally produced posteriors alike.  The method tag
+uniform weights) and externally produced posteriors alike.  Each graph is
+one block of the edge-list format, read and written by the code in
+``graphs`` that reads and writes a graph file.  The method tag
 names the method's files, so every sample's tag must match
 ``[A-Za-z0-9][A-Za-z0-9._+-]*``:
 
@@ -29,9 +31,8 @@ import re
 
 import numpy as np
 
-from ..errors import ParameterError, SchemaError, StructuralError, ValidationError
-from ..graphs import Dag, _check_labels, _node_labels, parse_dag_edgelist
-from ..kernels import transitive_closure_batch
+from ..errors import ParameterError, SchemaError, ValidationError
+from ..graphs import Dag, _check_labels, _edge_blocks, _parse_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -125,14 +126,10 @@ def _normalized(weights, source: str) -> np.ndarray:
 
 
 def save_posterior(ps: PosteriorSample, path) -> None:
-    labels = ps.labels
-    nodes = "nodes: " + ",".join(labels) + "\n"
-    k, i, j = np.nonzero(ps.stack)
-    edges = [f"{labels[a]} -> {labels[b]}\n" for a, b in zip(i.tolist(), j.tolist())]
-    bounds = np.searchsorted(k, np.arange(len(ps) + 1)).tolist()
     parts = [f"posterior method={ps.method_tag} seed={ps.seed}\n"]
-    for g, w in enumerate(ps.weights.tolist()):
-        parts += [f"graph {g} weight {w!r}\n", nodes, *edges[bounds[g]:bounds[g + 1]], "\n"]
+    blocks = _edge_blocks(ps.labels, ps.stack)
+    for g, (w, block) in enumerate(zip(ps.weights.tolist(), blocks)):
+        parts += [f"graph {g} weight {w!r}\n", block, "\n"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
 
@@ -157,10 +154,14 @@ def _scan(lines, path, weights: list[float], blocks: list[list[str]]) -> tuple[s
             if seen_header or blocks or block:
                 raise SchemaError(f"{path}: stray posterior header line")
             seen_header = True
+            keys = set()
             for part in stripped.split()[1:]:
                 if "=" not in part:
                     raise SchemaError(f"{path}: malformed posterior header field {part!r}")
                 key, value = part.split("=", 1)
+                if key in keys:
+                    raise SchemaError(f"{path}: duplicate posterior header field {key!r}")
+                keys.add(key)
                 if key == "method":
                     method_tag = value
                 elif key == "seed":
@@ -195,49 +196,12 @@ def _scan(lines, path, weights: list[float], blocks: list[list[str]]) -> tuple[s
     return method_tag, seed
 
 
-def _stack_of(blocks: list[list[str]]):
-    """(stack, labels) of edge-list blocks when every one is a DAG over the
-    first one's labels; None when any is not, or is over other labels."""
-    def labels_of(nodes: str):
-        try:
-            return _node_labels(nodes) if nodes.startswith("nodes:") else None
-        except StructuralError:
-            return None
-
-    head = blocks[0][0] if blocks else ""
-    labels = labels_of(head)
-    if labels is None:
-        return None
-    d = len(labels)
-    index = {lab: k for k, lab in enumerate(labels)}
-    cells: dict[str, int] = {}  # edge line -> its cell i * d + j, or -1 if it is no DAG edge
-
-    def cell(line: str) -> int:
-        a, arrow, b = line.partition("->")
-        i, j = index.get(a.strip()), index.get(b.strip())
-        return i * d + j if arrow and i is not None and j is not None and i != j else -1
-
-    flat = []
-    for k, block in enumerate(blocks):
-        if block[0] != head and labels_of(block[0]) != labels:
-            return None
-        base = k * d * d
-        for line in block[1:]:
-            c = cells.get(line)
-            if c is None:
-                c = cells[line] = cell(line)
-            if c < 0:
-                return None
-            flat.append(base + c)
-    stack = np.zeros((len(blocks), d, d), dtype=bool)
-    stack.reshape(-1)[flat] = True
-    # a cycle, an edge listed both ways included, reaches its own start
-    if transitive_closure_batch(stack).diagonal(axis1=1, axis2=2).any():
-        return None
-    return stack, labels
-
-
-def _load_posterior_file(path) -> PosteriorSample:
+def load_external_posterior(path) -> PosteriorSample:
+    """Parse and validate a posterior from a multi-graph file."""
+    if not os.path.isfile(path):
+        raise ValidationError(
+            f"{path}: not a posterior file; a posterior is one multi-graph text file"
+        )
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     weights: list[float] = []
@@ -247,31 +211,18 @@ def _load_posterior_file(path) -> PosteriorSample:
         failure = None
     except SchemaError as exc:
         failure = exc
-    parsed = None if failure is not None else _stack_of(blocks)
-    if parsed is None:
-        # graph by graph in file order: the first bad graph raises its own
-        # error before any later malformed line does
-        dags = [parse_dag_edgelist("\n".join(b), source=f"{path}#graph{k}")
-                for k, b in enumerate(blocks)]
-        if failure is not None:
-            raise failure
+    # the graphs before a malformed line raise their own errors first
+    labels, stack = _parse_blocks(blocks, lambda k: f"{path}#graph{k}")
+    if failure is not None:
+        raise failure
     if len(blocks) != len(weights):
         raise SchemaError(f"{path}: graph line without an edge list")
     if not blocks:
         raise ValidationError(f"{path}: posterior file contains no graphs")
     weights = _normalized(weights, str(path))
+    if labels.count(labels[0]) < len(labels):
+        raise SchemaError("posterior DAGs disagree on node labels")
     try:
-        if parsed is None:
-            return PosteriorSample(dags, weights, method_tag, seed)
-        return PosteriorSample._of_stack(*parsed, weights, method_tag, seed)
+        return PosteriorSample._of_stack(stack, labels[0], weights, method_tag, seed)
     except ParameterError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-
-
-def load_external_posterior(path) -> PosteriorSample:
-    """Parse and validate a posterior from a multi-graph file."""
-    if not os.path.isfile(path):
-        raise ValidationError(
-            f"{path}: not a posterior file; a posterior is one multi-graph text file"
-        )
-    return _load_posterior_file(path)

@@ -24,6 +24,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
+from .kernels import transitive_closure_batch
 
 logger = logging.getLogger(__name__)
 
@@ -397,78 +398,115 @@ def consistent_extension(p: Cpdag, seed: int = 0) -> Dag:
 
 
 # ---------------------------------------------------------------------------
-# plain-text edge-list format
+# plain-text edge-list format: a graph file is one block, and a posterior
+# file (``discovery.posterior``) frames many
 #
 #   nodes: a,b,c
 #   a -> b
-#   b -- c        (undirected; CPDAG only)
 # ---------------------------------------------------------------------------
 
 
-def format_edgelist(g: Dag | Cpdag) -> str:
-    lines = ["nodes: " + ",".join(g.labels)]
-    if isinstance(g, Dag):
-        directed = g.adjacency
-        undirected = None
-    else:
-        directed = g.directed
-        undirected = g.undirected
-    for i, j in zip(*np.nonzero(directed)):
-        lines.append(f"{g.labels[i]} -> {g.labels[j]}")
-    if undirected is not None:
-        for i, j in zip(*np.nonzero(np.triu(undirected))):
-            lines.append(f"{g.labels[i]} -- {g.labels[j]}")
-    return "\n".join(lines) + "\n"
+def _edge_blocks(labels: tuple[str, ...], stack: np.ndarray) -> list[str]:
+    """One edge-list block per graph of an ``(m, d, d)`` bool stack over
+    ``labels``: the nodes line, then an ``a -> b`` line per edge in row-major
+    order."""
+    nodes = "nodes: " + ",".join(labels) + "\n"
+    k, i, j = np.nonzero(stack)
+    edges = [f"{labels[a]} -> {labels[b]}\n" for a, b in zip(i.tolist(), j.tolist())]
+    bounds = np.searchsorted(k, np.arange(len(stack) + 1)).tolist()
+    return [nodes + "".join(edges[bounds[g]:bounds[g + 1]]) for g in range(len(stack))]
 
 
-def _node_labels(line: str) -> tuple[str, ...]:
-    """The checked labels of a ``nodes:`` line."""
-    return _check_labels(x.strip() for x in line[len("nodes:"):].split(",") if x.strip())
+def format_edgelist(g: Dag) -> str:
+    return _edge_blocks(g.labels, g.adjacency[None])[0]
 
 
-def _parse_edgelist_text(text: str, source: str):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("nodes:"):
-        raise SchemaError(f"{source}: first line must be 'nodes: <labels>'")
+_UNDIRECTED = "undirected edges not allowed in a DAG file"
+
+
+def _nodes(line: str):
+    """(labels, label -> index, edge line -> cell) of a nodes line, or its error."""
+    if not line.startswith("nodes:"):
+        return "first line must be 'nodes: <labels>'"
     try:
-        labels = _node_labels(lines[0])
+        labels = _check_labels(x.strip() for x in line[len("nodes:"):].split(",") if x.strip())
     except StructuralError as exc:
-        raise SchemaError(f"{source}: {exc}") from exc
-    index = {lab: k for k, lab in enumerate(labels)}
-    d = len(labels)
-    directed = np.zeros((d, d), dtype=bool)
-    undirected = np.zeros((d, d), dtype=bool)
-    for ln in lines[1:]:
-        if "->" in ln:
-            a, b = (x.strip() for x in ln.split("->", 1))
-            mat = directed
-        elif "--" in ln:
-            a, b = (x.strip() for x in ln.split("--", 1))
-            mat = undirected
-        else:
-            raise SchemaError(f"{source}: unparseable edge line {ln!r}")
-        if a not in index or b not in index:
-            raise SchemaError(f"{source}: unknown node in edge line {ln!r}")
-        if a == b:
-            raise SchemaError(f"{source}: self-loop in edge line {ln!r}")
-        i, j = index[a], index[b]
-        mat[i, j] = True
-        if mat is undirected:
-            mat[j, i] = True
-    return labels, directed, undirected
+        return str(exc)
+    return labels, {lab: k for k, lab in enumerate(labels)}, {}
+
+
+def _cell(line: str, index: dict[str, int], width: int) -> int | str:
+    """The cell i * width + j of an edge line i -> j, or why it is no DAG edge."""
+    a, arrow, b = line.partition("->")
+    if not arrow:
+        a, arrow, b = line.partition("--")
+        if not arrow:
+            return f"unparseable edge line {line!r}"
+    i, j = index.get(a.strip()), index.get(b.strip())
+    if i is None or j is None:
+        return f"unknown node in edge line {line!r}"
+    if i == j:
+        return f"self-loop in edge line {line!r}"
+    return i * width + j if arrow == "->" else _UNDIRECTED
+
+
+def _parse_blocks(blocks: list[list[str]], source) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """(labels of each block, one ``(m, w, w)`` bool stack) of edge-list
+    blocks, each a list of stripped lines with no blank line or comment;
+    ``w`` is the most labels of any block, and entry ``[k, i, j]`` is block
+    k's edge i -> j.  Raises the error of the first bad block k, named by
+    ``source(k)``; within a block the nodes line comes first, then each
+    edge line in order, then an undirected edge, an edge listed both ways
+    and a directed cycle."""
+    known = {}  # each distinct nodes line: its _nodes
+    heads = []  # the _nodes of each block before the first bad nodes line
+    for block in blocks:
+        line = block[0] if block else ""
+        head = known.get(line)
+        if head is None:
+            head = known[line] = _nodes(line)
+        if isinstance(head, str):
+            break
+        heads.append(head)
+    width = max((len(head[0]) for head in heads), default=0)
+    labels, flat = [], []
+    bad = (len(heads), head) if len(heads) < len(blocks) else None
+    for k, (block, (names, index, cells)) in enumerate(zip(blocks, heads)):
+        base = k * width * width
+        odd = []
+        for line in block[1:]:
+            c = cells.get(line)
+            if c is None:
+                c = cells[line] = _cell(line, index, width)
+            try:
+                flat.append(base + c)
+            except TypeError:  # c is the reason the line is no DAG edge
+                odd.append(c)
+        if odd:
+            bad = k, next((c for c in odd if c != _UNDIRECTED), _UNDIRECTED)
+            break
+        labels.append(names)
+    stack = np.zeros((len(blocks), width, width), dtype=bool)
+    stack.reshape(-1)[flat] = True
+    # a cycle, an edge listed both ways included, reaches its own start; the
+    # blocks before the first bad one are checked at once
+    closure = transitive_closure_batch(stack[:len(labels)])
+    cyclic = np.flatnonzero(closure.diagonal(axis1=1, axis2=2).any(axis=1))
+    if cyclic.size:
+        k = int(cyclic[0])
+        if np.any(stack[k] & stack[k].T):
+            raise SchemaError(f"{source(k)}: edge listed in both directions")
+        raise ValidationError(f"{source(k)}: adjacency matrix contains a directed cycle")
+    if bad is not None:
+        raise SchemaError(f"{source(bad[0])}: {bad[1]}")
+    return labels, stack
 
 
 def parse_dag_edgelist(text: str, source: str = "<string>") -> Dag:
-    labels, directed, undirected = _parse_edgelist_text(text, source)
-    if np.any(undirected):
-        raise SchemaError(f"{source}: undirected edges not allowed in a DAG file")
-    if np.any(directed & directed.T):
-        raise SchemaError(f"{source}: edge listed in both directions")
-    try:
-        return Dag(labels, directed)
-    except CyclicGraphError as exc:
-        raise ValidationError(f"{source}: {exc}") from exc
+    block = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    (labels,), stack = _parse_blocks([block], lambda k: source)
+    stack.setflags(write=False)
+    return Dag._of_checked(labels, stack[0])
 
 
 def load_dag(path) -> Dag:
@@ -478,6 +516,6 @@ def load_dag(path) -> Dag:
         return parse_dag_edgelist(fh.read(), source=str(path))
 
 
-def save_graph(g: Dag | Cpdag, path) -> None:
+def save_graph(g: Dag, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_edgelist(g))

@@ -141,12 +141,19 @@ def _require_digest(path, expected: str) -> None:
         )
 
 
-def _read_json(path):
+def _read_json(path, key: str | None = None):
+    """The JSON object stored at path, or None when there is no file; with
+    ``key``, the object must map it to an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         return None
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
+        raise SchemaError(f"{path}: not a JSON object: {exc}") from None
+    if not isinstance(payload, dict) or key and not isinstance(payload.get(key), dict):
+        raise SchemaError(f"{path}: not a JSON object" + (f" with a {key!r} object" if key else ""))
+    return payload
 
 
 def _write_json(path, payload) -> None:
@@ -346,7 +353,7 @@ def _seed_attempt(task):
     cfg, seed_index, sd, cut, posterior, digest = task
     sd.mkdir(parents=True, exist_ok=True)
     path = sd / "manifest.json"
-    manifest = _read_json(path) or {"seed_index": seed_index, "stages": {}}
+    manifest = _read_json(path, "stages") or {"seed_index": seed_index, "stages": {}}
     if manifest.get("config_digest") != digest:
         manifest.pop("failed", None)
     manifest["config_digest"] = digest
@@ -493,7 +500,7 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
     # stages it completed before failing
     evaluated = []
     for i, sd in enumerate(_seed_dirs(cfg, root)):
-        manifest = _read_json(sd / "manifest.json")
+        manifest = _read_json(sd / "manifest.json", "stages")
         if manifest is not None and all(f"evaluate:{m}" in manifest["stages"] for m in methods):
             evaluated.append((i, sd))
     rcfg = RegroupConfig(cfg.regroup_rtol, cfg.regroup_atol)

@@ -1,11 +1,13 @@
 """Dense-matrix views of the graph core in ``atebench.graphs`` that only tests use.
 
 The package runs the Meek rules on int row masks (``graphs._meek``),
-computes a CPDAG only inside MEC enumeration and GES, and parses CPDAG edge
-lists only to reject them as DAGs; these helpers give tests the matrix and
-``Cpdag`` forms.  ``cpdag_of`` is the tests' CPDAG oracle, and
+computes a CPDAG only inside MEC enumeration and GES, and reads and writes
+only DAG edge lists, refusing an ``a -- b`` line; these helpers give tests
+the matrix and ``Cpdag`` forms.  ``cpdag_of`` is the tests' CPDAG oracle,
 ``closure_one`` the bool-matrix closure the MCMC chain used before it
-called ``kernels.transitive_closure_batch`` on its adjacency.
+called ``kernels.transitive_closure_batch`` on its adjacency, and the CPDAG
+edge-list reader and writer are the package's former ones, kept in
+``edgelist_reference``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from atebench.errors import ParameterError, SchemaError
-from atebench.graphs import Cpdag, Dag, _complete, _dense, _meek, _parse_edgelist_text, _rows, _transpose
+from atebench.graphs import Cpdag, Dag, _complete, _dense, _meek, _rows, _transpose
+
+from edgelist_reference import format_edgelist as format_cpdag_edgelist, parse_edgelist_text
 
 
 def parents(g: Dag, node: int) -> set[int]:
@@ -68,7 +72,7 @@ def apply_meek_rules(p: Cpdag) -> Cpdag:
 
 
 def parse_cpdag_edgelist(text: str, source: str = "<string>") -> Cpdag:
-    labels, directed, undirected = _parse_edgelist_text(text, source)
+    labels, directed, undirected = parse_edgelist_text(text, source)
     if np.any(directed & directed.T):
         raise SchemaError(f"{source}: edge listed in both directions")
     if np.any((directed | directed.T) & undirected):

@@ -1,11 +1,14 @@
 """The per-graph posterior loader the batched one replaced: each graph block
-is parsed and checked for cycles on its own by ``parse_dag_edgelist``, as one
-``Dag``, and the bag is built from that list.  A line holding ``->`` is an
-edge line, as in the package loader, whatever word it starts with."""
+is parsed and checked for cycles on its own by the former edge-list parser
+(``edgelist_reference.parse_dag_edgelist``), as one ``Dag``, and the bag is
+built from that list.  A line holding ``->`` is an edge line, as in the
+package loader, whatever word it starts with."""
 
 from atebench.discovery.posterior import PosteriorSample, _normalized
 from atebench.errors import ParameterError, SchemaError, ValidationError
-from atebench.graphs import Dag, parse_dag_edgelist
+from atebench.graphs import Dag
+
+from edgelist_reference import parse_dag_edgelist
 
 
 def load_posterior_file(path) -> PosteriorSample:

@@ -232,3 +232,37 @@ def test_a_none_flag_overrides_the_config_file(tmp_path, capsys):
     stamped = (root / "run_config.txt").read_text().splitlines()
     assert "max_condition_size=none" in stamped
     assert "mcmc_thin=none" in stamped
+
+
+@pytest.mark.parametrize("rel, text, command, message", [
+    ("seeds/seed_000/manifest.json", '{"stages": ', "discover", "not a JSON object"),
+    ("seeds/seed_000/manifest.json", '{"seed_index": 0}', "discover",
+     "not a JSON object with a 'stages' object"),
+    ("seeds/seed_000/manifest.json", '{"seed_index": 0}', "report",
+     "not a JSON object with a 'stages' object"),
+    ("run_manifest.json", '{"version": ', "report", "not a JSON object"),
+    ("run_manifest.json", "[]", "report", "not a JSON object"),
+])
+def test_a_damaged_manifest_is_a_clean_error_and_is_left_as_it_was(
+        tmp_path, capsys, rel, text, command, message):
+    args = base_args(tmp_path / "root")
+    assert run_cli("run", *args) == 0
+    path = tmp_path / "root" / rel
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, *args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_more_expected_edges_than_fit_are_refused_before_anything_is_written(tmp_path, capsys):
+    root = tmp_path / "d2"
+    assert run_cli("run", *base_args(root, **{"--d": "2", "--num-seeds": "2"})) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'er_expected_edges': must be at most the 1 possible edges at d=2 "
+        "(it defaults to d), got 2\n"
+    )
+    assert not root.exists()
+    args = base_args(root, **{"--d": "2", "--num-seeds": "2", "--er-expected-edges": "1"})
+    assert run_cli("generate", *args) == 0
+    assert "seeds completed: 2/2" in capsys.readouterr().out

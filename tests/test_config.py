@@ -186,3 +186,19 @@ def test_load_config_reads_files(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_the_expected_edge_count_must_fit_in_a_synthetic_graph():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(d=2).validate()
+    assert str(err.value) == (
+        "config key 'er_expected_edges': must be at most the 1 possible edges at d=2 "
+        "(it defaults to d), got 2"
+    )
+    with pytest.raises(ConfigError, match="at most the 6 possible edges at d=4"):
+        ExperimentConfig(d=4, er_expected_edges=7).validate()
+    ExperimentConfig(d=2, er_expected_edges=1).validate()
+    ExperimentConfig(d=3).validate()
+    ExperimentConfig(d=4, er_expected_edges=6).validate()
+    # real mode reads its graph and draws none
+    ExperimentConfig(mode="real", d=2, dataset_path="d.csv", graph_path="g.txt").validate()

@@ -26,7 +26,14 @@ from atebench.kernels import transitive_closure_batch
 from atebench.scm import random_er_dag
 
 from conftest import brute_force_dags, oracle_v_structures
-from graph_helpers import apply_meek_rules, cpdag_of, parents, parse_cpdag_edgelist, skeleton
+from graph_helpers import (
+    apply_meek_rules,
+    cpdag_of,
+    format_cpdag_edgelist,
+    parents,
+    parse_cpdag_edgelist,
+    skeleton,
+)
 
 
 def labels(d):
@@ -244,7 +251,7 @@ def test_dag_edgelist_round_trip(tmp_path):
 
 def test_cpdag_edgelist_round_trip():
     p = pdag(3, [(0, 1)], [(1, 2)])
-    q = parse_cpdag_edgelist(format_edgelist(p))
+    q = parse_cpdag_edgelist(format_cpdag_edgelist(p))
     assert q.labels == p.labels
     assert np.array_equal(q.directed, p.directed)
     assert np.array_equal(q.undirected, p.undirected)

@@ -1,8 +1,9 @@
-"""The batched posterior loader against the per-graph loader it replaced.
+"""The batched posterior loader against the per-graph loader it replaced,
+and the graph-file reader against the edge-list parser it replaced.
 
-Valid files must give the same stack, labels, weights, tag and seed, without
-a per-graph parse; malformed ones the same error type and message, the first
-bad graph in file order winning as before.
+Valid files must give the same stack, labels, weights, tag and seed;
+malformed ones the same error type and message, the first bad graph in file
+order winning as before.
 """
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 
 from atebench.discovery import load_external_posterior, posterior, save_posterior, uniform_posterior
 from atebench.errors import AteBenchError, SchemaError
-from atebench.graphs import Dag
+from atebench.graphs import Dag, load_dag
 
+import edgelist_reference
 from posterior_reference import load_posterior_file
 
 PREFIXES = ["x", "node ", "v.", "é", "g#", "n_"]
@@ -84,16 +86,23 @@ def _edge_line(labels, rng, arrow="->"):
     return f"{labels[i]} {arrow} {labels[j]}"
 
 
-def _mutate(rng, lines, labels):
-    """One random corruption of a rendered posterior file, in place."""
+# the corruptions inside one graph's edge list, then those of the framing
+BLOCK_KINDS = [
+    "cycle", "reverse", "self-loop", "unknown", "undirected", "garbage", "no-nodes",
+    "nodes-mismatch", "dup-labels", "hash-label",
+]
+KINDS = BLOCK_KINDS + [
+    "graph-line", "index", "weight", "stray-header", "header-field", "tag", "before-graph",
+    "empty-graph", "no-graphs",
+]
+
+
+def _mutate(rng, lines, labels, kinds=KINDS):
+    """One random corruption of a rendered posterior file, in place; its kind."""
     starts = _graph_lines(lines)
     g = int(rng.integers(len(starts)))
     at = min(starts[g] + 2, len(lines))  # after graph g's nodes line, if it has one
-    kind = rng.choice([
-        "cycle", "reverse", "self-loop", "unknown", "undirected", "garbage", "no-nodes",
-        "nodes-mismatch", "dup-labels", "hash-label", "graph-line", "index", "weight",
-        "stray-header", "header-field", "tag", "before-graph", "empty-graph", "no-graphs",
-    ])
+    kind = rng.choice(kinds)
     if kind == "cycle" and len(labels) >= 3:
         a, b, c = (labels[int(k)] for k in rng.choice(len(labels), 3, replace=False))
         lines[at:at] = [f"{a} -> {b}", f"{b} -> {c}", f"{c} -> {a}"]
@@ -134,21 +143,17 @@ def _mutate(rng, lines, labels):
         del lines[starts[g] + 1:end]
     elif kind == "no-graphs":
         del lines[starts[0]:]
+    return str(kind)
 
 
-def test_valid_files_load_as_the_reference_without_a_per_graph_parse(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a valid file fell back to the per-graph parser")
-
+def test_valid_files_load_as_the_reference_without_a_per_graph_parse(tmp_path):
     rng = np.random.default_rng(20)
     edges = sizes = 0
     for case in range(200):
         labels, stack, weights, header = _random_bag(rng)
         path = _write(tmp_path, f"ok{case}.txt", _render(rng, labels, stack, weights, header))
         want = _outcome(load_posterior_file, path)
-        with monkeypatch.context() as m:
-            m.setattr(posterior, "parse_dag_edgelist", refuse)
-            got = _outcome(load_external_posterior, path)
+        got = _outcome(load_external_posterior, path)
         assert got == want, case
         assert np.array_equal(np.frombuffer(got[1], dtype=bool).reshape(got[0]), stack), case
         edges += int(stack.sum())
@@ -235,9 +240,49 @@ def test_a_label_that_starts_like_a_header_round_trips(tmp_path, label):
     assert _outcome(load_posterior_file, path) == got
 
 
-def test_the_writer_formats_each_graph_as_the_edge_list_writer_does(tmp_path):
-    from atebench.graphs import format_edgelist
+def _graph_outcome(load, path):
+    try:
+        g = load(path)
+    except AteBenchError as exc:
+        return type(exc).__name__, str(exc)
+    return g.labels, g.adjacency.tobytes()
 
+
+def _load_reference_dag(path):
+    return edgelist_reference.parse_dag_edgelist(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_graph_files_read_as_the_reference_parser_reads_them(tmp_path):
+    rng = np.random.default_rng(23)
+    kinds, errors, valid = set(), set(), 0
+    for case in range(400):
+        labels, stack, _, _ = _random_bag(rng)
+        lines = _render(rng, labels, stack[:1], [1.0], "")
+        if case % 4:
+            for _ in range(int(rng.integers(1, 3))):
+                kinds.add(_mutate(rng, lines, labels, BLOCK_KINDS))
+        del lines[_graph_lines(lines)[0]]
+        path = _write(tmp_path, f"g{case}.txt", lines)
+        want = _graph_outcome(_load_reference_dag, path)
+        assert _graph_outcome(load_dag, path) == want, case
+        if isinstance(want[0], str):
+            errors.add(want[1].split(": ", 1)[-1].split(" '")[0][:40])
+        else:
+            valid += 1
+    assert kinds == set(BLOCK_KINDS) and valid >= 100
+    assert len(errors) >= 9, errors
+
+
+def test_a_repeated_header_field_is_refused(tmp_path):
+    path = _write(tmp_path, "p.txt", [
+        "posterior method=a seed=1 method=b seed=7", "graph 0 weight 1.0", "nodes: x,y", "x -> y",
+    ])
+    with pytest.raises(SchemaError, match="duplicate posterior header field 'method'"):
+        load_external_posterior(path)
+
+
+def test_the_writer_formats_each_graph_as_the_edge_list_writer_does(tmp_path):
+    format_edgelist = edgelist_reference.format_edgelist
     rng = np.random.default_rng(22)
     for case in range(30):
         labels, stack, weights, _ = _random_bag(rng)
