@@ -26,6 +26,7 @@ from atebench.scm import (
     save_dataset,
 )
 
+from artifact_digests import check as check_artifact_digests
 from ate_reference import analytic_total_effect, estimate_ate
 from conftest import brute_force_dags, oracle_mec_classes
 from metrics_reference import atoms_of, pair_report, pass_modes, pass_wd, reports_of
@@ -309,6 +310,11 @@ def test_a09_reports_are_byte_identical_across_worker_counts(trend_runs, tmp_pat
         if not mismatches
         else f"byte mismatch at n in {mismatches}",
     )
+
+
+def test_a07_a09_artifacts_match_the_record(trend_runs):
+    # both arms' roots, n020 and n100, are the fixture's only directories
+    check_artifact_digests("a07-a09", trend_runs[20][0].parent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
-import hashlib
 import json
 import logging
 import os
-import re
 import shutil
 
 import numpy as np
@@ -29,6 +27,8 @@ from atebench.scm import (
     save_dataset,
 )
 
+from artifact_digests import tree_hashes
+
 
 def tiny_cfg(root, **kw):
     base = dict(
@@ -43,28 +43,6 @@ def tiny_cfg(root, **kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-def tree_hashes(root):
-    """Hashes of every artifact but the log and the echoed config, which
-    record wall-clock times and the volatile workers value.
-
-    The run and seed manifests are in, with each stage's wall-clock
-    `seconds` masked.  Every bag of DAGs is in: the methods' posteriors and
-    the true class's mec.txt, all in the one multi-graph posterior format.
-    """
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            if name == "run.log" or rel == "run_config.txt":
-                continue
-            data = open(path, "rb").read()
-            if name.endswith("manifest.json"):
-                data = re.sub(rb'"seconds": [-+.0-9eE]+', b'"seconds": null', data)
-            out[rel] = hashlib.sha256(data).hexdigest()
-    return out
 
 
 def read_text(path):
