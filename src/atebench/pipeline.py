@@ -28,15 +28,18 @@ process writes ``run_config.txt``, ``run_manifest.json``, ``run.log`` and
 rather than reusing in-memory results, which makes the final report
 byte-identical across worker counts and resume points.
 
-A seed that fails keeps the stages it completed before the failing one.  When
-a stage's own computation raises an ``AteBenchError``, the seed manifest
-records it under ``failed``, and a later command under the same config digest
-whose cut reaches that stage returns the recorded error without computing
-anything for the seed.  A failed artifact read and any other exception are
-not recorded, so the next command retries them.  A seed is reported only once
-every method is evaluated on it.  Real mode, whose external posterior is one
-more config input, follows the same rule; its one seed is the whole run, so
-its failure, recorded or not, is then also raised to the caller.
+A command checks the whole root before it writes anything: a
+``run_config.txt`` or seed manifest under another config digest is refused,
+and a damaged manifest stops the command before any seed advances.  A seed
+that fails keeps the stages it completed before the failing one.  When a
+stage's own computation raises an ``AteBenchError``, the seed manifest
+records it under ``failed``, and a later command whose cut reaches that stage
+returns the recorded error without computing anything for the seed.  A
+failed artifact read and any other exception are not recorded, so the next
+command retries them.  A seed is reported only once every method is
+evaluated on it.  Real mode, whose external posterior is one more config
+input, follows the same rule; its one seed is the whole run, so its failure,
+recorded or not, is also raised to the caller as the run manifest records it.
 """
 
 from __future__ import annotations
@@ -154,6 +157,20 @@ def _read_json(path, key: str | None = None):
     if not isinstance(payload, dict) or key and not isinstance(payload.get(key), dict):
         raise SchemaError(f"{path}: not a JSON object" + (f" with a {key!r} object" if key else ""))
     return payload
+
+
+def _seed_manifest(sd: Path, seed_index: int, digest: str) -> dict:
+    """The seed's manifest, or a fresh one when the seed has none; a damaged
+    manifest raises a SchemaError, and one under another digest a ConfigError."""
+    path = sd / "manifest.json"
+    manifest = _read_json(path, "stages")
+    if manifest is None:
+        return {"seed_index": seed_index, "config_digest": digest, "stages": {}}
+    if manifest.get("config_digest") != digest:
+        raise ConfigError(f"{path}: seed has config digest {manifest.get('config_digest')!r}, "
+                          f"current config has {digest!r}; use a new output root or delete "
+                          "that seed's directory")
+    return manifest
 
 
 def _write_json(path, payload) -> None:
@@ -333,49 +350,35 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
 
 def _recorded_error(text: str) -> AteBenchError:
     """The typed error a recorded failure names, made from its message alone
-    although its class may take other arguments."""
+    although its class may take other arguments; any other error keeps its
+    whole text."""
     name, _, message = text.partition(": ")
-    cls = getattr(errors, name, AteBenchError)
-    return cls.__new__(cls, message)
+    cls = getattr(errors, name, None)
+    if isinstance(cls, type) and issubclass(cls, AteBenchError):
+        return cls.__new__(cls, message)
+    return AteBenchError(text)
 
 
-def _seed_attempt(task):
-    """One seed's {status, error} and the exception that stopped it.
-
-    A failure recorded under the current digest at a stage this command's
-    cut reaches is returned as it stands, and nothing is computed for the
-    seed.  Otherwise the stages completed before a failure keep their files,
-    and the failure is recorded only if a stage's own computation raised an
-    AteBenchError; a failed artifact read or any other exception is retried
-    by the next command.  However the seed stops, its manifest is written
-    once, on the way out.
-    """
-    cfg, seed_index, sd, cut, posterior, digest = task
+def _seed_attempt(task) -> dict:
+    """One seed's {status, error}.  A failure recorded at a stage this
+    command's cut reaches is returned as it stands, and nothing is computed;
+    otherwise a stage's own AteBenchError is recorded, and a failed read or
+    any other exception is left for the next command to retry.  However the
+    seed stops, its manifest is written once, on the way out."""
+    cfg, seed_index, sd, cut, posterior, manifest = task
     sd.mkdir(parents=True, exist_ok=True)
-    path = sd / "manifest.json"
-    manifest = _read_json(path, "stages") or {"seed_index": seed_index, "stages": {}}
-    if manifest.get("config_digest") != digest:
-        manifest.pop("failed", None)
-    manifest["config_digest"] = digest
     recorded = manifest.get("failed")
     try:
         if recorded is not None and _stage_cut(recorded["stage"]) <= cut:
             logger.info("seed %d: reusing the failure recorded at stage %s",
                         seed_index, recorded["stage"])
-            return ({"status": "failed", "error": recorded["error"]},
-                    _recorded_error(recorded["error"]))
+            return {"status": "failed", "error": recorded["error"]}
         _seed_compute(cfg, seed_index, sd, manifest, cut, posterior)
     except Exception as exc:
-        return {"status": "failed", "error": _error_text(exc)}, exc
+        return {"status": "failed", "error": _error_text(exc)}
     finally:
-        _write_json(path, manifest)
-    return {"status": "ok", "error": None}, None
-
-
-def _seed_worker(task):
-    """Pool entry point: a seed's status only, since a recorded error is
-    built without its constructor and may not pickle."""
-    return _seed_attempt(task)[0]
+        _write_json(sd / "manifest.json", manifest)
+    return {"status": "ok", "error": None}
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +386,15 @@ def _seed_worker(task):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_root(cfg: ExperimentConfig, digest: str) -> Path:
+def _prepare_root(cfg: ExperimentConfig, digest: str, command: str) -> tuple[Path, list[dict]]:
+    """The output root and every seed's manifest.  The whole root is checked
+    before anything is written, so a refused command leaves it as it was."""
     if cfg.output_root is None:
         raise ConfigError(
             "no output root: set the output_root key, the --output-root flag, "
             "or the ATEBENCH_OUTPUT_ROOT environment variable"
         )
     root = Path(cfg.output_root)
-    (root / "seeds").mkdir(parents=True, exist_ok=True)
-    (root / "report").mkdir(parents=True, exist_ok=True)
     cfg_path = root / "run_config.txt"
     if cfg_path.exists():
         stored = _stored_digest(cfg_path)
@@ -400,9 +403,20 @@ def _prepare_root(cfg: ExperimentConfig, digest: str) -> Path:
                 f"{cfg_path}: existing run has config digest {stored!r}, current config "
                 f"has {digest!r}; refusing to mix experiments in one output root"
             )
-    else:
+    manifests = [_seed_manifest(sd, i, digest) for i, sd in enumerate(_seed_dirs(cfg, root))]
+    run_manifest = _read_json(root / "run_manifest.json") or {}
+    if run_manifest.get("config_digest", digest) != digest:
+        raise ConfigError(f"{root / 'run_manifest.json'}: existing run has config digest "
+                          f"{run_manifest['config_digest']!r}, current config has {digest!r}; "
+                          "refusing to mix experiments in one output root")
+    if command == "report" and not run_manifest.get("methods"):
+        raise AggregationError(f"{root}: no run_manifest.json that lists a method; "
+                               "run the pipeline first")
+    (root / "seeds").mkdir(parents=True, exist_ok=True)
+    (root / "report").mkdir(parents=True, exist_ok=True)
+    if not cfg_path.exists():
         cfg_path.write_text(f"{_DIGEST_PREFIX}{digest}\n" + cfg.to_text(), encoding="utf-8")
-    return root
+    return root, manifests
 
 
 def _seed_dirs(cfg: ExperimentConfig, root: Path) -> list[Path]:
@@ -425,9 +439,7 @@ def _update_run_manifest(root: Path, cfg: ExperimentConfig, digest: str, methods
             "note": "one truth graph and dataset are shared by all methods within a seed",
         }
     )
-    seeds = manifest.setdefault("seeds", {})
-    for idx, status in seed_status.items():
-        seeds[str(idx)] = status
+    manifest.setdefault("seeds", {}).update((str(i), s) for i, s in seed_status.items())
     _write_json(path, manifest)
 
 
@@ -453,56 +465,40 @@ def _detach_run_log(attached) -> None:
 
 
 def _execute_seeds(cfg: ExperimentConfig, root: Path, command: str, digest: str,
-                   posterior) -> dict:
+                   posterior, manifests: list[dict]) -> dict:
     methods = [posterior.method_tag] if posterior is not None else list(cfg.methods)
-    tasks = [(cfg, i, sd, _CUTS[command], posterior, digest)
+    tasks = [(cfg, i, sd, _CUTS[command], posterior, manifests[i])
              for i, sd in enumerate(_seed_dirs(cfg, root))]
-    raised = None
     if cfg.workers > 1 and cfg.num_seeds > 1:
         # imported here: multiprocessing is a sizeable part of a cold start
         # that a single-worker command never uses
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.num_seeds)) as pool:
-            statuses = list(pool.map(_seed_worker, tasks))
+            statuses = list(pool.map(_seed_attempt, tasks))
     else:
-        statuses = []
-        for t in tasks:
-            status, exc = _seed_attempt(t)
-            statuses.append(status)
-            raised = raised or exc
+        statuses = [_seed_attempt(t) for t in tasks]
     seed_status = dict(enumerate(statuses))
     for i, status in seed_status.items():
         if status["error"] is not None:
             logger.error("seed %d failed: %s", i, status["error"])
     _update_run_manifest(root, cfg, digest, methods, seed_status)
-    if cfg.mode == "real" and raised is not None:
-        # the one real-data seed is the whole run: once its stages and its
-        # failure are on disk, the failure is the caller's error
-        raise raised
+    if cfg.mode == "real" and statuses[0]["error"] is not None:
+        # the one real-data seed is the whole run, so the failure its run
+        # manifest records is the caller's error
+        raise _recorded_error(statuses[0]["error"])
     return seed_status
 
 
 def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
     run_manifest = _read_json(root / "run_manifest.json")
-    if run_manifest is None:
-        raise AggregationError(f"{root}: no run_manifest.json; run the pipeline first")
-    if run_manifest.get("config_digest") != digest:
-        raise AggregationError(
-            f"{root}: run manifest digest {run_manifest.get('config_digest')!r} "
-            f"does not match current config {digest!r}"
-        )
-    methods = run_manifest.get("methods") or []
-    if not methods:
-        raise AggregationError(f"{root}: run manifest lists no methods")
+    methods = run_manifest["methods"]
     # a seed is reported only once every method is evaluated on it, so the
     # methods are compared on the same seeds; a failed seed may keep the
     # stages it completed before failing
-    evaluated = []
-    for i, sd in enumerate(_seed_dirs(cfg, root)):
-        manifest = _read_json(sd / "manifest.json", "stages")
-        if manifest is not None and all(f"evaluate:{m}" in manifest["stages"] for m in methods):
-            evaluated.append((i, sd))
+    wanted = {f"evaluate:{m}" for m in methods}
+    evaluated = [(i, sd) for i, sd in enumerate(_seed_dirs(cfg, root))
+                 if wanted <= _seed_manifest(sd, i, digest)["stages"].keys()]
     rcfg = RegroupConfig(cfg.regroup_rtol, cfg.regroup_atol)
     labels = None
     summaries = []
@@ -535,9 +531,8 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
     report_path = report_dir / "run_report.csv"
     write_run_report_csv(report, report_path)
     _stamp_text(report_path, digest)
-    manifest = _read_json(root / "run_manifest.json")
-    manifest["report_files"] = sorted(p.name for p in report_dir.iterdir())
-    _write_json(root / "run_manifest.json", manifest)
+    run_manifest["report_files"] = sorted(p.name for p in report_dir.iterdir())
+    _write_json(root / "run_manifest.json", run_manifest)
     logger.info("report written: %s", report_path)
     return report
 
@@ -565,12 +560,12 @@ def run_pipeline(cfg: ExperimentConfig, command: str = "run"):
         if posterior.method_tag == TRUE_MEC_TAG:
             raise SchemaError(f"{cfg.posterior_path}: method tag {TRUE_MEC_TAG!r} is reserved "
                               "for the true equivalence class")
-    root = _prepare_root(cfg, digest)
+    root, manifests = _prepare_root(cfg, digest, command)
     run_log = _attach_run_log(root)
     try:
         if command == "report":
             return _aggregate(cfg, root, digest)
-        status = _execute_seeds(cfg, root, command, digest, posterior)
+        status = _execute_seeds(cfg, root, command, digest, posterior, manifests)
         if command != "run":
             return status
         failed = {i: s["error"] for i, s in status.items() if s["status"] == "failed"}

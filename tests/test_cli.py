@@ -266,3 +266,56 @@ def test_more_expected_edges_than_fit_are_refused_before_anything_is_written(tmp
     args = base_args(root, **{"--d": "2", "--num-seeds": "2", "--er-expected-edges": "1"})
     assert run_cli("generate", *args) == 0
     assert "seeds completed: 2/2" in capsys.readouterr().out
+
+
+def tree_bytes(root):
+    """Every path under root, with each file's bytes (None for a directory)."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_damaged_seed_manifest_stops_the_command_before_any_seed_advances(
+        tmp_path, capsys, workers):
+    root = tmp_path / "root"
+    args = base_args(root, **{"--num-seeds": "2", "--workers": workers})
+    assert run_cli("generate", *args) == 0
+    path = root / "seeds" / "seed_001" / "manifest.json"
+    path.write_text('{"stages": ', encoding="utf-8")
+    before = tree_bytes(root)
+    capsys.readouterr()
+    assert run_cli("discover", *args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON object")
+    assert tree_bytes(root) == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("keep_config", [True, False], ids=["run_config", "no run_config"])
+def test_a_root_computed_under_another_config_is_refused_and_left_as_it_was(
+        tmp_path, capsys, workers, keep_config):
+    root = tmp_path / "root"
+    args = {"--num-seeds": "2", "--workers": workers}
+    assert run_cli("generate", *base_args(root, **args, **{"--master-seed": "1"})) == 0
+    if not keep_config:
+        (root / "run_config.txt").unlink()
+    before = tree_bytes(root)
+    capsys.readouterr()
+    assert run_cli("run", *base_args(root, **args, **{"--master-seed": "2"})) == 2
+    refused_by = "run_config.txt" if keep_config else "seeds/seed_000/manifest.json"
+    assert capsys.readouterr().err.startswith(f"error: {root / refused_by}: ")
+    assert tree_bytes(root) == before
+    # the original config still resumes, and every artifact is stamped with it
+    assert run_cli("run", *base_args(root, **args, **{"--master-seed": "1"})) == 0
+    stamps = {(root / rel).read_text().splitlines()[0]
+              for rel in ("report/run_report.csv", "seeds/seed_000/data.csv",
+                          "seeds/seed_001/truth_graph.txt", "seeds/seed_001/mec.txt")}
+    assert len(stamps) == 1
+
+
+def test_report_on_a_root_without_a_run_manifest_writes_nothing(tmp_path, capsys):
+    root = tmp_path / "R"
+    assert run_cli("report", *base_args(root)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {root}: no run_manifest.json that lists a method; run the pipeline first\n")
+    assert not root.exists()
+    assert run_cli("run", *base_args(root, **{"--d": "4"})) == 0

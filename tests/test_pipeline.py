@@ -10,6 +10,7 @@ from atebench import pipeline
 from atebench.config import ExperimentConfig
 from atebench.errors import (
     AggregationError,
+    AteBenchError,
     ConfigError,
     MecCapacityError,
     SchemaError,
@@ -411,7 +412,7 @@ def test_an_ates_file_in_the_stack_layout_is_refused_by_evaluate(tmp_path):
     assert "evaluate:bootstrap-pc" in seed_manifest(tmp_path / "old", 0)["stages"]
 
 
-def test_a_failure_recorded_under_another_digest_is_ignored_and_dropped(tmp_path, monkeypatch):
+def test_a_seed_manifest_under_another_digest_is_refused(tmp_path, monkeypatch):
     calls = count_discoveries(monkeypatch)
     cfg = tiny_cfg(tmp_path / "stale", num_seeds=1)
     run_pipeline(cfg, "generate")
@@ -420,9 +421,32 @@ def test_a_failure_recorded_under_another_digest_is_ignored_and_dropped(tmp_path
     doc["config_digest"] = "0" * 12
     doc["failed"] = {"stage": "discover:bootstrap-pc", "error": "SampleSizeError: stale"}
     man_path.write_text(json.dumps(doc))
-    assert run_pipeline(cfg, "discover")[0] == {"status": "ok", "error": None}
-    assert calls == ["pc"]
-    assert "failed" not in seed_manifest(tmp_path / "stale", 0)
+    before = tree_hashes(tmp_path / "stale")
+    saved = man_path.read_bytes()
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(cfg, "discover")
+    assert str(err.value) == (
+        f"{man_path}: seed has config digest '000000000000', current config has "
+        f"{cfg.digest()!r}; use a new output root or delete that seed's directory"
+    )
+    assert calls == []
+    assert man_path.read_bytes() == saved
+    assert tree_hashes(tmp_path / "stale") == before
+
+
+def test_a_run_manifest_under_another_digest_is_refused(tmp_path):
+    root = tmp_path / "left"
+    run_pipeline(tiny_cfg(root, num_seeds=1), "generate")
+    (root / "run_config.txt").unlink()
+    shutil.rmtree(root / "seeds")
+    before = tree_hashes(root)
+    other = tiny_cfg(root, num_seeds=1, master_seed=12)
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(other, "generate")
+    assert str(err.value).startswith(f"{root / 'run_manifest.json'}: existing run has config ")
+    assert str(err.value).endswith("refusing to mix experiments in one output root")
+    assert tree_hashes(root) == before
+    assert not (root / "run_config.txt").exists()
 
 
 # --- where each seed's files are written ------------------------------------
@@ -756,6 +780,25 @@ def test_a_real_run_that_fails_keeps_its_earlier_stages_and_raises(real_inputs, 
     assert str(again.value) == str(err.value)
     assert len(calls) == 1
     assert seed_manifest(root, 0)["failed"] == doc["failed"]
+
+
+def test_a_real_run_raises_the_error_its_run_manifest_records(real_inputs, tmp_path,
+                                                              monkeypatch):
+    g, data, inputs = real_inputs
+
+    def broken(*args, **kwargs):
+        raise OSError("disk hiccup")
+    monkeypatch.setattr(pipeline, "enumerate_mec", broken)
+    root = tmp_path / "real_os"
+    cfg = ExperimentConfig(mode="real", dataset_path=str(inputs / "data.csv"),
+                           graph_path=str(inputs / "truth.txt"), posterior_size=6,
+                           output_root=str(root))
+    with pytest.raises(AteBenchError) as err:
+        run_real(cfg)
+    assert type(err.value) is AteBenchError
+    run_doc = json.loads(read_text(root / "run_manifest.json"))
+    assert str(err.value) == run_doc["seeds"]["0"]["error"] == "OSError: disk hiccup"
+    assert "failed" not in seed_manifest(root, 0)
 
 
 def test_external_posterior_may_not_use_the_true_mec_tag(real_inputs, tmp_path):
