@@ -220,8 +220,9 @@ def load_external_posterior(path) -> PosteriorSample:
     if not blocks:
         raise ValidationError(f"{path}: posterior file contains no graphs")
     weights = _normalized(weights, str(path))
-    if labels.count(labels[0]) < len(labels):
-        raise SchemaError("posterior DAGs disagree on node labels")
+    for k, lab in enumerate(labels):
+        if lab != labels[0]:
+            raise SchemaError(f"{path}#graph{k}: node labels differ from graph 0's")
     try:
         return PosteriorSample._of_stack(stack, labels[0], weights, method_tag, seed)
     except ParameterError as exc:

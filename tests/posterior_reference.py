@@ -71,7 +71,11 @@ def load_posterior_file(path) -> PosteriorSample:
         raise SchemaError(f"{path}: graph line without an edge list")
     if not dags:
         raise ValidationError(f"{path}: posterior file contains no graphs")
+    weights = _normalized(weights, str(path))
+    for k, g in enumerate(dags):
+        if g.labels != dags[0].labels:
+            raise SchemaError(f"{path}#graph{k}: node labels differ from graph 0's")
     try:
-        return PosteriorSample(dags, _normalized(weights, str(path)), method_tag, seed)
+        return PosteriorSample(dags, weights, method_tag, seed)
     except ParameterError as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -192,7 +192,9 @@ MIXED_ERRORS = {
     "mismatched nodes lines and a cycle": (
         [_CHAIN, _OTHER_LABELS, _CYCLE], "#graph2: adjacency matrix contains a directed cycle",
     ),
-    "mismatched nodes lines alone": ([_CHAIN, _OTHER_LABELS], "posterior DAGs disagree on node labels"),
+    "mismatched nodes lines alone": (
+        [_CHAIN, _CHAIN, _OTHER_LABELS, _OTHER_LABELS], "#graph2: node labels differ from graph 0's",
+    ),
     "a cycle before a malformed graph line": (
         [_CYCLE, _CHAIN, "graph 9 mass 1"], "#graph0: adjacency matrix contains a directed cycle",
     ),
