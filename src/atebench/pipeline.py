@@ -439,7 +439,9 @@ def _update_run_manifest(root: Path, cfg: ExperimentConfig, digest: str, methods
             "note": "one truth graph and dataset are shared by all methods within a seed",
         }
     )
-    manifest.setdefault("seeds", {}).update((str(i), s) for i, s in seed_status.items())
+    seeds = manifest.setdefault("seeds", {})
+    for idx, status in seed_status.items():
+        seeds[str(idx)] = status
     _write_json(path, manifest)
 
 

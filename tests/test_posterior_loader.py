@@ -193,7 +193,8 @@ MIXED_ERRORS = {
         [_CHAIN, _OTHER_LABELS, _CYCLE], "#graph2: adjacency matrix contains a directed cycle",
     ),
     "mismatched nodes lines alone": (
-        [_CHAIN, _CHAIN, _OTHER_LABELS, _OTHER_LABELS], "#graph2: node labels differ from graph 0's",
+        [_CHAIN, _CHAIN, _OTHER_LABELS, _OTHER_LABELS],
+        "#graph2: node labels differ from graph 0's",
     ),
     "a cycle before a malformed graph line": (
         [_CYCLE, _CHAIN, "graph 9 mass 1"], "#graph0: adjacency matrix contains a directed cycle",
