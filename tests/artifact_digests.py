@@ -137,8 +137,7 @@ def real_study(root, cfg: ExperimentConfig, staged: bool = True) -> None:
 
 
 def _run_all(base: Path) -> dict:
-    sys.path.insert(0, str(Path(__file__).parent))
-    from test_acceptance import _trend_cfg
+    from test_acceptance import _trend_cfg  # the script's own directory is on sys.path
 
     for n in (20, 100):
         run_pipeline(_trend_cfg(base / "a07-a09" / f"n{n:03d}", n, workers=1), "run")
