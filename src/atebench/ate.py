@@ -9,14 +9,13 @@ flat arrays (``AteAtoms``), in memory and in ``ates/<tag>.npz`` alike.
 
 from __future__ import annotations
 
-import zipfile
 from collections.abc import Mapping
 
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, SchemaError
 from .kernels import ate_table, centered_gram, transitive_closure_batch, unique_rows
-from .scm import Dataset
+from .scm import Dataset, read_npz
 
 
 class AteQuery:
@@ -299,25 +298,16 @@ def load_ate_samples(
 ) -> AteAtoms:
     """Inverse of save_ate_samples; a malformed file raises SchemaError."""
     labels = tuple(labels)
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise SchemaError(f"{path}: not an npz file ({exc})") from exc
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise SchemaError(f"{path}: not an npz file (a single array)")
-    with npz:
-        missing = [k for k in _ATE_KEYS if k not in npz.files]
-        if missing == ["offsets"]:
-            raise SchemaError(
-                f"{path}: an (m, d, d) stack of per-DAG effects, a layout this version no "
-                "longer reads; use a new output root or delete that seed's directory"
-            )
-        if missing:
-            raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
-        try:
-            values, weights, offsets, stored = (npz[k] for k in _ATE_KEYS[:4])
-        except (ValueError, zipfile.BadZipFile) as exc:
-            raise SchemaError(f"{path}: unreadable array ({exc})") from exc
+    arrays = read_npz(path, _ATE_KEYS)
+    missing = [k for k in _ATE_KEYS if k not in arrays]
+    if missing == ["offsets"]:
+        raise SchemaError(
+            f"{path}: an (m, d, d) stack of per-DAG effects, a layout this version no "
+            "longer reads; use a new output root or delete that seed's directory"
+        )
+    if missing:
+        raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
+    values, weights, offsets, stored = (arrays[k] for k in _ATE_KEYS[:4])
     if stored.tolist() != list(labels):
         raise SchemaError(f"{path}: labels {stored.tolist()} differ from {list(labels)}")
     try:

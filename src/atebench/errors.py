@@ -24,13 +24,6 @@ class ExtensionError(AteBenchError):
 class MecCapacityError(AteBenchError):
     """Equivalence-class enumeration exceeded its member cap."""
 
-    def __init__(self, cap: int, partial_count: int):
-        self.cap = cap
-        self.partial_count = partial_count
-        super().__init__(
-            f"equivalence class exceeds cap={cap} (found {partial_count} members before stopping)"
-        )
-
 
 class ParameterError(AteBenchError):
     """An argument violates an operation's precondition."""

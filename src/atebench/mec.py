@@ -85,7 +85,8 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
             if _kahn(ch) is not None and _unshielded(pa, adj) == target_vs:
                 leaves.append(_packed(ch, d))
                 if len(leaves) > cap:
-                    raise MecCapacityError(cap, len(leaves))
+                    raise MecCapacityError(f"equivalence class exceeds cap={cap} "
+                                           f"(found {len(leaves)} members before stopping)")
             continue
         j = (un[i] & -un[i]).bit_length() - 1
         for a, b in ((i, j), (j, i)):

@@ -15,7 +15,11 @@ Layout under output_root:
 Every bag of DAGs is written in the one posterior multi-graph format of
 ``atebench.discovery.posterior``: each method's sample as
 ``posteriors/<method>.txt`` and the true equivalence class as ``mec.txt``
-(tag ``true-mec``, uniform weights).
+(tag ``true-mec``, uniform weights).  Each seed's dataset is ``data.npz``,
+its ``values``, column ``labels`` and ``config_digest``, and a command reads
+it only when a stage it still computes uses the data.  CSV is the format of
+real-mode dataset inputs alone: a seed whose manifest lists a ``data.csv``,
+the layout before npz datasets, is refused before the command writes anything.
 
 Each seed writes its own files, in the process that computes it (a worker
 process when ``workers > 1``), in a deterministic format, so a run's artifact
@@ -161,7 +165,8 @@ def _read_json(path, key: str | None = None):
 
 def _seed_manifest(sd: Path, seed_index: int, digest: str) -> dict:
     """The seed's manifest, or a fresh one when the seed has none; a damaged
-    manifest raises a SchemaError, and one under another digest a ConfigError."""
+    manifest, or one whose dataset is a CSV, raises a SchemaError, and one
+    under another digest a ConfigError."""
     path = sd / "manifest.json"
     manifest = _read_json(path, "stages")
     if manifest is None:
@@ -170,6 +175,9 @@ def _seed_manifest(sd: Path, seed_index: int, digest: str) -> dict:
         raise ConfigError(f"{path}: seed has config digest {manifest.get('config_digest')!r}, "
                           f"current config has {digest!r}; use a new output root or delete "
                           "that seed's directory")
+    if "data.csv" in manifest["stages"].get("generate", {}).get("files", ()):
+        raise SchemaError(f"{sd / 'data.csv'}: a CSV seed dataset, a layout this version no "
+                          "longer reads; use a new output root or delete that seed's directory")
     return manifest
 
 
@@ -249,7 +257,7 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
         files = [saved("truth_graph.txt", lambda p: save_graph(g, p))]
         if m is not None:
             files.append(saved("scm.json", lambda p: save_scm(m, p), _stamp_json))
-        return files + [saved("data.csv", lambda p: save_dataset(d0, p))]
+        return files + [saved("data.npz", lambda p: save_dataset(d0, p, digest), None)]
 
     def write_ates(rel, samples):
         return saved(rel, lambda p: save_ate_samples(samples, labels, p, digest), None)
@@ -257,7 +265,7 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
     # stage: generate (synthetic) or ingest (real); artifact names shared
     if "generate" in done:
         truth = load_dag(sd / "truth_graph.txt")
-        data = load_dataset(sd / "data.csv")
+        data = None  # read below, and only if a stage still to compute uses it
     else:
         if cfg.mode == "real":
             # inputs are read like stored artifacts: untimed, a failed read unrecorded
@@ -303,6 +311,12 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
         m: (cut >= 2 and f"ates:{m}" not in done, cut >= 3 and f"evaluate:{m}" not in done)
         for m in methods
     }
+    if data is None and (
+        cut >= 2 and "truth" not in done
+        or any(need_ates for need_ates, _ in needs.values())
+        or cut >= 1 and posterior is None and any(f"discover:{m}" not in done for m in methods)
+    ):
+        data = load_dataset(sd / "data.npz")
     true_ates = None
     if cut >= 2:
         if "truth" not in done:
@@ -349,13 +363,12 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
 
 
 def _recorded_error(text: str) -> AteBenchError:
-    """The typed error a recorded failure names, made from its message alone
-    although its class may take other arguments; any other error keeps its
-    whole text."""
+    """The typed error a recorded failure names, made from its message; any
+    other error keeps its whole text."""
     name, _, message = text.partition(": ")
     cls = getattr(errors, name, None)
     if isinstance(cls, type) and issubclass(cls, AteBenchError):
-        return cls.__new__(cls, message)
+        return cls(message)
     return AteBenchError(text)
 
 

@@ -6,6 +6,8 @@ import csv
 import json
 import math
 import os
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -186,17 +188,66 @@ def save_scm(scm: LinearGaussianScm, path) -> None:
         fh.write("\n")
 
 
-def save_dataset(data: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.column_labels)
-        for row in data.values:
-            writer.writerow([repr(float(v)) for v in row])
+_DATASET_KEYS = ("values", "labels", "config_digest")
 
 
-def load_dataset(path) -> Dataset:
-    if not os.path.isfile(path):
-        raise ValidationError(f"{path}: no such dataset file")
+def save_dataset(data: Dataset, path, digest: str | None = None) -> None:
+    """Write data in the format path's suffix names.  A ``.npz`` path, the
+    harness's own artifact, gets `values`, the (n, d) float64 matrix;
+    `labels`, the column labels; and `config_digest`, a 0-d string.  Any
+    other path gets the CSV input format: a header row of labels, then one
+    row of exact float reprs per observation, and no digest."""
+    if Path(path).suffix != ".npz":
+        if digest is not None:
+            raise ParameterError(f"{path}: a CSV dataset carries no config digest")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(data.column_labels)
+            for row in data.values:
+                writer.writerow([repr(float(v)) for v in row])
+        return
+    if digest is None:
+        raise ParameterError(f"{path}: an npz dataset needs the config digest it was made under")
+    # np.savez appends .npz to a path without it; writing to an open file does not
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            values=data.values,
+            labels=np.array(data.column_labels, dtype=str),
+            config_digest=np.array(digest, dtype=str),
+        )
+
+
+def read_npz(path, keys) -> dict[str, np.ndarray]:
+    """The arrays named in keys that the npz at path holds; a file that is
+    not an npz, or an array that cannot be read, raises a SchemaError naming
+    path."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{path}: not an npz file ({exc})") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path}: not an npz file (a single array)")
+    with npz:
+        try:
+            return {k: npz[k] for k in keys if k in npz.files}
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise SchemaError(f"{path}: unreadable array ({exc})") from exc
+
+
+def _from_npz(path) -> tuple[np.ndarray, list[str]]:
+    arrays = read_npz(path, _DATASET_KEYS)
+    missing = [k for k in _DATASET_KEYS if k not in arrays]
+    if missing:
+        raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
+    values, labels = arrays["values"], arrays["labels"]
+    if values.dtype != np.float64 or labels.dtype.kind != "U" or labels.ndim != 1:
+        raise SchemaError(f"{path}: expected float64 values and 1-D string labels, "
+                          f"got {values.dtype} values and {labels.ndim}-D {labels.dtype} labels")
+    return values, labels.tolist()
+
+
+def _from_csv(path) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = None
@@ -215,7 +266,18 @@ def load_dataset(path) -> Dataset:
                 raise SchemaError(f"{path}:{lineno}: non-numeric value") from exc
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float), header
+
+
+def load_dataset(path) -> Dataset:
+    """Inverse of save_dataset, in the format path's suffix names; a
+    malformed file raises a SchemaError that names it."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"{path}: no such dataset file")
+    values, labels = (_from_npz if Path(path).suffix == ".npz" else _from_csv)(path)
     if not np.all(np.isfinite(values)):
         raise SchemaError(f"{path}: non-finite values in dataset")
-    return Dataset(values, header)
+    try:
+        return Dataset(values, labels)
+    except (StructuralError, SchemaError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None

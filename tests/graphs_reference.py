@@ -243,7 +243,8 @@ def enumerate_mec(g: Dag, cap: int = DEFAULT_MEC_CAP) -> MecEnumeration:
             if v_structures(member) == target_vs:
                 found.append(member)
                 if len(found) > cap:
-                    raise MecCapacityError(cap, len(found))
+                    raise MecCapacityError(f"equivalence class exceeds cap={cap} "
+                                           f"(found {len(found)} members before stopping)")
             continue
         i, j = edge
         for a, b in ((i, j), (j, i)):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from atebench.cli import main
@@ -64,7 +65,7 @@ def test_env_var_supplies_output_root(tmp_path, monkeypatch, capsys):
     args = [x for x in base_args(tmp_path) if not x.startswith(str(tmp_path))]
     args = args[: args.index("--output-root")] + args[args.index("--output-root") + 2 :]
     assert run_cli("generate", *args) == 0
-    assert (tmp_path / "env_root" / "seeds" / "seed_000" / "data.csv").exists()
+    assert (tmp_path / "env_root" / "seeds" / "seed_000" / "data.npz").exists()
 
 
 def test_flag_overrides_beat_config_file(tmp_path, capsys):
@@ -307,8 +308,10 @@ def test_a_root_computed_under_another_config_is_refused_and_left_as_it_was(
     # the original config still resumes, and every artifact is stamped with it
     assert run_cli("run", *base_args(root, **args, **{"--master-seed": "1"})) == 0
     stamps = {(root / rel).read_text().splitlines()[0]
-              for rel in ("report/run_report.csv", "seeds/seed_000/data.csv",
-                          "seeds/seed_001/truth_graph.txt", "seeds/seed_001/mec.txt")}
+              for rel in ("report/run_report.csv", "seeds/seed_001/truth_graph.txt",
+                          "seeds/seed_001/mec.txt")}
+    with np.load(root / "seeds" / "seed_000" / "data.npz", allow_pickle=False) as npz:
+        stamps.add(f"# config_digest={npz['config_digest']}")
     assert len(stamps) == 1
 
 

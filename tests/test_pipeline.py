@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from atebench import pipeline
+from atebench import errors, pipeline
 from atebench.config import ExperimentConfig
 from atebench.errors import (
     AggregationError,
@@ -73,7 +73,7 @@ def test_synthetic_run_produces_the_artifact_tree(synthetic_run):
         for rel in (
             "truth_graph.txt",
             "scm.json",
-            "data.csv",
+            "data.npz",
             "mec.txt",
             "ates/true-mec.npz",
             "posteriors/bootstrap-pc.txt",
@@ -96,7 +96,6 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
         "report/run_report.csv",
         "report/relaxation_bootstrap-pc.csv",
         "seeds/seed_000/truth_graph.txt",
-        "seeds/seed_000/data.csv",
         "seeds/seed_000/mec.txt",
         "seeds/seed_000/posteriors/bootstrap-pc.txt",
         "seeds/seed_000/pairs/bootstrap-pc.csv",
@@ -112,7 +111,8 @@ def test_every_text_artifact_is_digest_stamped(synthetic_run):
     ):
         doc = json.loads(read_text(root / rel))
         assert doc["config_digest"] == digest, rel
-    for rel in ("seeds/seed_000/ates/true-mec.npz", "seeds/seed_000/ates/bootstrap-pc.npz"):
+    for rel in ("seeds/seed_000/data.npz", "seeds/seed_000/ates/true-mec.npz",
+                "seeds/seed_000/ates/bootstrap-pc.npz"):
         with np.load(root / rel, allow_pickle=False) as npz:
             assert str(npz["config_digest"]) == digest, rel
 
@@ -337,10 +337,11 @@ def test_a_run_that_fails_at_discovery_keeps_its_earlier_stages(tmp_path):
     doc = seed_manifest(tmp_path / "kept", 0)
     assert list(doc["stages"]) == ["generate", "truth"]
     assert doc["failed"]["stage"] == "discover:bootstrap-ges"
-    for rel in ("truth_graph.txt", "data.csv", "mec.txt"):
+    for rel in ("truth_graph.txt", "mec.txt"):
         assert read_text(sd / rel).splitlines()[0] == f"# config_digest={cfg.digest()}", rel
-    with np.load(sd / "ates" / "true-mec.npz", allow_pickle=False) as npz:
-        assert str(npz["config_digest"]) == cfg.digest()
+    for rel in ("data.npz", "ates/true-mec.npz"):
+        with np.load(sd / rel, allow_pickle=False) as npz:
+            assert str(npz["config_digest"]) == cfg.digest(), rel
     assert not (sd / "posteriors").exists()
 
 
@@ -355,6 +356,14 @@ def test_a_failed_seed_is_reported_for_no_method(tmp_path):
         doc = seed_manifest(tmp_path / "partial", k)
         assert "evaluate:mcmc" in doc["stages"]
         assert doc["failed"]["stage"] == "discover:bootstrap-ges"
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, AteBenchError)])
+def test_every_recorded_error_is_rebuilt_from_its_message(cls):
+    exc = pipeline._recorded_error(f"{cls.__name__}: seed 0: the message")
+    assert type(exc) is cls
+    assert exc.args == ("seed 0: the message",)
 
 
 def test_an_error_that_is_not_an_atebench_error_is_retried(tmp_path, monkeypatch):
@@ -412,6 +421,33 @@ def test_an_ates_file_in_the_stack_layout_is_refused_by_evaluate(tmp_path):
     assert "evaluate:bootstrap-pc" in seed_manifest(tmp_path / "old", 0)["stages"]
 
 
+def test_a_seed_whose_dataset_is_a_csv_is_refused_before_anything_is_written(tmp_path):
+    root = tmp_path / "old"
+    cfg = tiny_cfg(root)
+    run_pipeline(cfg, "generate")
+    sd = root / "seeds" / "seed_001"
+    # the layout written before npz datasets: data.csv, listed under generate
+    save_dataset(pipeline.load_dataset(sd / "data.npz"), sd / "data.csv")
+    (sd / "data.npz").unlink()
+    doc = seed_manifest(root, 1)
+    files = doc["stages"]["generate"]["files"]
+    files[files.index("data.npz")] = "data.csv"
+    (sd / "manifest.json").write_text(json.dumps(doc))
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    for command in ("discover", "evaluate", "report"):
+        with pytest.raises(SchemaError) as err:
+            run_pipeline(cfg, command)
+        assert str(err.value) == (
+            f"{sd / 'data.csv'}: a CSV seed dataset, a layout this version no longer reads; "
+            "use a new output root or delete that seed's directory"
+        )
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+    # and the advice holds: without the seed's directory, the command recomputes it
+    shutil.rmtree(sd)
+    assert run_pipeline(cfg, "discover")[1] == {"status": "ok", "error": None}
+    assert seed_manifest(root, 1)["stages"]["generate"]["files"][-1] == "data.npz"
+
+
 def test_a_seed_manifest_under_another_digest_is_refused(tmp_path, monkeypatch):
     calls = count_discoveries(monkeypatch)
     cfg = tiny_cfg(tmp_path / "stale", num_seeds=1)
@@ -462,7 +498,7 @@ def test_an_interrupted_command_keeps_the_stages_it_finished(tmp_path, monkeypat
     sd = tmp_path / "stopped" / "seeds" / "seed_000"
     doc = seed_manifest(tmp_path / "stopped", 0)
     assert {stage: entry["files"] for stage, entry in doc["stages"].items()} == {
-        "generate": ["truth_graph.txt", "scm.json", "data.csv"],
+        "generate": ["truth_graph.txt", "scm.json", "data.npz"],
         "truth": ["mec.txt", "ates/true-mec.npz"],
     }
     assert "failed" not in doc
@@ -495,6 +531,37 @@ def test_a_run_writes_each_seed_manifest_once(tmp_path, monkeypatch):
     seeds = [w for w in writes if w.startswith("seeds")]
     assert sorted(seeds) == [os.path.join("seeds", f"seed_{k:03d}", "manifest.json")
                              for k in range(2)]
+
+
+def test_a_staged_command_reads_the_dataset_only_when_a_stage_uses_it(tmp_path, monkeypatch):
+    loads = []
+    real_load = pipeline.load_dataset
+
+    def counted(path):
+        loads.append(path)
+        return real_load(path)
+    monkeypatch.setattr(pipeline, "load_dataset", counted)
+    cfg = tiny_cfg(tmp_path / "lazy")
+    counts = {}
+    for command in ("generate", "discover", "ate-sweep", "evaluate", "report"):
+        loads.clear()
+        run_pipeline(cfg, command)
+        counts[command] = len(loads)
+    assert counts == {"generate": 0, "discover": 2, "ate-sweep": 2, "evaluate": 0, "report": 0}
+
+
+def test_a_damaged_dataset_fails_the_seed_unrecorded_and_is_retried(tmp_path):
+    cfg = tiny_cfg(tmp_path / "damaged", num_seeds=1)
+    run_pipeline(cfg, "generate")
+    path = tmp_path / "damaged" / "seeds" / "seed_000" / "data.npz"
+    saved = path.read_bytes()
+    path.write_bytes(saved[: len(saved) // 2])
+    status = run_pipeline(cfg, "discover")[0]
+    assert status["status"] == "failed"
+    assert status["error"].startswith(f"SchemaError: {path}: ")
+    assert "failed" not in seed_manifest(tmp_path / "damaged", 0)
+    path.write_bytes(saved)
+    assert run_pipeline(cfg, "discover")[0] == {"status": "ok", "error": None}
 
 
 # --- partial per-seed files ------------------------------------------------

@@ -9,7 +9,7 @@ from atebench.ate import AteQuery, load_ate_samples, save_ate_samples, sweep
 from atebench.discovery import load_external_posterior
 from atebench.graphs import save_graph
 from atebench.mec import TRUE_MEC_TAG, enumerate_mec
-from atebench.scm import random_er_dag, random_scm, sample
+from atebench.scm import random_er_dag, random_scm, sample, save_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,10 +55,16 @@ def test_the_edge_list_conversion_recipe_writes_the_same_posterior(tmp_path):
     assert (back.method_tag, back.seed) == (example.method_tag, example.seed)
 
 
-def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
+def outputs_python_blocks(path):
+    """The python blocks of the README's "Outputs" section that read path."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
-    (block,) = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    return [b for b in re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+            if path in b]
+
+
+def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
+    (block,) = outputs_python_blocks("ates/true-mec.npz")
     g = random_er_dag(5, 6, seed=7)
     data = sample(random_scm(g, seed=7), 200, seed=7)
     path = tmp_path / "seeds" / "seed_000" / "ates" / "true-mec.npz"
@@ -70,6 +76,19 @@ def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
     want = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG)[AteQuery(0, 1)]
     assert scope["values"].tobytes() == want.values.tobytes()
     assert scope["weights"].tobytes() == want.weights.tobytes()
+
+
+def test_the_dataset_example_reads_values_and_labels(tmp_path, monkeypatch):
+    (block,) = outputs_python_blocks("data.npz")
+    data = sample(random_scm(random_er_dag(5, 6, seed=7), seed=7), 30, seed=7)
+    path = tmp_path / "seeds" / "seed_000" / "data.npz"
+    path.parent.mkdir(parents=True)
+    save_dataset(data, path, "abc")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    assert scope["values"].tobytes() == data.values.tobytes()
+    assert tuple(scope["labels"]) == data.column_labels
 
 
 def test_the_python_api_bag_example_runs(capsys):
