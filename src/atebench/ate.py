@@ -264,14 +264,13 @@ def sweep(
 # persistence: the contract between the sweep and the metrics stage
 # ---------------------------------------------------------------------------
 
-_ATE_KEYS = ("values", "weights", "offsets", "labels", "config_digest")
+_ATE_KEYS = ("values", "weights", "offsets", "labels")
 
 
-def save_ate_samples(samples: AteAtoms, labels, path, digest: str) -> None:
+def save_ate_samples(samples: AteAtoms, labels, path) -> None:
     """Write one sweep's atoms as an npz: `values` and `weights`, the flat
     atom arrays; `offsets`, the d(d-1) + 1 bounds of each ordered pair's
-    atoms in (t, y) C-order; `labels`, the node labels; and `config_digest`,
-    a 0-d string."""
+    atoms in (t, y) C-order; and `labels`, the node labels."""
     if not isinstance(samples, AteAtoms):
         raise ParameterError(f"expected the AteAtoms of one sweep, got {type(samples).__name__}")
     labels = tuple(labels)
@@ -285,7 +284,6 @@ def save_ate_samples(samples: AteAtoms, labels, path, digest: str) -> None:
             weights=samples.atom_weights,
             offsets=samples.offsets,
             labels=np.array(labels, dtype=str),
-            config_digest=np.array(digest, dtype=str),
         )
 
 
@@ -307,7 +305,7 @@ def load_ate_samples(
         )
     if missing:
         raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
-    values, weights, offsets, stored = (arrays[k] for k in _ATE_KEYS[:4])
+    values, weights, offsets, stored = (arrays[k] for k in _ATE_KEYS)
     if stored.tolist() != list(labels):
         raise SchemaError(f"{path}: labels {stored.tolist()} differ from {list(labels)}")
     try:

@@ -2,7 +2,7 @@
 
 Layout under output_root:
 
-    run_config.txt            frozen copy of the config, digest-stamped
+    run_config.txt            frozen copy of the config, after a config_digest line
     run_manifest.json         methods, per-seed status, report files, version
     run.log                   line-delimited log of the run
     seeds/seed_NNN/           per-seed artifacts (graph, data, MEC, sweeps, ...)
@@ -16,8 +16,8 @@ Every bag of DAGs is written in the one posterior multi-graph format of
 ``atebench.discovery.posterior``: each method's sample as
 ``posteriors/<method>.txt`` and the true equivalence class as ``mec.txt``
 (tag ``true-mec``, uniform weights).  Each seed's dataset is ``data.npz``,
-its ``values``, column ``labels`` and ``config_digest``, and a command reads
-it only when a stage it still computes uses the data.  CSV is the format of
+its ``values`` and column ``labels``, and a command reads it only when a
+stage it still computes uses the data.  CSV is the format of
 real-mode dataset inputs alone: a seed whose manifest lists a ``data.csv``,
 the layout before npz datasets, is refused before the command writes anything.
 
@@ -32,9 +32,11 @@ process writes ``run_config.txt``, ``run_manifest.json``, ``run.log`` and
 rather than reusing in-memory results, which makes the final report
 byte-identical across worker counts and resume points.
 
-A command checks the whole root before it writes anything: a
-``run_config.txt`` or seed manifest under another config digest is refused,
-and a damaged manifest stops the command before any seed advances.  A seed
+The config digest is recorded only in ``run_config.txt``, ``run_manifest.json``
+and the seed manifests, never in the artifacts they list.  A command checks
+the whole root before it writes anything: a ``run_config.txt``, run manifest
+or seed manifest under another config digest is refused, and a damaged
+manifest stops the command before any seed advances.  A seed
 that fails keeps the stages it completed before the failing one.  When a
 stage's own computation raises an ``AteBenchError``, the seed manifest
 records it under ``failed``, and a later command whose cut reaches that stage
@@ -120,34 +122,6 @@ def _method_seed(master_seed: int, seed_index: int, method: str) -> int:
     return _stream_seed(master_seed, seed_index, _STREAM_METHOD_BASE + offset)
 
 
-def _stamp_text(path, digest: str) -> None:
-    p = Path(path)
-    p.write_bytes(f"{_DIGEST_PREFIX}{digest}\n".encode("utf-8") + p.read_bytes())
-
-
-def _stamp_json(path, digest: str) -> None:
-    p = Path(path)
-    payload = json.loads(p.read_text(encoding="utf-8"))
-    payload["config_digest"] = digest
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _stored_digest(path) -> str | None:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith(_DIGEST_PREFIX):
-        return first[len(_DIGEST_PREFIX):]
-    return None
-
-
-def _require_digest(path, expected: str) -> None:
-    found = _stored_digest(path)
-    if found != expected:
-        raise AggregationError(
-            f"{path}: config digest {found!r} does not match current config {expected!r}"
-        )
-
-
 def _read_json(path, key: str | None = None):
     """The JSON object stored at path, or None when there is no file; with
     ``key``, the object must map it to an object."""
@@ -194,7 +168,7 @@ def _write_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _align_to_graph(data: Dataset, truth: Dag) -> Dataset:
+def _align_to_graph(data: Dataset, truth: Dag, cfg: ExperimentConfig) -> Dataset:
     if set(data.column_labels) == set(truth.labels):
         if data.column_labels == truth.labels:
             return data
@@ -202,9 +176,11 @@ def _align_to_graph(data: Dataset, truth: Dag) -> Dataset:
         return Dataset(data.values[:, order], truth.labels)
     missing = sorted(set(truth.labels) - set(data.column_labels))
     if missing:
-        raise SchemaError(f"dataset is missing graph column(s): {', '.join(missing)}")
+        raise SchemaError(f"{cfg.dataset_path}: dataset is missing column(s) of the graph in "
+                          f"{cfg.graph_path}: {', '.join(missing)}")
     extra = sorted(set(data.column_labels) - set(truth.labels))
-    raise SchemaError(f"dataset has column(s) absent from the graph: {', '.join(extra)}")
+    raise SchemaError(f"{cfg.dataset_path}: dataset has column(s) absent from the graph in "
+                      f"{cfg.graph_path}: {', '.join(extra)}")
 
 
 def _error_text(exc: BaseException) -> str:
@@ -229,7 +205,6 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
     raises an AteBenchError is recorded there under ``failed``.  A parsed
     external `posterior` is the seed's only method.
     """
-    digest = manifest["config_digest"]
     done = manifest["stages"]
 
     def timed(name, compute, write):
@@ -244,23 +219,21 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
                     len(done[name]["files"]))
         return result
 
-    def saved(rel, save, stamp=_stamp_text):
+    def saved(rel, save):
         path = sd / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         save(path)
-        if stamp is not None:
-            stamp(path, digest)
         return rel
 
     def write_base(base):
         g, m, d0 = base
         files = [saved("truth_graph.txt", lambda p: save_graph(g, p))]
         if m is not None:
-            files.append(saved("scm.json", lambda p: save_scm(m, p), _stamp_json))
-        return files + [saved("data.npz", lambda p: save_dataset(d0, p, digest), None)]
+            files.append(saved("scm.json", lambda p: save_scm(m, p)))
+        return files + [saved("data.npz", lambda p: save_dataset(d0, p))]
 
     def write_ates(rel, samples):
-        return saved(rel, lambda p: save_ate_samples(samples, labels, p, digest), None)
+        return saved(rel, lambda p: save_ate_samples(samples, labels, p))
 
     # stage: generate (synthetic) or ingest (real); artifact names shared
     if "generate" in done:
@@ -273,7 +246,7 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
 
         def build_base():
             if cfg.mode == "real":
-                g, m, d0 = inputs[1], None, _align_to_graph(*inputs)
+                g, m, d0 = inputs[1], None, _align_to_graph(*inputs, cfg)
             else:
                 g = random_er_dag(
                     cfg.d, cfg.er_edges(), _stream_seed(cfg.master_seed, seed_index, _STREAM_GRAPH)
@@ -289,7 +262,8 @@ def _seed_compute(cfg: ExperimentConfig, seed_index: int, sd: Path, manifest: di
     labels = truth.labels
 
     if posterior is not None and posterior.labels != labels:
-        raise SchemaError("external posterior node labels do not match the ground-truth graph")
+        raise SchemaError(f"{cfg.posterior_path}: external posterior node labels do not match "
+                          f"the ground-truth graph in {cfg.graph_path}")
     methods = [posterior.method_tag] if posterior is not None else cfg.methods
 
     def discover(method):
@@ -410,7 +384,9 @@ def _prepare_root(cfg: ExperimentConfig, digest: str, command: str) -> tuple[Pat
     root = Path(cfg.output_root)
     cfg_path = root / "run_config.txt"
     if cfg_path.exists():
-        stored = _stored_digest(cfg_path)
+        with open(cfg_path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+        stored = first[len(_DIGEST_PREFIX):] if first.startswith(_DIGEST_PREFIX) else None
         if stored != digest:
             raise ConfigError(
                 f"{cfg_path}: existing run has config digest {stored!r}, current config "
@@ -429,6 +405,11 @@ def _prepare_root(cfg: ExperimentConfig, digest: str, command: str) -> tuple[Pat
     (root / "report").mkdir(parents=True, exist_ok=True)
     if not cfg_path.exists():
         cfg_path.write_text(f"{_DIGEST_PREFIX}{digest}\n" + cfg.to_text(), encoding="utf-8")
+    if command != "report" and "seeds" in run_manifest:
+        # the block is the last command's statuses; until this command
+        # finishes, no status is better than a stale one
+        del run_manifest["seeds"]
+        _write_json(root / "run_manifest.json", run_manifest)
     return root, manifests
 
 
@@ -452,9 +433,8 @@ def _update_run_manifest(root: Path, cfg: ExperimentConfig, digest: str, methods
             "note": "one truth graph and dataset are shared by all methods within a seed",
         }
     )
-    seeds = manifest.setdefault("seeds", {})
-    for idx, status in seed_status.items():
-        seeds[str(idx)] = status
+    # every command covers every seed, so its statuses replace the block
+    manifest["seeds"] = {str(idx): status for idx, status in seed_status.items()}
     _write_json(path, manifest)
 
 
@@ -527,8 +507,6 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
                 every_pair = np.argwhere(~np.eye(len(labels), dtype=bool))
             pair_path = sd / "pairs" / f"{method}.csv"
             modes_path = sd / "modes" / f"{method}.csv"
-            _require_digest(pair_path, digest)
-            _require_digest(modes_path, digest)
             tables_by_seed[i] = read_pair_reports_csv(pair_path, labels)
             modes_by_seed[i] = read_modes_csv(modes_path, labels, TRUE_MEC_TAG, method)
             for path, table in ((pair_path, tables_by_seed[i]), (modes_path, modes_by_seed[i])):
@@ -541,11 +519,9 @@ def _aggregate(cfg: ExperimentConfig, root: Path, digest: str) -> RunReport:
         rows = relaxation_rows(modes_by_seed, cfg.filter_grid, rcfg)
         relax_path = report_dir / f"relaxation_{method}.csv"
         write_relaxation_csv(rows, relax_path)
-        _stamp_text(relax_path, digest)
     report = RunReport(summaries)
     report_path = report_dir / "run_report.csv"
     write_run_report_csv(report, report_path)
-    _stamp_text(report_path, digest)
     run_manifest["report_files"] = sorted(p.name for p in report_dir.iterdir())
     _write_json(root / "run_manifest.json", run_manifest)
     logger.info("report written: %s", report_path)

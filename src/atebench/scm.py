@@ -188,34 +188,25 @@ def save_scm(scm: LinearGaussianScm, path) -> None:
         fh.write("\n")
 
 
-_DATASET_KEYS = ("values", "labels", "config_digest")
+_DATASET_KEYS = ("values", "labels")
 
 
-def save_dataset(data: Dataset, path, digest: str | None = None) -> None:
+def save_dataset(data: Dataset, path) -> None:
     """Write data in the format path's suffix names.  A ``.npz`` path, the
-    harness's own artifact, gets `values`, the (n, d) float64 matrix;
-    `labels`, the column labels; and `config_digest`, a 0-d string.  Any
-    other path gets the CSV input format: a header row of labels, then one
-    row of exact float reprs per observation, and no digest."""
+    harness's own artifact, gets `values`, the (n, d) float64 matrix, and
+    `labels`, the column labels.  Any other path gets the CSV input format:
+    a header row of labels, then one row of exact float reprs per
+    observation."""
     if Path(path).suffix != ".npz":
-        if digest is not None:
-            raise ParameterError(f"{path}: a CSV dataset carries no config digest")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(data.column_labels)
             for row in data.values:
                 writer.writerow([repr(float(v)) for v in row])
         return
-    if digest is None:
-        raise ParameterError(f"{path}: an npz dataset needs the config digest it was made under")
     # np.savez appends .npz to a path without it; writing to an open file does not
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            values=data.values,
-            labels=np.array(data.column_labels, dtype=str),
-            config_digest=np.array(digest, dtype=str),
-        )
+        np.savez(fh, values=data.values, labels=np.array(data.column_labels, dtype=str))
 
 
 def read_npz(path, keys) -> dict[str, np.ndarray]:

@@ -301,7 +301,7 @@ def test_ate_samples_round_trip_is_bit_exact(tmp_path, sweep_setup):
     _, _, data, enum = sweep_setup
     out = sweep(enum, data, treatment_value_b=2.0, reference_value_a=-1.0)
     path = tmp_path / "ates.npz"
-    save_ate_samples(out, data.column_labels, path, "abc")
+    save_ate_samples(out, data.column_labels, path)
     back = load_ate_samples(path, data.column_labels, TRUE_MEC_TAG, 2.0, -1.0)
     assert set(back) == set(out)
     for q in out:
@@ -310,19 +310,17 @@ def test_ate_samples_round_trip_is_bit_exact(tmp_path, sweep_setup):
         assert back[q].source_tag == TRUE_MEC_TAG
 
 
-def test_ate_samples_file_is_flat_atoms_with_their_digest(tmp_path, sweep_setup):
+def test_ate_samples_file_is_flat_atoms(tmp_path, sweep_setup):
     _, _, data, enum = sweep_setup
     out = sweep(enum, data)
     labels = data.column_labels
     path = tmp_path / "ates"  # no suffix: the file is written at exactly this path
-    save_ate_samples(out, labels, path, "abc")
+    save_ate_samples(out, labels, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ates"]
     with np.load(path, allow_pickle=False) as npz:
-        assert npz.files == ["values", "weights", "offsets", "labels", "config_digest"]
+        assert npz.files == ["values", "weights", "offsets", "labels"]
         values, weights, offsets = npz["values"], npz["weights"], npz["offsets"]
         assert npz["labels"].tolist() == list(labels)
-        assert npz["config_digest"].shape == ()
-        assert str(npz["config_digest"]) == "abc"
     assert values.dtype == weights.dtype == np.float64 and offsets.dtype == np.int64
     assert values.shape == weights.shape == (offsets[-1],) and offsets.shape == (5 * 4 + 1,)
     # pair p of (t, y) C-order owns values[offsets[p]:offsets[p + 1]]
@@ -331,7 +329,7 @@ def test_ate_samples_file_is_flat_atoms_with_their_digest(tmp_path, sweep_setup)
         assert values[offsets[p]:offsets[p + 1]].tobytes() == ss.values.tobytes()
         assert weights[offsets[p]:offsets[p + 1]].tobytes() == ss.weights.tobytes()
     again = tmp_path / "again.npz"
-    save_ate_samples(out, labels, again, "abc")
+    save_ate_samples(out, labels, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -341,15 +339,15 @@ def test_ate_samples_save_refuses_what_is_not_one_sweep(tmp_path, sweep_setup):
     path = tmp_path / "ates.npz"
     sets = {q01: AteSampleSet(q01, [1.0, 2.0], [0.5, 0.5], "t")}
     with pytest.raises(ParameterError, match="expected the AteAtoms of one sweep"):
-        save_ate_samples(sets, ("X0", "X1"), path, "abc")
+        save_ate_samples(sets, ("X0", "X1"), path)
     with pytest.raises(ParameterError, match="differ from the sweep's"):
-        save_ate_samples(sweep(enum, data), data.column_labels[::-1], path, "abc")
+        save_ate_samples(sweep(enum, data), data.column_labels[::-1], path)
     assert not path.exists()
 
 
 def test_ate_samples_save_refuses_an_empty_sweep(tmp_path):
     with pytest.raises(ParameterError, match="expected the AteAtoms of one sweep"):
-        save_ate_samples({}, ("X0", "X1"), tmp_path / "ates.npz", "abc")
+        save_ate_samples({}, ("X0", "X1"), tmp_path / "ates.npz")
     assert not (tmp_path / "ates.npz").exists()
 
 
@@ -365,7 +363,6 @@ def _good_arrays():
         weights=np.array([0.25, 0.75, 1.0]),
         offsets=np.array([0, 2, 3]),
         labels=np.array(["X0", "X1"]),
-        config_digest=np.array("abc"),
     )
 
 
@@ -389,7 +386,6 @@ def test_ate_loader_reads_a_hand_written_file(tmp_path):
             ("npy", "not an npz file"),
             ("stack-layout", "delete that seed's directory"),
             ("no-weights", "missing key(s) weights"),
-            ("no-digest", "missing key(s) config_digest"),
             ("values-shape", "must be equal-length vectors"),
             ("weights-shape", "must be equal-length vectors"),
             ("offsets-shape", "offsets must be 3 integers for 2 pairs"),
@@ -420,8 +416,6 @@ def test_ate_loader_names_the_file_of_a_malformed_stack(tmp_path, case, reason):
             arrays["weights"] = np.array([1.0])
         elif case == "no-weights":
             del arrays["weights"]
-        elif case == "no-digest":
-            del arrays["config_digest"]
         elif case == "values-shape":
             arrays["values"] = np.zeros((3, 1))
         elif case == "weights-shape":

@@ -88,33 +88,19 @@ def test_synthetic_run_produces_the_artifact_tree(synthetic_run):
     assert [s.method for s in report.summaries] == ["bootstrap-pc"]
 
 
-def test_every_text_artifact_is_digest_stamped(synthetic_run):
+def test_the_config_digest_is_only_in_the_manifests(synthetic_run):
     cfg, root, _ = synthetic_run
     digest = cfg.digest()
-    stamped = [
-        "run_config.txt",
-        "report/run_report.csv",
-        "report/relaxation_bootstrap-pc.csv",
-        "seeds/seed_000/truth_graph.txt",
-        "seeds/seed_000/mec.txt",
-        "seeds/seed_000/posteriors/bootstrap-pc.txt",
-        "seeds/seed_000/pairs/bootstrap-pc.csv",
-        "seeds/seed_000/modes/bootstrap-pc.csv",
-    ]
-    for rel in stamped:
-        first = read_text(root / rel).splitlines()[0]
-        assert first == f"# config_digest={digest}", rel
-    for rel in (
-        "run_manifest.json",
-        "seeds/seed_000/scm.json",
-        "seeds/seed_000/manifest.json",
-    ):
-        doc = json.loads(read_text(root / rel))
-        assert doc["config_digest"] == digest, rel
-    for rel in ("seeds/seed_000/data.npz", "seeds/seed_000/ates/true-mec.npz",
-                "seeds/seed_000/ates/bootstrap-pc.npz"):
-        with np.load(root / rel, allow_pickle=False) as npz:
-            assert str(npz["config_digest"]) == digest, rel
+    holders = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        texts = [path.read_bytes().decode("latin-1")]
+        if path.suffix == ".npz":
+            with np.load(path, allow_pickle=False) as npz:
+                texts += [f"{key}={npz[key].tolist()!r}" for key in npz.files]
+        if any(digest in text for text in texts):
+            holders.append(path.relative_to(root).as_posix())
+    assert holders == ["run_config.txt", "run_manifest.json",
+                       "seeds/seed_000/manifest.json", "seeds/seed_001/manifest.json"]
 
 
 def test_true_class_is_saved_as_a_uniform_posterior_file(synthetic_run):
@@ -181,6 +167,41 @@ def test_report_regeneration_is_idempotent(synthetic_run):
     before = tree_hashes(root)
     run_pipeline(tiny_cfg(root), "report")
     assert tree_hashes(root) == before
+
+
+def test_a_root_whose_artifacts_carry_the_digest_still_reports_and_resumes(synthetic_run,
+                                                                           tmp_path):
+    _, root, _ = synthetic_run
+    old = tmp_path / "old"
+    shutil.copytree(root, old)
+    cfg = tiny_cfg(old)
+    # the layout written when every artifact repeated the config digest: a
+    # first line in each text file and a config_digest array in each npz
+    stamp = f"# config_digest={cfg.digest()}\n"
+    for sd in sorted((old / "seeds").iterdir()):
+        for path in (sd / "truth_graph.txt", sd / "mec.txt", *sd.glob("posteriors/*"),
+                     *sd.glob("pairs/*"), *sd.glob("modes/*")):
+            path.write_text(stamp + read_text(path))
+        for path in (sd / "data.npz", *sd.glob("ates/*.npz")):
+            with np.load(path, allow_pickle=False) as npz:
+                arrays = dict(npz)
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays, config_digest=np.array(cfg.digest()))
+    for path in (old / "report").iterdir():
+        path.write_text(stamp + read_text(path))
+    want = (root / "report" / "run_report.csv").read_bytes()
+    run_pipeline(cfg, "report")
+    assert (old / "report" / "run_report.csv").read_bytes() == want
+    # without seed 1's sweep and evaluation, evaluate reads its stamped
+    # dataset, posterior, truth graph and true-class sweep
+    man_path = old / "seeds" / "seed_001" / "manifest.json"
+    doc = json.loads(read_text(man_path))
+    for stage in ("ates:bootstrap-pc", "evaluate:bootstrap-pc"):
+        del doc["stages"][stage]
+    man_path.write_text(json.dumps(doc))
+    assert run_pipeline(cfg, "evaluate")[1] == {"status": "ok", "error": None}
+    run_pipeline(cfg, "report")
+    assert (old / "report" / "run_report.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("level", [logging.NOTSET, logging.DEBUG, logging.WARNING])
@@ -337,11 +358,8 @@ def test_a_run_that_fails_at_discovery_keeps_its_earlier_stages(tmp_path):
     doc = seed_manifest(tmp_path / "kept", 0)
     assert list(doc["stages"]) == ["generate", "truth"]
     assert doc["failed"]["stage"] == "discover:bootstrap-ges"
-    for rel in ("truth_graph.txt", "mec.txt"):
-        assert read_text(sd / rel).splitlines()[0] == f"# config_digest={cfg.digest()}", rel
-    for rel in ("data.npz", "ates/true-mec.npz"):
-        with np.load(sd / rel, allow_pickle=False) as npz:
-            assert str(npz["config_digest"]) == cfg.digest(), rel
+    for rel in ("truth_graph.txt", "scm.json", "data.npz", "mec.txt", "ates/true-mec.npz"):
+        assert (sd / rel).is_file(), rel
     assert not (sd / "posteriors").exists()
 
 
@@ -404,12 +422,11 @@ def test_an_ates_file_in_the_stack_layout_is_refused_by_evaluate(tmp_path):
     sd = tmp_path / "old" / "seeds" / "seed_000"
     path = sd / "ates" / "bootstrap-pc.npz"
     with np.load(path, allow_pickle=False) as npz:
-        labels, digest = npz["labels"], npz["config_digest"]
-    # the layout written before atoms, under the same digest: one (m, d, d)
-    # stack of per-DAG effects, without offsets
+        labels = npz["labels"]
+    # the layout written before atoms: one (m, d, d) stack of per-DAG
+    # effects, without offsets
     with open(path, "wb") as fh:
-        np.savez(fh, values=np.zeros((6, 4, 4)), weights=np.full(6, 1 / 6),
-                 labels=labels, config_digest=digest)
+        np.savez(fh, values=np.zeros((6, 4, 4)), weights=np.full(6, 1 / 6), labels=labels)
     status = run_pipeline(cfg, "evaluate")[0]
     assert status["status"] == "failed"
     assert status["error"].startswith(f"SchemaError: {path}: an (m, d, d) stack of per-DAG effects")
@@ -518,6 +535,30 @@ def test_an_interrupted_command_keeps_the_stages_it_finished(tmp_path, monkeypat
     assert enumerated == []
     assert "evaluate:bootstrap-pc" in seed_manifest(tmp_path / "stopped", 0)["stages"]
 
+    # an interrupted command leaves the run manifest with no seed statuses,
+    # rather than those of the command before it
+    monkeypatch.undo()
+    root = tmp_path / "statuses"
+    cfg = tiny_cfg(root, d=3)
+    run_pipeline(cfg, "generate")
+    calls = []
+    real_bootstrap = pipeline.bootstrap
+
+    def second_interrupted(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_bootstrap(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "bootstrap", second_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(cfg, "discover")
+    assert "discover:bootstrap-pc" in seed_manifest(root, 0)["stages"]
+    assert "discover:bootstrap-pc" not in seed_manifest(root, 1)["stages"]
+    assert "seeds" not in json.loads(read_text(root / "run_manifest.json"))
+    run_pipeline(cfg, "discover")
+    ok = {"status": "ok", "error": None}
+    assert json.loads(read_text(root / "run_manifest.json"))["seeds"] == {"0": ok, "1": ok}
+
 
 def test_a_run_writes_each_seed_manifest_once(tmp_path, monkeypatch):
     writes = []
@@ -581,8 +622,8 @@ def test_report_refuses_a_pairs_file_that_lacks_pairs(two_method_run, tmp_path):
     shutil.copytree(root, tmp_path / "cut")
     cfg = cfg.with_overrides(output_root=str(tmp_path / "cut"))
     path = tmp_path / "cut" / "seeds" / "seed_000" / "pairs" / "bootstrap-pc.csv"
-    # the digest line, the header and 3 of the 12 pair rows
-    path.write_text("".join(read_text(path).splitlines(keepends=True)[:5]))
+    # the header and 3 of the 12 pair rows
+    path.write_text("".join(read_text(path).splitlines(keepends=True)[:4]))
     with pytest.raises(AggregationError) as err:
         run_pipeline(cfg, "report")
     assert str(err.value).startswith(f"{path}: 3 pairs, not each of the 12 ordered pairs")
@@ -615,7 +656,7 @@ def test_truth_graphs_are_shared_across_sample_sizes(tmp_path):
     run_pipeline(big, "generate")
     a = read_text(tmp_path / "n_small" / "seeds" / "seed_000" / "truth_graph.txt")
     b = read_text(tmp_path / "n_big" / "seeds" / "seed_000" / "truth_graph.txt")
-    assert a.splitlines()[1:] == b.splitlines()[1:]
+    assert a == b
 
 
 # --- real mode -------------------------------------------------------------
@@ -679,7 +720,8 @@ def test_real_mode_names_the_mismatched_column(real_inputs, tmp_path):
     )
     with pytest.raises(SchemaError) as err:
         run_real(cfg)
-    assert g.labels[3] in str(err.value)
+    assert str(err.value) == (f"{tmp_path / 'renamed.csv'}: dataset is missing column(s) of the "
+                              f"graph in {inputs / 'truth.txt'}: {g.labels[3]}")
 
 
 def test_real_mode_names_extra_columns(real_inputs, tmp_path):
@@ -697,7 +739,8 @@ def test_real_mode_names_extra_columns(real_inputs, tmp_path):
     )
     with pytest.raises(SchemaError) as err:
         run_real(cfg)
-    assert "Q9" in str(err.value)
+    assert str(err.value) == (f"{tmp_path / 'wide.csv'}: dataset has column(s) absent from the "
+                              f"graph in {inputs / 'truth.txt'}: Q9")
 
 
 def test_real_mode_rejects_cyclic_truth_graph(real_inputs, tmp_path):
@@ -771,8 +814,10 @@ def test_external_posterior_label_mismatch_is_refused(real_inputs, tmp_path):
         posterior_path=str(tmp_path / "wrong.txt"),
         output_root=str(tmp_path / "ext_bad"),
     )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         run_real(cfg)
+    assert str(err.value) == (f"{tmp_path / 'wrong.txt'}: external posterior node labels do not "
+                              f"match the ground-truth graph in {inputs / 'truth.txt'}")
 
 
 def test_evaluate_external_refuses_objects(real_inputs, tmp_path):

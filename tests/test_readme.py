@@ -69,7 +69,7 @@ def test_the_ates_example_reads_one_pairs_atoms(tmp_path, monkeypatch):
     data = sample(random_scm(g, seed=7), 200, seed=7)
     path = tmp_path / "seeds" / "seed_000" / "ates" / "true-mec.npz"
     path.parent.mkdir(parents=True)
-    save_ate_samples(sweep(enumerate_mec(g), data), data.column_labels, path, "abc")
+    save_ate_samples(sweep(enumerate_mec(g), data), data.column_labels, path)
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(block, scope)
@@ -83,7 +83,7 @@ def test_the_dataset_example_reads_values_and_labels(tmp_path, monkeypatch):
     data = sample(random_scm(random_er_dag(5, 6, seed=7), seed=7), 30, seed=7)
     path = tmp_path / "seeds" / "seed_000" / "data.npz"
     path.parent.mkdir(parents=True)
-    save_dataset(data, path, "abc")
+    save_dataset(data, path)
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(block, scope)

@@ -199,34 +199,24 @@ def test_dataset_loader_rejects_non_numeric_cell(tmp_path):
 def test_npz_dataset_round_trip_keeps_bytes_dtype_shape_and_labels(tmp_path):
     data = sample(random_scm(random_er_dag(4, 5, seed=6), seed=6), 40, seed=6)
     path = tmp_path / "data.npz"
-    save_dataset(data, path, "abc123")
+    save_dataset(data, path)
     back = load_dataset(path)
     assert back.values.tobytes() == data.values.tobytes()
     assert (back.values.dtype, back.values.shape) == (np.float64, (40, 4))
     assert back.column_labels == data.column_labels
     with np.load(path, allow_pickle=False) as npz:
-        assert sorted(npz.files) == ["config_digest", "labels", "values"]
-        assert npz["config_digest"].shape == () and str(npz["config_digest"]) == "abc123"
+        assert sorted(npz.files) == ["labels", "values"]
 
 
 def test_saving_an_npz_dataset_twice_gives_identical_bytes(tmp_path):
     data = sample(random_scm(random_er_dag(4, 5, seed=6), seed=6), 40, seed=6)
-    save_dataset(data, tmp_path / "a.npz", "abc123")
-    save_dataset(data, tmp_path / "b.npz", "abc123")
+    save_dataset(data, tmp_path / "a.npz")
+    save_dataset(data, tmp_path / "b.npz")
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
-def test_a_digest_goes_with_npz_datasets_only(tmp_path):
-    data = Dataset(np.eye(2), ["a", "b"])
-    with pytest.raises(ParameterError, match="needs the config digest"):
-        save_dataset(data, tmp_path / "data.npz")
-    with pytest.raises(ParameterError, match="carries no config digest"):
-        save_dataset(data, tmp_path / "data.csv", "abc123")
-
-
 def _npz_arrays(**overrides):
-    arrays = {"values": np.arange(6.0).reshape(3, 2), "labels": np.array(["a", "b"]),
-              "config_digest": np.array("abc123")}
+    arrays = {"values": np.arange(6.0).reshape(3, 2), "labels": np.array(["a", "b"])}
     arrays.update(overrides)
     return {k: v for k, v in arrays.items() if v is not None}
 
@@ -234,13 +224,12 @@ def _npz_arrays(**overrides):
 @pytest.mark.parametrize("arrays, message", [
     (_npz_arrays(values=None), "missing key(s) values"),
     (_npz_arrays(labels=None), "missing key(s) labels"),
-    (_npz_arrays(config_digest=None), "missing key(s) config_digest"),
     (_npz_arrays(labels=np.array(["a", "b", "c"])), "column label count"),
     (_npz_arrays(values=np.arange(6.0)), "2-D"),
     (_npz_arrays(values=np.arange(6).reshape(3, 2)), "expected float64 values"),
     (_npz_arrays(values=np.array([[1.0, np.nan], [0.0, 1.0]])), "non-finite"),
     (_npz_arrays(values=np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite"),
-], ids=["no values", "no labels", "no digest", "label count", "1-D values", "int values",
+], ids=["no values", "no labels", "label count", "1-D values", "int values",
         "nan", "inf"])
 def test_a_malformed_npz_dataset_raises_a_schema_error_naming_it(tmp_path, arrays, message):
     path = tmp_path / "data.npz"
