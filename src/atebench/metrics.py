@@ -1,7 +1,8 @@
 """Distribution-level evaluation: regrouping, Wasserstein distance, mode
 precision/recall, low-mass filtering, and aggregation across pairs and seeds.
 
-A seed's pairs are scored in one array pass.  Its scores are a ``PairTable``
+A seed's pairs are scored in one array pass; only regrouping loops in Python,
+over the few values close to their successor.  Its scores are a ``PairTable``
 and its modes a ``ModeTable``, both keyed by one (P, 2) array of (treatment,
 outcome) node indices; NaN marks an undefined rate.  The same tables are
 written to and read back from ``pairs/`` and ``modes/``, and aggregated over
@@ -169,48 +170,34 @@ def _regroup(v, w, offsets, cfg: RegroupConfig):
     Within a segment, a value joins the current group while it is close to
     the group's anchor (its first, smallest value); each group's
     representative is its weighted mean and its mass the summed weight.
+
+    Only a value close to its successor can anchor a group of more than one,
+    and a sweep has one atom per distinct (t, pa(t)), so the loop visits few.
     """
     n = v.size
     lengths = np.diff(offsets)
-    ends = offsets[1:][lengths > 0]
     reach = cfg.atol + cfg.rtol * np.abs(v)
     # an anchor at k is a group of its own unless its successor is close to it
     joins = np.zeros(n, dtype=bool)
     joins[:-1] = v[1:] - v[:-1] <= reach[:-1]
-    joins[ends - 1] = False
+    joins[offsets[1:][lengths > 0] - 1] = False
+    heads = np.flatnonzero(joins)
+    ends = offsets[np.searchsorted(offsets, heads, side="right")]
     start = np.ones(n, dtype=bool)
-    if joins.any():
-        # nxt[k]: the first position >= k that would anchor a longer group
-        nxt = np.where(np.append(joins, True), np.arange(n + 1), n + 1)
-        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-        heads, tails = [], []
-        pos, end = nxt[offsets[:-1][lengths > 0]], ends
-        while True:
-            live = pos < end
-            pos, end = pos[live], end[live]
-            if not pos.size:
-                break
-            # v[k] - anchor rises with k, so bisect for the first value not
-            # close to the anchor; pos + 1 is known to be close
-            anchor, bound = v[pos], reach[pos]
-            lo, hi = pos + 2, end.copy()
-            while (open_ := lo < hi).any():
-                mid = np.where(open_, (lo + hi) >> 1, pos)
-                close = v[mid] - anchor <= bound
-                lo = np.where(open_ & close, mid + 1, lo)
-                hi = np.where(open_ & ~close, mid, hi)
-            heads.append(pos)
-            tails.append(lo)
-            pos = nxt[lo]
-        heads, tails = np.concatenate(heads), np.concatenate(tails)
-        inside = np.bincount(heads + 1, minlength=n + 1) - np.bincount(tails, minlength=n + 1)
-        start = np.cumsum(inside[:n]) == 0
+    anchors, tails, hi = [], [], 0
+    for k, end in zip(heads.tolist(), ends.tolist()):
+        if k < hi:
+            continue
+        # v[k:end] - v[k] rises, so one search finds the first value of the
+        # segment not close to the anchor
+        hi = k + int((v[k:end] - v[k]).searchsorted(reach[k], side="right"))
+        start[k + 1:hi] = False
+        anchors.append(k)
+        tails.append(hi)
     first = np.flatnonzero(start)
-    size = np.diff(np.append(first, n))
     mass = w[first]
     rep = v[first] * mass / mass
-    for g in np.flatnonzero(size > 1):
-        lo, hi = first[g], first[g] + size[g]
+    for g, lo, hi in zip(np.searchsorted(first, anchors).tolist(), anchors, tails):
         mass[g] = w[lo:hi].sum()
         rep[g] = np.dot(v[lo:hi], w[lo:hi]) / mass[g]
     group_offsets = np.searchsorted(first, offsets)
@@ -218,42 +205,30 @@ def _regroup(v, w, offsets, cfg: RegroupConfig):
     # adjacent groups onto one value; such segments merge them defensively
     later = np.ones(first.size, dtype=bool)
     later[group_offsets[:-1][lengths > 0]] = False
-    clash = later[1:] & (rep[1:] <= rep[:-1])
-    if clash.any():
-        rep, mass, group_offsets = _merge_clashes(rep, mass, group_offsets, np.flatnonzero(clash) + 1)
+    if (later[1:] & (rep[1:] <= rep[:-1])).any():
+        rep, mass, group_offsets = _merge_clashes(rep, mass, group_offsets)
     segment = np.repeat(np.arange(offsets.size - 1), np.diff(group_offsets))
     return rep, mass / _segment_sums(mass, group_offsets)[segment], group_offsets
 
 
-def _merge_clashes(rep, mass, group_offsets, clashing_groups):
+def _merge_clashes(rep, mass, group_offsets):
     """Merge, one segment at a time, every group whose representative does
     not exceed its predecessor's into that predecessor."""
-    segments = np.unique(np.searchsorted(group_offsets, clashing_groups, side="right") - 1)
-    reps, masses, counts = [], [], np.diff(group_offsets)
-    done = 0
-    for s in segments.tolist():
-        lo, hi = group_offsets[s], group_offsets[s + 1]
-        reps.append(rep[done:lo])
-        masses.append(mass[done:lo])
-        r, m = rep[lo:hi].tolist(), mass[lo:hi].tolist()
-        k = 1
-        while k < len(r):
-            if r[k] <= r[k - 1]:
-                total = m[k - 1] + m[k]
-                r[k - 1] = (r[k - 1] * m[k - 1] + r[k] * m[k]) / total
-                m[k - 1] = total
-                del r[k], m[k]
+    reps, masses, offsets = [], [], [0]
+    for lo, hi in zip(group_offsets[:-1].tolist(), group_offsets[1:].tolist()):
+        r, m = [], []
+        for x, y in zip(rep[lo:hi].tolist(), mass[lo:hi].tolist()):
+            if r and x <= r[-1]:
+                total = m[-1] + y
+                r[-1] = (r[-1] * m[-1] + x * y) / total
+                m[-1] = total
             else:
-                k += 1
-        reps.append(np.array(r))
-        masses.append(np.array(m))
-        counts[s] = len(r)
-        done = hi
-    reps.append(rep[done:])
-    masses.append(mass[done:])
-    offsets = np.zeros_like(group_offsets)
-    np.cumsum(counts, out=offsets[1:])
-    return np.concatenate(reps), np.concatenate(masses), offsets
+                r.append(x)
+                m.append(y)
+        reps += r
+        masses += m
+        offsets.append(len(reps))
+    return np.array(reps), np.array(masses), np.array(offsets, dtype=np.int64)
 
 
 def _wasserstein(v, w, offsets) -> np.ndarray:
@@ -379,9 +354,10 @@ def evaluate_pair_sets(
     arithmetic it would get alone; the scores come back as one ``PairTable``
     and the modes as one ``ModeTable``."""
     tols = _tolerances((0.0, filter_tolerance))
-    if len(true_sets) != len(learned_sets) or (
-        true_sets.treatment_value_b, true_sets.reference_value_a
-    ) != (learned_sets.treatment_value_b, learned_sets.reference_value_a):
+    # a pair is named by its place in the labels' ordered pairs
+    if (true_sets.labels, true_sets.treatment_value_b, true_sets.reference_value_a) != (
+        learned_sets.labels, learned_sets.treatment_value_b, learned_sets.reference_value_a
+    ):
         raise AggregationError("true and learned sweeps cover different pairs")
     pairs = np.argwhere(~np.eye(len(true_sets.labels), dtype=bool))
     to, lo = true_sets.offsets, learned_sets.offsets
@@ -633,6 +609,12 @@ def read_pair_reports_csv(path, labels) -> PairTable:
             counts.append([int(c) for c in row[7:12]])
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: malformed numeric field") from exc
+        if scores[-1][0] < 0:
+            raise SchemaError(f"{path}:{lineno}: negative wd {row[2]}")
+        if any(r < 0 or r > 1 for r in scores[-1][1:]):
+            raise SchemaError(f"{path}:{lineno}: rate outside [0, 1]")
+        if min(counts[-1]) < 0:
+            raise SchemaError(f"{path}:{lineno}: negative mode count")
     scores = np.reshape(scores, (-1, 5))
     return PairTable(pairs, scores[:, 0], scores[:, 1:], np.reshape(counts, (-1, 5)))
 
@@ -665,17 +647,20 @@ def read_modes_csv(path, labels, true_tag: str, learned_tag: str) -> ModeTable:
     segment = 2 * np.searchsorted(pairs, key >> 1) + (key & 1)
     offsets = np.zeros(2 * pairs.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(segment, minlength=2 * pairs.size), out=offsets[1:])
-    # each side's representatives strictly increase and its masses are
-    # positive and sum to 1; the first bad side names its pair and first rule
+    # each side has modes, its representatives strictly increase and its
+    # masses are positive and sum to 1; the first bad side names its pair
+    # and first rule
     same = segment[1:] == segment[:-1]
-    bad = (np.diff(offsets) > 0) & (np.abs(_segment_sums(masses, offsets) - 1.0) > 1e-9)
+    bad = np.abs(_segment_sums(masses, offsets) - 1.0) > 1e-9
     bad[segment[1:][same & ~(values[1:] > values[:-1])]] = True
     bad[segment[masses <= 0]] = True
     if bad.any():
         s = int(np.argmax(bad))
         t, y = divmod(int(pairs[s // 2]), len(labels))
         r, m = values[offsets[s]:offsets[s + 1]], masses[offsets[s]:offsets[s + 1]]
-        if not (r[1:] > r[:-1]).all():
+        if not r.size:
+            rule = f"no {(true_tag, learned_tag)[s % 2]} modes"
+        elif not (r[1:] > r[:-1]).all():
             rule = "representatives must be strictly increasing"
         elif (m <= 0).any():
             rule = "masses must be strictly positive"

@@ -293,6 +293,10 @@ def test_evaluate_pair_sets_requires_same_pairs():
     other_contrast = AteAtoms(a.labels, a.atom_values, a.atom_weights, a.offsets, "x", treatment_value_b=2.0)
     with pytest.raises(AggregationError):
         evaluate_pair_sets(a, other_contrast, RegroupConfig())
+    # as many pairs, but pair p names other nodes
+    reordered = atoms_of(("X1", "X0"), {})
+    with pytest.raises(AggregationError):
+        evaluate_pair_sets(a, reordered, RegroupConfig())
 
 
 def test_evaluate_pair_sets_orders_by_pair():
@@ -441,6 +445,15 @@ def test_modes_csv_names_the_file_and_pair_of_a_bad_mode_set(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
     assert str(err.value) == f"{path}: pair (X1, X0): representatives must be strictly increasing"
+    # every evaluated pair has modes on both sides
+    path.write_text(header + "X0,X1,m,0.5,1.0\nX1,X0,true-mec,0.0,1.0\nX1,X0,m,0.5,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+    assert str(err.value) == f"{path}: pair (X0, X1): no true-mec modes"
+    path.write_text(header + "X0,X1,true-mec,0.0,1.0\nX0,X1,m,0.5,1.0\nX1,X0,true-mec,0.0,1.0\n")
+    with pytest.raises(SchemaError) as err:
+        read_modes_csv(path, ("X0", "X1"), "true-mec", "m")
+    assert str(err.value) == f"{path}: pair (X1, X0): no m modes"
 
 
 def test_modes_csv_names_the_file_and_pair_of_a_nonpositive_mass(tmp_path):
@@ -483,6 +496,27 @@ def test_report_files_refuse_non_finite_cells(tmp_path):
         with pytest.raises(SchemaError) as err:
             read_modes_csv(path, labels, "true-mec", "m")
         assert str(err.value) == f"{path}:3: malformed numeric field"
+
+
+def test_pair_reports_csv_names_the_line_of_an_impossible_score(tmp_path):
+    labels = ("X0", "X1")
+    path = tmp_path / "pairs.csv"
+    header = ",".join(PAIR_REPORT_HEADER) + "\n"
+    good = "X1,X0,0.5,1.0,1.0,,,1,1,1,0,0\n"
+    for row, rule in (
+        ("X0,X1,0.5,7.5,1.0,,,1,1,1,0,0", "rate outside [0, 1]"),
+        ("X0,X1,0.5,1.0,1.0,,-0.25,1,1,1,0,0", "rate outside [0, 1]"),
+        ("X0,X1,-0.5,1.0,1.0,,,1,1,1,0,0", "negative wd -0.5"),
+        ("X0,X1,0.5,1.0,1.0,,,1,1,1,0,-1", "negative mode count"),
+    ):
+        path.write_text(header + good + row + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_pair_reports_csv(path, labels)
+        assert str(err.value) == f"{path}:3: {rule}"
+    # the bounds themselves and empty rate cells are read
+    path.write_text(header + good + "X0,X1,0.0,0.0,1.0,,,0,0,0,0,0\n")
+    table = read_pair_reports_csv(path, labels)
+    assert table.rates[1].tolist()[:2] == [0.0, 1.0] and np.isnan(table.rates[:, 2:]).all()
 
 
 def test_modes_csv_names_the_line_of_a_self_pair(tmp_path):
