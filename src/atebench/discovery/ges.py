@@ -142,6 +142,8 @@ def ges(data: Dataset) -> Cpdag:
     if data.n < d + 2:
         raise SampleSizeError(f"GES needs n >= d + 2 rows, got n={data.n}, d={d}")
     score = BicScore(data)
+    # a valid insert or delete always leaves an extendable PDAG (Chickering
+    # 2002), so a failed extension is a bug, never a bad resample to redraw
     state = [0] * d, [0] * d, [0] * d
     moves = 0
     memo = {}
@@ -154,8 +156,8 @@ def ges(data: Dataset) -> Cpdag:
                 continue
             try:
                 state = _apply_insert(ch, pa, un, x, y, t)
-            except ExtensionError:
-                continue
+            except ExtensionError as exc:
+                raise AssertionError(f"insert x={x} y={y} T={t} left no consistent extension") from exc
             moves += 1
             break
         else:
@@ -169,8 +171,8 @@ def ges(data: Dataset) -> Cpdag:
                 continue
             try:
                 state = _apply_delete(ch, pa, un, x, y, h)
-            except ExtensionError:
-                continue
+            except ExtensionError as exc:
+                raise AssertionError(f"delete x={x} y={y} H={h} left no consistent extension") from exc
             moves += 1
             break
         else:

@@ -1,11 +1,15 @@
-"""Numerical kernels in numpy: closure, the backdoor ATE table, the
-weighted Wasserstein distance and the structure-MCMC chain.  Deterministic.
-The local BIC score runs on Python floats and matches numpy bit for bit."""
+"""Numerical kernels: closure, the backdoor ATE table and the weighted
+Wasserstein distance in numpy; the local BIC score and the structure-MCMC
+chain on Python floats and int bitmasks.  Deterministic.  The local BIC
+score matches numpy bit for bit, and the chain keeps each node's
+descendants, ancestors and reversible edges as masks, updated per move."""
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -201,61 +205,137 @@ def weighted_wasserstein(xs, wx, ys, wy) -> float:
 
 
 def _local_bic(gram, n_rows, node, mask, cache):
-    """Cached BIC of node given the parents set in mask; gram is float rows."""
+    """Cached BIC of node given the parents set in mask; gram is float rows.
+
+    One and two parents are eliminated inline, with the operations ``_solve``
+    performs in its order; a pivot under the threshold, and any other parent
+    count, takes the general path."""
     key = (node << 52) | mask
     if key in cache:
         return cache[key]
-    pa = [i for i in range(len(gram)) if (mask >> i) & 1]
+    k = mask.bit_count()
     syy = gram[node][node]
-    rss = syy
-    if pa:
-        rows = [gram[r] for r in pa]
-        a = [[row[c] for c in pa] for row in rows]
-        b = [row[node] for row in rows]
-        x, ok = _solve(a, b)
-        if not ok:
-            lam = 0.0
-            for r, row in enumerate(a):
-                lam += abs(row[r])
-            lam = RIDGE * (1.0 + lam / len(pa))
-            for r, row in enumerate(a):
-                row[r] += lam
-            x, _ = _solve(a, b)
-        for br, xr in zip(b, x):
-            rss -= br * xr
+    rss = None
+    if k == 1:
+        p = mask.bit_length() - 1
+        row = gram[p]
+        a = row[p]
+        if abs(a) > abs(a) * 1e-13:
+            b = row[node]
+            rss = syy - b * (b * (1.0 / a))
+    elif k == 2:
+        q = mask.bit_length() - 1
+        p = (mask ^ (1 << q)).bit_length() - 1
+        rp, rq = gram[p], gram[q]
+        a00, a01, a10, a11 = rp[p], rp[q], rq[p], rq[q]
+        b0, b1 = rp[node], rq[node]
+        tiny = max(abs(a00), abs(a01), abs(a10), abs(a11)) * 1e-13
+        x0, x1 = b0, b1
+        if abs(a10) > abs(a00):
+            a00, a01, a10, a11 = a10, a11, a00, a01
+            x0, x1 = b1, b0
+        if abs(a00) > tiny:
+            factor = a10 * (1.0 / a00)
+            if factor != 0.0:
+                a11 = a11 - factor * a01
+                x1 = x1 - factor * x0
+            if abs(a11) > tiny:
+                x1 = x1 * (1.0 / a11)
+                x0 = (x0 - a01 * x1) * (1.0 / a00)
+                rss = syy - b0 * x0 - b1 * x1
+    if rss is None:
+        rss = syy
+        if k:
+            pa = [i for i in range(len(gram)) if (mask >> i) & 1]
+            rows = [gram[r] for r in pa]
+            a = [[row[c] for c in pa] for row in rows]
+            b = [row[node] for row in rows]
+            x, ok = _solve(a, b)
+            if not ok:
+                lam = 0.0
+                for r, row in enumerate(a):
+                    lam += abs(row[r])
+                lam = RIDGE * (1.0 + lam / k)
+                for r, row in enumerate(a):
+                    row[r] += lam
+                x, _ = _solve(a, b)
+            for br, xr in zip(b, x):
+                rss -= br * xr
     floor = 1e-12 * (syy if syy > 1.0 else 1.0)
     if rss < floor:
         rss = floor
-    score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (len(pa) + 1) * math.log(n_rows)
+    score = -0.5 * n_rows * math.log(rss / n_rows) - 0.5 * (k + 1) * math.log(n_rows)
     cache[key] = score
     return score
 
 
-def _move_cum(adj, reach, offdiag):
-    """Row-major cumulative count of the single-edge moves legal in a DAG.
+def _reachability(ch, pa):
+    """(desc, anc, rev) masks of the DAG with child masks ch and parent masks
+    pa: each node's strict descendants, its strict ancestors, and its
+    reversible edges, those to a child that no other directed path reaches.
+    Kahn order, then descendants in reverse order and ancestors in order."""
+    d = len(ch)
+    waiting = [m.bit_count() for m in pa]
+    order = [v for v in range(d) if not pa[v]]
+    for v in order:
+        m = ch[v]
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            waiting[c] -= 1
+            if not waiting[c]:
+                order.append(c)
+            m ^= low
+    desc, anc, rev = [0] * d, [0] * d, [0] * d
+    for v in reversed(order):
+        below = 0
+        m = ch[v]
+        while m:
+            low = m & -m
+            below |= desc[low.bit_length() - 1]
+            m ^= low
+        desc[v] = ch[v] | below
+        rev[v] = ch[v] & ~below
+    for v in order:
+        above = m = pa[v]
+        while m:
+            low = m & -m
+            above |= anc[low.bit_length() - 1]
+            m ^= low
+        anc[v] = above
+    return desc, anc, rev
 
-    Cell (i, j) holds, in this order, a delete of i -> j when the edge is
-    present and a reverse of it when no other directed path i ~> j exists;
-    otherwise an add of i -> j when no path j ~> i exists.  reach is the
-    closure of adj and offdiag the off-diagonal mask; the last entry is the
-    move count.
+
+def _row_cum(anc, rev):
+    """Cumulative move counts by row: row i holds d - 1 - |anc_i| adds and
+    deletes and |rev_i| reversals, so the last entry is the move count."""
+    d = len(anc)
+    return list(accumulate(d - 1 - a.bit_count() + r.bit_count() for a, r in zip(anc, rev)))
+
+
+def _pick(ch, anc, rev, row_cum, pick):
+    """(kind, i, j) of move number pick.  Kinds: 0 add i->j, 1 delete i->j,
+    2 reverse i->j.
+
+    Moves run row by row and, in row i, column by column.  A child j holds a
+    delete, then a reverse when the edge is reversible; any other j that is
+    neither i nor an ancestor of i holds an add.
     """
-    rev = adj & ~(adj @ reach)
-    add = offdiag & ~(adj | reach.T)
-    return (adj.view(np.int8) + rev.view(np.int8) + add.view(np.int8)).ravel().cumsum()
-
-
-def _pick_move(adj, cum, pick):
-    """(kind, i, j) of move number pick in _move_cum's order.
-
-    Kinds: 0 add i->j, 1 delete i->j, 2 reverse i->j.  The first cell is a
-    diagonal one and holds no move, so cum[cell - 1] always exists.
-    """
-    cell = int(cum.searchsorted(pick, side="right"))
-    i, j = divmod(cell, adj.shape[0])
-    if not adj[i, j]:
-        return 0, i, j
-    return (1 if pick == cum[cell - 1] else 2), i, j
+    i = bisect_right(row_cum, pick)
+    r = pick - row_cum[i - 1] if i else pick
+    two = rev[i]
+    m = ~(anc[i] | 1 << i) & ((1 << len(ch)) - 1)
+    while True:
+        low = m & -m
+        width = 2 if two & low else 1
+        if r < width:
+            break
+        r -= width
+        m ^= low
+    j = low.bit_length() - 1
+    if ch[i] & low:
+        return (1 if r == 0 else 2), i, j
+    return 0, i, j
 
 
 def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms):
@@ -273,50 +353,92 @@ def mcmc_chain(gram, n_rows: int, steps: int, burn_in: int, thin: int, uniforms)
         raise ParameterError(f"uniforms must have shape ({steps}, 2), got {uniforms.shape}")
     if not 1 <= d <= 50:
         raise ParameterError(f"sampler needs 1 to 50 nodes (parent-set masks), got {d}")
-    samples = np.zeros((max((steps - burn_in) // thin, 0), d, d), np.bool_)
     cache = {}
-    # The move count of the current state is carried from step to step: a
-    # proposal's count becomes the state's on accept, and a rejection leaves
-    # the state unchanged.  So each step closes and counts one graph.
-    adj = np.zeros((d, d), np.bool_)
-    offdiag = ~np.eye(d, dtype=np.bool_)
-    masks = [0] * d
+    # The state is per-node masks: children ch, parents pa, strict
+    # descendants and ancestors, and reversible edges rev.  With
+    # R = sum |rev_i| and P = sum |desc_i| the move count is d(d-1) + R - P.
+    # An add updates the masks in place; deleting an edge that another path
+    # doubles changes no reachability; any other delete or reversal recomputes
+    # the masks of the proposal.
+    ch, pa = [0] * d, [0] * d
+    desc, anc, rev = [0] * d, [0] * d, [0] * d
     local = [_local_bic(gram, n_rows, k, 0, cache) for k in range(d)]
-    cum = _move_cum(adj, transitive_closure_batch(adj), offdiag)
-    n_moves = int(cum[-1])
+    row_cum = _row_cum(anc, rev)
+    n_moves = row_cum[-1]
     accepted = 0
-    rec = 0
+    kept = []
     for s, (u_move, u_accept) in enumerate(uniforms.tolist(), 1):
         if n_moves > 0:
-            pick = min(int(u_move * n_moves), n_moves - 1)
-            kind, mi, mj = _pick_move(adj, cum, pick)
-            if kind == 0:
-                mask_j = masks[mj] | (1 << mi)
-            else:
-                mask_j = masks[mj] & ~(1 << mi)
+            kind, mi, mj = _pick(ch, anc, rev, row_cum, min(int(u_move * n_moves), n_moves - 1))
+            bi, bj = 1 << mi, 1 << mj
+            mask_j = pa[mj] | bi if kind == 0 else pa[mj] & ~bi
             new_j = _local_bic(gram, n_rows, mj, mask_j, cache)
             delta = new_j - local[mj]
             if kind == 2:
-                mask_i = masks[mi] | (1 << mj)
+                mask_i = pa[mi] | bj
                 new_i = _local_bic(gram, n_rows, mi, mask_i, cache)
                 delta = delta + (new_i - local[mi])
-            adj[mi, mj] = kind == 0
-            if kind == 2:
-                adj[mj, mi] = True
-            cum2 = _move_cum(adj, transitive_closure_batch(adj), offdiag)
-            n_moves2 = int(cum2[-1])
+            masks2 = None
+            if kind == 0:
+                # i -> j joins A = anc_i + i to B = desc_j + j: each a in A
+                # gains B's new descendants and loses its reversible edges
+                # into B, and the edge itself is reversible unless j already
+                # descends from i
+                up, down = anc[mi] | bi, desc[mj] | bj
+                fresh = not desc[mi] & bj
+                n_moves2 = n_moves + fresh
+                m = up
+                while m:
+                    low = m & -m
+                    a = low.bit_length() - 1
+                    n_moves2 -= (down & ~desc[a]).bit_count() + (rev[a] & down).bit_count()
+                    m ^= low
+            elif kind == 1 and not rev[mi] & bj:
+                n_moves2 = n_moves
+            else:
+                ch2, pa2 = ch[:], pa[:]
+                ch2[mi] ^= bj
+                pa2[mj] = mask_j
+                if kind == 2:
+                    ch2[mj] |= bi
+                    pa2[mi] = mask_i
+                masks2 = _reachability(ch2, pa2)
+                row_cum2 = _row_cum(masks2[1], masks2[2])
+                n_moves2 = row_cum2[-1]
             log_alpha = delta + math.log(n_moves) - math.log(n_moves2)
             if math.log(max(u_accept, 1e-300)) < log_alpha:
                 accepted += 1
-                cum, n_moves = cum2, n_moves2
-                masks[mj], local[mj] = mask_j, new_j
+                local[mj] = new_j
                 if kind == 2:
-                    masks[mi], local[mi] = mask_i, new_i
-            else:
-                adj[mi, mj] = kind != 0
-                if kind == 2:
-                    adj[mj, mi] = False
+                    local[mi] = new_i
+                if masks2 is not None:
+                    ch, pa = ch2, pa2
+                    desc, anc, rev = masks2
+                    row_cum = row_cum2
+                else:
+                    ch[mi] ^= bj
+                    pa[mj] = mask_j
+                if kind == 0:
+                    keep = ~down
+                    m = up
+                    while m:
+                        low = m & -m
+                        a = low.bit_length() - 1
+                        desc[a] |= down
+                        rev[a] &= keep
+                        m ^= low
+                    m = down
+                    while m:
+                        low = m & -m
+                        anc[low.bit_length() - 1] |= up
+                        m ^= low
+                    if fresh:
+                        rev[mi] |= bj
+                    row_cum = _row_cum(anc, rev)
+                n_moves = n_moves2
         if s > burn_in and (s - burn_in) % thin == 0:
-            samples[rec] = adj
-            rec += 1
+            kept.append(tuple(ch))
+    # each kept state is d child masks; bit j of row i is the edge i -> j
+    packed = np.array(kept, dtype="<u8").reshape(len(kept), d, 1).view(np.uint8)
+    samples = np.unpackbits(packed, axis=2, count=d, bitorder="little").view(np.bool_)
     return samples, accepted

@@ -596,7 +596,8 @@ def _finite(cell: str) -> float:
 
 def read_pair_reports_csv(path, labels) -> PairTable:
     """Inverse of write_pair_reports_csv; repr-formatted floats round-trip
-    and empty rate cells read as NaN."""
+    and empty rate cells read as NaN.  A row whose mode counts contradict
+    each other or its unfiltered rates is refused."""
     labels = tuple(labels)
     index = {lab: k for k, lab in enumerate(labels)}
     pairs, scores, counts = [], [], []
@@ -615,6 +616,13 @@ def read_pair_reports_csv(path, labels) -> PairTable:
             raise SchemaError(f"{path}:{lineno}: rate outside [0, 1]")
         if min(counts[-1]) < 0:
             raise SchemaError(f"{path}:{lineno}: negative mode count")
+        # the identities by which _match_counts and _rates make the row
+        n_true, n_learned, tp, fp, fn = counts[-1]
+        if not (n_true >= 1 and n_learned >= 1 and tp <= n_true and fp <= n_learned and fn == n_true - tp):
+            raise SchemaError(f"{path}:{lineno}: mode counts contradict each other")
+        for rate, den in zip(scores[-1][1:3], (tp + fp, n_true)):
+            if not (rate == tp / den if den else math.isnan(rate)):
+                raise SchemaError(f"{path}:{lineno}: rates contradict the mode counts")
     scores = np.reshape(scores, (-1, 5))
     return PairTable(pairs, scores[:, 0], scores[:, 1:], np.reshape(counts, (-1, 5)))
 

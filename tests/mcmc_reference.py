@@ -1,12 +1,15 @@
-"""Loop reference for the structure-MCMC chain in ``atebench.kernels``.
+"""Loop and numpy references for the structure-MCMC chain in ``atebench.kernels``.
 
-These are the plain-Python loops the vectorised chain replaced: a
-Floyd-Warshall closure, a depth-first reversal check, a move enumerator that
-walks the cells in row-major order, and a chain that recomputes the closure
-and the move count of the current state at the top of every step.  Tests
-require the vectorised code to reproduce them exactly.  The chain scores
-with the numpy local BIC of ``score_reference``, so that equality also
-checks the list score in ``atebench.kernels``.
+The loop reference is plain Python: a Floyd-Warshall closure, a depth-first
+reversal check, a move enumerator that walks the cells in row-major order,
+and a chain that recomputes the closure and the move count of the current
+state at the top of every step.  The numpy reference is the chain the
+bitmask one replaced: it closes every proposal with
+``transitive_closure_batch`` and counts its moves with one cumulative sum
+over the cells (``_move_cum``, ``_pick_move``).  Tests require the kernel to
+reproduce both exactly.  Both score with the numpy local BIC of
+``score_reference``, so that equality also checks the list score in
+``atebench.kernels``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 
+from atebench.kernels import transitive_closure_batch
 from score_reference import _local_bic
 
 
@@ -155,3 +159,81 @@ def reference_chain(gram, n_rows, steps, burn_in, thin, uniforms):
     samples = np.zeros((max((steps - burn_in) // thin, 0), d, d), np.bool_)
     accepted = _mcmc_loop(gram, n_rows, steps, burn_in, thin, uniforms, samples, {})
     return samples, int(accepted)
+
+
+def _move_cum(adj, reach, offdiag):
+    """Row-major cumulative count of the single-edge moves legal in a DAG.
+
+    Cell (i, j) holds, in this order, a delete of i -> j when the edge is
+    present and a reverse of it when no other directed path i ~> j exists;
+    otherwise an add of i -> j when no path j ~> i exists.  reach is the
+    closure of adj and offdiag the off-diagonal mask; the last entry is the
+    move count.
+    """
+    rev = adj & ~(adj @ reach)
+    add = offdiag & ~(adj | reach.T)
+    return (adj.view(np.int8) + rev.view(np.int8) + add.view(np.int8)).ravel().cumsum()
+
+
+def _pick_move(adj, cum, pick):
+    """(kind, i, j) of move number pick in _move_cum's order.
+
+    Kinds: 0 add i->j, 1 delete i->j, 2 reverse i->j.  The first cell is a
+    diagonal one and holds no move, so cum[cell - 1] always exists.
+    """
+    cell = int(cum.searchsorted(pick, side="right"))
+    i, j = divmod(cell, adj.shape[0])
+    if not adj[i, j]:
+        return 0, i, j
+    return (1 if pick == cum[cell - 1] else 2), i, j
+
+
+def numpy_chain(gram, n_rows, steps, burn_in, thin, uniforms):
+    """(samples, accepted) of the numpy chain, shaped as ``mcmc_chain``'s:
+    each proposal is closed and its moves counted from scratch."""
+    gram = np.ascontiguousarray(gram, dtype=float)
+    d = gram.shape[0]
+    samples = np.zeros((max((steps - burn_in) // thin, 0), d, d), np.bool_)
+    cache = {}
+    adj = np.zeros((d, d), np.bool_)
+    offdiag = ~np.eye(d, dtype=np.bool_)
+    masks = [0] * d
+    local = [_local_bic(gram, n_rows, k, 0, cache) for k in range(d)]
+    cum = _move_cum(adj, transitive_closure_batch(adj), offdiag)
+    n_moves = int(cum[-1])
+    accepted = 0
+    rec = 0
+    for s, (u_move, u_accept) in enumerate(np.asarray(uniforms, dtype=float).tolist(), 1):
+        if n_moves > 0:
+            pick = min(int(u_move * n_moves), n_moves - 1)
+            kind, mi, mj = _pick_move(adj, cum, pick)
+            if kind == 0:
+                mask_j = masks[mj] | (1 << mi)
+            else:
+                mask_j = masks[mj] & ~(1 << mi)
+            new_j = _local_bic(gram, n_rows, mj, mask_j, cache)
+            delta = new_j - local[mj]
+            if kind == 2:
+                mask_i = masks[mi] | (1 << mj)
+                new_i = _local_bic(gram, n_rows, mi, mask_i, cache)
+                delta = delta + (new_i - local[mi])
+            adj[mi, mj] = kind == 0
+            if kind == 2:
+                adj[mj, mi] = True
+            cum2 = _move_cum(adj, transitive_closure_batch(adj), offdiag)
+            n_moves2 = int(cum2[-1])
+            log_alpha = delta + math.log(n_moves) - math.log(n_moves2)
+            if math.log(max(u_accept, 1e-300)) < log_alpha:
+                accepted += 1
+                cum, n_moves = cum2, n_moves2
+                masks[mj], local[mj] = mask_j, new_j
+                if kind == 2:
+                    masks[mi], local[mi] = mask_i, new_i
+            else:
+                adj[mi, mj] = kind != 0
+                if kind == 2:
+                    adj[mj, mi] = False
+        if s > burn_in and (s - burn_in) % thin == 0:
+            samples[rec] = adj
+            rec += 1
+    return samples, accepted

@@ -1,5 +1,6 @@
 """GES: the per-target, memoised search against the re-enumerating reference."""
 
+import importlib
 import logging
 import re
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from atebench import kernels
+from atebench.discovery import bootstrap
 from atebench.discovery.ges import _backward_target, _candidates, _forward_target, ges
-from atebench.errors import DegenerateDataError
+from atebench.errors import DegenerateDataError, ExtensionError
 from atebench.graphs import _rows
 from atebench.scm import Dataset, random_er_dag, random_scm, sample
 
@@ -93,3 +95,34 @@ def test_ges_scores_through_the_kernel_and_logs_its_moves(monkeypatch, caplog):
     _assert_same_cpdag(got, expected, "traced")
     moves = _logged_moves(caplog)
     assert len(moves) == 1 and moves[0] > 0
+
+
+def test_a_move_without_an_extension_fails_loudly(monkeypatch):
+    # a valid insert or delete always leaves an extendable PDAG, so a failed
+    # extension is a bug: it names the move, and the bootstrap does not
+    # redraw it away as a bad resample
+    ges_module = importlib.import_module("atebench.discovery.ges")
+    extend, apply_delete = ges_module._extend, ges_module._apply_delete
+    data = sample(random_scm(random_er_dag(6, 8, seed=11), seed=11), 100, seed=11)
+
+    def raising(*args):
+        raise ExtensionError("no consistent extension exists")
+
+    monkeypatch.setattr(ges_module, "_extend", raising)
+    with pytest.raises(AssertionError, match=r"^insert x=\d+ y=\d+ T=\(.*\) left no consistent extension$"):
+        ges(data)
+    with pytest.raises(AssertionError, match=r"^insert x=\d+ y=\d+ T="):
+        bootstrap(data, method="ges", num_replicates=2, seed=0)
+    # this dataset's search deletes x4 -> x1 after its inserts
+    deleting = []
+
+    def delete(*args):
+        deleting.append(args[3:6])
+        monkeypatch.setattr(ges_module, "_extend", raising)
+        return apply_delete(*args)
+
+    monkeypatch.setattr(ges_module, "_extend", extend)
+    monkeypatch.setattr(ges_module, "_apply_delete", delete)
+    with pytest.raises(AssertionError, match=r"^delete x=4 y=1 H=\(\) left no consistent extension$"):
+        ges(data)
+    assert deleting == [(4, 1, ())]

@@ -9,14 +9,16 @@ from scipy import stats
 
 from atebench import kernels
 from atebench.errors import ParameterError
+from atebench.graphs import _rows
 from atebench.mec import enumerate_mec
 from atebench.scm import random_er_dag, random_scm, sample
 
 from conftest import random_weighted_sample
 from graph_helpers import closure_one
 import ate_reference
+import mcmc_reference
 import score_reference
-from mcmc_reference import _nth_move, _reach, reference_chain
+from mcmc_reference import _nth_move, _reach, _reverse_ok, reference_chain
 
 
 def centered_gram_of(values):
@@ -144,10 +146,23 @@ def test_local_bic_cache_returns_identical_value():
     assert len(cache) >= 1
 
 
+def _small_masks(node, columns):
+    """Every one- and two-parent mask over `columns`, leaving out `node`."""
+    others = [c for c in columns if c != node]
+    return [1 << p for p in others] + [(1 << p) | (1 << q) for i, p in enumerate(others) for q in others[i + 1:]]
+
+
 def score_corpus():
     """(gram, rows, n, node, mask) for d = 5..30, n in {d+2, d+5, 50, 200, 500} and
     0-8 parents, on data where column 1 copies column 0 exactly and column 2
-    is column 3 plus noise of relative size 1e-9; rows is gram as lists."""
+    is column 3 plus noise of relative size 1e-9; rows is gram as lists.
+    Each such gram also scores its last node on every one- and two-parent
+    set of the first five columns.  Then two hand-built grams, scored on
+    one- and two-parent sets: 8 rows where columns 0 to 4 are exact small
+    integers (column 1 copies column 0, column 2 ties column 0's pivot,
+    column 3 is orthogonal to both, column 4 is all zeros) and six more are
+    Gaussian; and a gram whose node column is infinite, the one input where
+    a zero elimination factor must skip its row update."""
     rng = np.random.default_rng(2025)
     for d in range(5, 31, 5):
         scm = random_scm(random_er_dag(d, 2 * d, seed=d), seed=d)
@@ -165,6 +180,49 @@ def score_corpus():
                 for p in rng.choice(others, size=size, replace=False).tolist():
                     mask |= 1 << p
                 yield gram, rows, n, node, mask
+            for mask in _small_masks(d - 1, range(5)):
+                yield gram, rows, n, d - 1, mask
+    h1, h2, h3 = (np.resize(np.repeat([1.0, -1.0], w), 8) for w in (1, 2, 4))
+    values = np.column_stack([h1, h1, h1 + 3.0 * h2, h3, np.zeros(8), rng.normal(size=(8, 6))])
+    infinite = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [np.inf, 0.0, 1.0]])
+    for gram, nodes in ((centered_gram_of(values), range(values.shape[1])), (infinite, [2])):
+        rows = gram.tolist()
+        for node in nodes:
+            for mask in _small_masks(node, range(len(rows))):
+                yield gram, rows, 8, node, mask
+
+
+def inline_branches(rows, node, mask):
+    """The branches the inline one- and two-parent elimination of
+    ``kernels._local_bic`` takes for a score, worked out from the gram;
+    empty for other parent counts."""
+    pa = [i for i in range(len(rows)) if mask >> i & 1]
+    if len(pa) == 1:
+        a = rows[pa[0]][pa[0]]
+        return {"one parent", "tiny first pivot" if abs(a) <= abs(a) * 1e-13 else "solved"}
+    if len(pa) != 2:
+        return set()
+    p, q = pa
+    a00, a01, a10, a11 = rows[p][p], rows[p][q], rows[q][p], rows[q][q]
+    tiny = max(abs(a00), abs(a01), abs(a10), abs(a11)) * 1e-13
+    out = {"two parents"}
+    if rows[p] == rows[q]:
+        out.add("duplicate columns")
+    elif abs(a10) == abs(a00):
+        out.add("tied pivot")
+    if abs(a10) > abs(a00):
+        out.add("swap")
+        a00, a01, a10, a11 = a10, a11, a00, a01
+    else:
+        out.add("no swap")
+    if abs(a00) <= tiny:
+        return out | {"tiny first pivot"}
+    factor = a10 * (1.0 / a00)
+    if factor == 0.0:
+        out.add("zero factor")
+    a11 = a11 - factor * a01
+    out.add("tiny second pivot" if abs(a11) <= tiny else "solved")
+    return out
 
 
 def test_local_bic_matches_the_numpy_reference_bit_for_bit(monkeypatch):
@@ -183,6 +241,34 @@ def test_local_bic_matches_the_numpy_reference_bit_for_bit(monkeypatch):
         assert struct.pack("<d", got) == struct.pack("<d", want), (gram.shape[0], n, node, mask)
     # the corpus reaches the ridge retry
     assert False in solved
+
+
+def test_the_score_corpus_reaches_every_inline_branch(monkeypatch):
+    # a score the inline elimination solves never calls _solve; one whose
+    # pivot fails hands off to it, and its ridge retry calls it again
+    solves = []
+    solve = kernels._solve
+
+    def counting(a, b):
+        solves.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(kernels, "_solve", counting)
+    reached = {}
+    for gram, rows, n, node, mask in score_corpus():
+        branches = inline_branches(rows, node, mask)
+        solves.clear()
+        kernels._local_bic(rows, n, node, mask, {})
+        if "solved" in branches:
+            assert solves == [], (node, mask)
+        elif branches:
+            assert solves == [mask.bit_count()] * 2, (node, mask)
+        for branch in branches:
+            reached[branch] = reached.get(branch, 0) + 1
+    assert set(reached) == {
+        "one parent", "two parents", "solved", "no swap", "swap", "zero factor",
+        "tiny first pivot", "tiny second pivot", "duplicate columns", "tied pivot",
+    }, reached
 
 
 # --- ATE sweep kernel ------------------------------------------------------
@@ -371,16 +457,72 @@ def move_test_graphs():
         yield random_er_dag(d, d * (d - 1) // 2, seed=d).adjacency
 
 
-def test_vectorised_moves_match_the_loop_enumeration():
+def test_bitmask_moves_match_the_loop_enumeration():
     for adj in move_test_graphs():
         d = adj.shape[0]
         reach = _reach(adj)
-        assert np.array_equal(kernels.transitive_closure_batch(adj), reach)
-        cum = kernels._move_cum(adj, reach, ~np.eye(d, dtype=bool))
+        ch = _rows(adj)
+        desc, anc, rev = kernels._reachability(ch, _rows(adj.T))
+        assert desc == _rows(reach) and anc == _rows(reach.T)
+        assert rev == [sum(1 << j for j in range(d) if adj[i, j] and _reverse_ok(adj, i, j)) for i in range(d)]
+        row_cum = kernels._row_cum(anc, rev)
         n_moves = _nth_move(adj, reach, -1)[0]
-        assert cum[-1] == n_moves
+        assert row_cum[-1] == n_moves
         for pick in range(n_moves):
-            assert kernels._pick_move(adj, cum, pick) == _nth_move(adj, reach, pick)[1:]
+            assert kernels._pick(ch, anc, rev, row_cum, pick) == _nth_move(adj, reach, pick)[1:]
+
+
+def chain_corpus():
+    """(d, gram, n, steps, burn_in, thin, uniforms) for every d from 1 to 50,
+    cycling through no burn-in, one kept sample and two thinning strides."""
+    steps = 400
+    variants = [(0, 1), (steps // 4, 3), (steps - 1, 1), (steps // 2, 7)]
+    for d in range(1, 51):
+        if d == 1:
+            values = np.random.default_rng(1).normal(size=(200, 1))
+        else:
+            g = random_er_dag(d, min(d, d * (d - 1) // 2), seed=d)
+            values = sample(random_scm(g, seed=d), 200, seed=d).values
+        burn_in, thin = variants[d % len(variants)]
+        uniforms = np.random.default_rng(d).random((steps, 2))
+        yield d, centered_gram_of(values), 200, steps, burn_in, thin, uniforms
+
+
+def test_mcmc_chain_matches_the_numpy_chain_for_every_d(monkeypatch):
+    # the numpy chain's picks say which update each proposal needs: an add,
+    # a delete of an edge another path doubles (no reachability changes),
+    # or a recompute (any other delete, and every reversal)
+    paths = {"add": 0, "unchanged": 0, "recompute": 0}
+    pick_move = mcmc_reference._pick_move
+
+    def classify(adj, cum, pick):
+        kind, i, j = pick_move(adj, cum, pick)
+        cell = i * adj.shape[0] + j
+        if kind == 0:
+            paths["add"] += 1
+        elif kind == 1 and cum[cell] - cum[cell - 1] == 1:
+            paths["unchanged"] += 1
+        else:
+            paths["recompute"] += 1
+        return kind, i, j
+
+    recomputes = []
+    reachability = kernels._reachability
+
+    def counting(ch, pa):
+        recomputes.append(len(ch))
+        return reachability(ch, pa)
+
+    monkeypatch.setattr(mcmc_reference, "_pick_move", classify)
+    monkeypatch.setattr(kernels, "_reachability", counting)
+    for d, gram, n, steps, burn_in, thin, uniforms in chain_corpus():
+        samples, accepted = kernels.mcmc_chain(gram, n, steps, burn_in, thin, uniforms)
+        ref_samples, ref_accepted = mcmc_reference.numpy_chain(gram, n, steps, burn_in, thin, uniforms)
+        assert accepted == ref_accepted, d
+        assert samples.dtype == ref_samples.dtype and samples.shape == ref_samples.shape, d
+        assert np.array_equal(samples, ref_samples), d
+    assert min(paths.values()) > 0, paths
+    assert len(recomputes) == paths["recompute"]
 
 
 @pytest.mark.parametrize("d,steps", [(3, 3000), (8, 1500), (10, 1000), (20, 200)])

@@ -514,9 +514,36 @@ def test_pair_reports_csv_names_the_line_of_an_impossible_score(tmp_path):
             read_pair_reports_csv(path, labels)
         assert str(err.value) == f"{path}:3: {rule}"
     # the bounds themselves and empty rate cells are read
-    path.write_text(header + good + "X0,X1,0.0,0.0,1.0,,,0,0,0,0,0\n")
+    path.write_text(header + good + "X0,X1,0.0,0.0,0.0,,,1,1,0,1,1\n")
     table = read_pair_reports_csv(path, labels)
-    assert table.rates[1].tolist()[:2] == [0.0, 1.0] and np.isnan(table.rates[:, 2:]).all()
+    assert table.rates[:, :2].tolist() == [[1.0, 1.0], [0.0, 0.0]] and np.isnan(table.rates[:, 2:]).all()
+
+
+def test_pair_reports_csv_refuses_counts_that_contradict_each_other_or_the_rates(tmp_path):
+    labels = ("X0", "X1")
+    path = tmp_path / "pairs.csv"
+    header = ",".join(PAIR_REPORT_HEADER) + "\n"
+    good = "X1,X0,0.5,1.0,1.0,,,1,1,1,0,0\n"
+    for row, rule in (
+        ("X0,X1,0.5,1.0,1.0,,,1,1,9,0,0", "mode counts contradict each other"),
+        ("X0,X1,0.5,,,,,0,1,0,0,0", "mode counts contradict each other"),
+        ("X0,X1,0.5,,,,,1,0,0,0,1", "mode counts contradict each other"),
+        ("X0,X1,0.5,1.0,0.5,,,2,1,1,0,0", "mode counts contradict each other"),
+        ("X0,X1,0.5,0.5,1.0,,,1,1,1,2,0", "mode counts contradict each other"),
+        ("X0,X1,0.5,0.5,1.0,,,1,2,1,0,0", "rates contradict the mode counts"),
+        ("X0,X1,0.5,1.0,0.5,,,1,1,1,0,0", "rates contradict the mode counts"),
+        ("X0,X1,0.5,,1.0,,,1,1,1,0,0", "rates contradict the mode counts"),
+        ("X0,X1,0.5,0.0,0.0,,,1,1,0,0,1", "rates contradict the mode counts"),
+    ):
+        path.write_text(header + good + row + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_pair_reports_csv(path, labels)
+        assert str(err.value) == f"{path}:3: {rule}"
+    # precision is undefined, and its cell empty, when no mode is matched or spurious
+    path.write_text(header + "X0,X1,0.5,0.6666666666666666,1.0,,,2,3,2,1,0\nX1,X0,0.5,,0.0,,,1,1,0,0,1\n")
+    table = read_pair_reports_csv(path, labels)
+    assert table.rates[0, :2].tolist() == [2 / 3, 1.0]
+    assert np.isnan(table.rates[1, 0]) and table.rates[1, 1] == 0.0
 
 
 def test_modes_csv_names_the_line_of_a_self_pair(tmp_path):
